@@ -127,11 +127,9 @@ tensor::Tensor map_spans(const tensor::Tensor& x, const BatchLayout& layout,
 ///
 /// With `caches`, span s runs the incremental path: its rows continue at
 /// span(s).start_position and attend over caches[s]'s prefix plus themselves
-/// (appending this block's K/V rows as a side effect). Spans run serially in
-/// that case even with a pool — concurrent cached attention would be safe
-/// (each span owns its cache) but the serial loop keeps the append order per
-/// cache trivially deterministic; decode packs are single-row spans where
-/// span-parallel attention buys nothing.
+/// (appending this block's K/V rows as a side effect). Each span appends only
+/// to its own cache, so spans run concurrently on the pool exactly as in the
+/// cache-free case.
 tensor::Tensor run_attention(const tensor::Tensor& x, const BatchLayout& layout,
                              const BlockWeights& block, const ModelConfig& config,
                              std::size_t block_index,
@@ -141,7 +139,7 @@ tensor::Tensor run_attention(const tensor::Tensor& x, const BatchLayout& layout,
                   static_cast<std::uint32_t>(layout.sequences()));
   if (!caches.empty()) {
     HAAN_EXPECTS(caches.size() == layout.sequences());
-    return map_spans(x, layout, /*pool=*/nullptr,
+    return map_spans(x, layout, span_pool,
                      [&](const tensor::Tensor& sub, std::size_t s) {
       if (caches[s] == nullptr) {
         HAAN_EXPECTS(layout.span(s).start_position == 0);

@@ -189,7 +189,7 @@ std::string ServeMetrics::to_string() const {
   out << "queue depth      : max " << max_queue_depth << ", mean "
       << common::format_double(mean_queue_depth, 2) << "\n";
   if (packed_forwards > 0) {
-    out << "mega-batch packs : " << packed_forwards << " ("
+    out << "packs            : " << packed_forwards << " ("
         << common::format_double(rows_per_pack(), 1) << " rows/pack, occupancy "
         << common::format_double(pack_occupancy(), 2) << ")\n";
   }

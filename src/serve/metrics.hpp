@@ -140,18 +140,18 @@ struct ServeMetrics {
   std::size_t max_queue_depth = 0;
   double mean_queue_depth = 0.0;
 
-  /// Mega-batch packing: one "pack" = one cross-request forward_hidden_batch
-  /// over a whole scheduler batch. Zero in per-request mode.
+  /// Packing: one "pack" = one cross-request forward_hidden_batch over a
+  /// whole step pack.
   std::uint64_t packed_forwards = 0;
-  std::size_t packed_rows = 0;       ///< Σ seq_len over all packs
-  std::size_t packed_sequences = 0;  ///< Σ requests over all packs
+  std::size_t packed_rows = 0;       ///< Σ rows fed over all packs
+  std::size_t packed_sequences = 0;  ///< Σ sessions over all packs
   /// Scheduler max_batch, stamped by the server so occupancy is computable.
   std::size_t pack_capacity = 0;
 
-  /// Phase row accounting under chunked/session execution: every packed row
-  /// is either a prefill row (prompt chunk) or a decode row (one generated
-  /// token fed back). Pack phase counts classify whole packs: pure-prefill,
-  /// pure-decode, or mixed. All zero outside session mode.
+  /// Phase row accounting: every packed row is either a prefill row (prompt
+  /// chunk) or a decode row (one generated token fed back). Pack phase counts
+  /// classify whole packs: pure-prefill, pure-decode, or mixed. All zero in
+  /// run_reference reports.
   std::size_t prefill_rows = 0;
   std::size_t decode_rows = 0;
   std::uint64_t prefill_packs = 0;
@@ -159,7 +159,7 @@ struct ServeMetrics {
   std::uint64_t mixed_packs = 0;
 
   /// KV cache residency: bytes at the last sample (final = 0 after drain) and
-  /// the high watermark across the run. Zero outside session mode.
+  /// the high watermark across the run. Zero in run_reference reports.
   std::size_t kv_bytes_resident = 0;
   std::size_t max_kv_bytes = 0;
 
@@ -197,9 +197,8 @@ struct ServeMetrics {
   }
 
   /// Mean rows per batched norm call (0 when the batch path never ran) — the
-  /// row-block execution model's utilization: Σ seq_len of a whole mega-batch
-  /// under packed execution, seq_len for per-request forwards, 1 if the seam
-  /// degenerated to token-at-a-time calls.
+  /// row-block execution model's utilization: the rows a whole pack feeds, 1
+  /// if the seam degenerated to token-at-a-time calls.
   double rows_per_batched_call() const {
     return norm.batched_norm_calls == 0
                ? 0.0
@@ -242,11 +241,11 @@ class MetricsCollector {
   /// Records one formed batch's size (called by workers).
   void record_batch(std::size_t batch_size);
 
-  /// Records one packed cross-request forward (called by workers in
-  /// mega-batch mode): `rows` = Σ seq_len, `sequences` = requests packed.
+  /// Records one packed cross-request forward (called by workers): `rows` =
+  /// rows fed, `sequences` = sessions packed.
   void record_packed(std::size_t rows, std::size_t sequences);
 
-  /// Records one step pack's phase mix (session mode): prefill vs decode rows
+  /// Records one step pack's phase mix: prefill vs decode rows
   /// it carried. Classifies the pack as prefill/decode/mixed internally.
   void record_step_pack(std::size_t prefill_rows, std::size_t decode_rows);
 
@@ -257,7 +256,7 @@ class MetricsCollector {
   /// tokens of a session.
   void record_intertoken(double us);
 
-  /// Samples the KV-bytes-resident gauge (session mode, after each step).
+  /// Samples the KV-bytes-resident gauge (after each step).
   void record_kv_bytes(std::size_t bytes);
 
   /// Accumulates one worker's provider counters at drain time.

@@ -1,5 +1,5 @@
-// SLA-aware batch-formation policy: the reorder buffer and admission-control
-// decisions behind BatchScheduler and StepScheduler. Three formation orders
+// SLA-aware pack-formation policy: the reorder buffer and admission-control
+// decisions behind the StepScheduler. Three formation orders
 // are supported — FIFO (arrival order, the legacy behavior), BINNED
 // (length-aware: a batch anchors on the oldest pending request and fills from
 // its prompt-length bin, so packs carry near-uniform sequence lengths and

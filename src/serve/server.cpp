@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -76,24 +75,6 @@ obs::Snapshot live_snapshot(const MetricsCollector& metrics,
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base);
   snapshot.json = json;
   return snapshot;
-}
-
-/// HAAN_PREFILL_CHUNK in the environment (any parseable value, including 0 =
-/// whole-prompt steps) flips kAuto configs into chunked execution — the CI
-/// matrix lever for running whole suites in both execution models.
-std::optional<std::size_t> env_prefill_chunk() {
-  const char* raw = std::getenv("HAAN_PREFILL_CHUNK");
-  if (raw == nullptr || *raw == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return std::nullopt;
-  return static_cast<std::size_t>(value);
-}
-
-bool workload_has_decode(const std::vector<Request>& workload) {
-  return std::any_of(
-      workload.begin(), workload.end(),
-      [](const Request& request) { return request.max_new_tokens > 0; });
 }
 
 /// The kernel decision behind this model's norm layers, rendered for metrics.
@@ -175,63 +156,32 @@ std::unique_ptr<model::NormProvider> Server::make_degrade_provider() const {
 
 std::string to_string(ExecMode mode) {
   switch (mode) {
-    case ExecMode::kAuto: return "auto";
-    case ExecMode::kMegaBatch: return "mega-batch";
-    case ExecMode::kPerRequest: return "per-request";
     case ExecMode::kChunked: return "chunked";
   }
   return "?";
 }
 
-ExecMode Server::resolve_mode(const std::vector<Request>& workload) const {
-  if (config_.mode != ExecMode::kAuto) return config_.mode;
-  if (env_prefill_chunk().has_value()) return ExecMode::kChunked;
-  if (workload_has_decode(workload)) return ExecMode::kChunked;
-  return config_.mega_batch ? ExecMode::kMegaBatch : ExecMode::kPerRequest;
-}
-
 ServeReport Server::run(const std::vector<Request>& workload) {
-  const ExecMode mode = resolve_mode(workload);
-  // Whole-request modes would silently drop decode demand.
-  HAAN_EXPECTS(mode == ExecMode::kChunked || !workload_has_decode(workload));
-
   RequestQueue queue(config_.queue_capacity);
   MetricsCollector metrics;
   WorkerPool::Options pool_options;
   pool_options.n_workers = config_.workers;
   pool_options.keep_hidden = config_.keep_hidden;
-  pool_options.mega_batch = mode == ExecMode::kMegaBatch;
   pool_options.norm_threads = config_.norm_threads;
   pool_options.degrade_factory = [this] { return make_degrade_provider(); };
 
-  std::unique_ptr<SessionTable> sessions;
-  std::unique_ptr<StepScheduler> step_scheduler;
-  std::unique_ptr<BatchScheduler> scheduler;
-  std::unique_ptr<WorkerPool> pool;
-  if (mode == ExecMode::kChunked) {
-    StepSchedulerConfig step_config;
-    step_config.batching = config_.scheduler;
-    step_config.prefill_chunk =
-        config_.mode == ExecMode::kAuto
-            ? env_prefill_chunk().value_or(config_.prefill_chunk)
-            : config_.prefill_chunk;
-    sessions = std::make_unique<SessionTable>(config_.model);
-    step_scheduler =
-        std::make_unique<StepScheduler>(queue, *sessions, step_config);
-    pool = std::make_unique<WorkerPool>(
-        model_, *step_scheduler, *sessions, [this] { return make_provider(); },
-        metrics, pool_options);
-  } else {
-    scheduler = std::make_unique<BatchScheduler>(queue, config_.scheduler);
-    pool = std::make_unique<WorkerPool>(
-        model_, *scheduler, [this] { return make_provider(); }, metrics,
-        pool_options);
-  }
+  StepSchedulerConfig step_config;
+  step_config.batching = config_.scheduler;
+  step_config.prefill_chunk = config_.prefill_chunk;
+  SessionTable sessions(config_.model);
+  StepScheduler scheduler(queue, sessions, step_config);
+  WorkerPool pool(model_, scheduler, sessions,
+                  [this] { return make_provider(); }, metrics, pool_options);
   // Cross-node rows are a process-global counter (pools are created and
   // destroyed with workers); the run's contribution is the delta.
   const std::uint64_t xnode_rows_base =
       model::RowPartitionPool::global_cross_node_rows();
-  pool->start();
+  pool.start();
 
   const Clock::time_point start = Clock::now();
 
@@ -274,12 +224,12 @@ ServeReport Server::run(const std::vector<Request>& workload) {
     }
   }
   queue.close();
-  pool->join();
+  pool.join();
   if (emitter != nullptr) emitter->stop();
   const double wall_us = elapsed_us(start, Clock::now());
 
   ServeReport report;
-  report.results = pool->take_results();
+  report.results = pool.take_results();
   report.metrics = metrics.finalize(wall_us);
   // The queue owns depth accounting under its own lock: the high watermark
   // (a feeder-side post-push sample can miss the true peak) and the
@@ -301,13 +251,11 @@ ServeReport Server::run(const std::vector<Request>& workload) {
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base;
   report.metrics.mem.cross_node_partition =
       kernels::tuned_for(config_.model.d_model).cross_node_partition;
-  if (sessions != nullptr) {
-    const SessionTable::ArenaUsage usage = sessions->arena_usage();
-    report.metrics.mem.arena_bytes += usage.reserved_bytes;
-    report.metrics.mem.arena_allocations += usage.allocations;
-    report.metrics.mem.arena_slab_allocations += usage.slab_allocations;
-    report.metrics.mem.arena_resets += usage.resets;
-  }
+  const SessionTable::ArenaUsage usage = sessions.arena_usage();
+  report.metrics.mem.arena_bytes += usage.reserved_bytes;
+  report.metrics.mem.arena_allocations += usage.allocations;
+  report.metrics.mem.arena_slab_allocations += usage.slab_allocations;
+  report.metrics.mem.arena_resets += usage.resets;
   return report;
 }
 

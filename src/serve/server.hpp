@@ -1,16 +1,17 @@
-// The serving facade: wires queue + scheduler + worker pool + metrics around
-// a Transformer. Construction builds the model and (for haan* providers)
-// runs offline calibration once so every worker's provider shares the same
-// skip plan. run() plays a workload open-loop (honoring arrival offsets) or
-// closed-loop (as fast as the queue admits), executing each scheduler batch
-// as ONE packed cross-request forward by default (mega_batch): the batch's
-// sequences concatenate into a (Σ seq_len × d) block and every norm layer is
-// a single row-block provider call spanning all of them, optionally split
-// across a worker-local row-partition pool. run_reference() executes the
-// same workload single-threaded, request-at-a-time, with one provider — the
-// determinism oracle. Packed multi-worker runs are compared against it
-// bit-for-bit: per-request hidden states are identical for any worker count,
-// batch packing, and norm-thread count, because providers key per-position
+// The serving facade: wires queue + step scheduler + worker pool + metrics
+// around a Transformer. Construction builds the model and (for haan*
+// providers) runs offline calibration once so every worker's provider shares
+// the same skip plan. run() plays a workload open-loop (honoring arrival
+// offsets) or closed-loop (as fast as the queue admits) through one
+// execution path: every request becomes a session, and each step pack the
+// scheduler forms — prefill chunks and decode steps of different requests —
+// runs as ONE packed forward over a (Σ rows × d) block, so every norm layer
+// is a single row-block provider call spanning all of them, optionally split
+// across a worker-local row-partition pool. run_reference() executes the same
+// workload single-threaded, request-at-a-time, with one provider — the
+// determinism oracle. Multi-worker runs are compared against it bit-for-bit:
+// per-request hidden states are identical for any worker count, packing,
+// prefill chunking and norm-thread count, because providers key per-position
 // state by packed row (unique per row, carrying exactly the per-sequence
 // anchor values) and every row kernel is row-wise.
 #pragma once
@@ -23,30 +24,16 @@
 #include "core/provider_factory.hpp"
 #include "model/transformer.hpp"
 #include "serve/metrics.hpp"
-#include "serve/scheduler.hpp"
+#include "serve/step_scheduler.hpp"
 #include "serve/workload.hpp"
 
 namespace haan::serve {
 
-/// How the worker pool executes requests.
+/// How the worker pool executes requests. Chunked prefill + incremental
+/// decode over live sessions is the only model; the enum and
+/// ServerConfig::mode remain because the serving benchmark (perfbench/) sets
+/// and prints them.
 enum class ExecMode {
-  /// Resolve at run() time: HAAN_PREFILL_CHUNK in the environment or decode
-  /// traffic in the workload selects kChunked; otherwise the legacy
-  /// mega_batch flag picks kMegaBatch/kPerRequest. The default — existing
-  /// configs keep their behavior, and the CI matrix can flip whole test
-  /// suites into chunked execution via the environment.
-  kAuto,
-
-  /// One whole-request scheduler batch = one packed forward (the PR 4 model).
-  kMegaBatch,
-
-  /// One forward per request (the PR 3 model, kept for A/B benchmarking).
-  kPerRequest,
-
-  /// Chunked prefill + incremental decode over live sessions: the step
-  /// scheduler mixes prefill chunks and single-row decode steps of different
-  /// requests into each pack; per-session KV caches carry attention state
-  /// across steps. The only mode that serves max_new_tokens > 0.
   kChunked,
 };
 
@@ -68,16 +55,10 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;
   SchedulerConfig scheduler;
 
-  ExecMode mode = ExecMode::kAuto;
+  ExecMode mode = ExecMode::kChunked;
 
-  /// Prompt rows per prefill step in chunked mode (0 = whole remaining
-  /// prompt in one step). Overridden by HAAN_PREFILL_CHUNK when mode=kAuto
-  /// resolves to chunked via the environment.
+  /// Prompt rows per prefill step (0 = whole remaining prompt in one step).
   std::size_t prefill_chunk = 0;
-
-  /// Legacy packing flag, honored only when mode == kAuto resolves to a
-  /// whole-request mode: true = mega-batch, false = per-request.
-  bool mega_batch = true;
 
   /// Row-partition threads per worker provider (0 = HAAN_NORM_THREADS /
   /// hardware default, 1 = serial). Outputs are bit-identical regardless.
@@ -144,13 +125,7 @@ class Server {
   std::unique_ptr<model::NormProvider> make_degrade_provider() const;
 
   /// Serves the workload to completion through the concurrent runtime.
-  /// Requests with max_new_tokens > 0 require chunked execution (explicit
-  /// kChunked, or kAuto which resolves to it when decode traffic is present).
   ServeReport run(const std::vector<Request>& workload);
-
-  /// The execution mode run() will use for `workload` (resolves kAuto
-  /// against HAAN_PREFILL_CHUNK and the workload's decode demand).
-  ExecMode resolve_mode(const std::vector<Request>& workload) const;
 
   /// Single-threaded in-order execution with one provider; no queue, no
   /// batching, no cross-request packing — one forward_hidden per request.

@@ -1,17 +1,21 @@
-// Step scheduler: continuous batching over LIVE SESSIONS instead of whole
-// requests. Where BatchScheduler hands a worker a batch of complete prompts,
-// the StepScheduler hands it a PACK of per-session steps — prefill chunks of
-// some sessions mixed with single-row decode steps of others — so decode
-// traffic keeps riding the mega-batch norm amortization instead of degrading
-// to one-row forwards. Sessions needing more steps are requeued by the worker
-// after each pack; end-of-stream drains them to completion (a closed queue
-// never drops a live decode).
+// Step scheduler: continuous batching over LIVE SESSIONS. Every request
+// becomes a session on admission, and the scheduler hands each worker a PACK
+// of per-session steps — prefill chunks of some sessions mixed with
+// single-row decode steps of others — that the worker executes as one packed
+// forward, so every norm layer amortizes across all sessions aboard. Sessions
+// needing more steps are requeued by the worker after each pack;
+// end-of-stream drains them to completion (a closed queue never drops a live
+// decode).
+//
+// A pack opens on the first step it takes and closes when it holds max_batch
+// sessions, when the row budget is reached, when max_wait has elapsed, or
+// early when no other work could join it.
 //
 // Admission order is a policy (serve/policy.hpp): FIFO admits in arrival
-// order (legacy); binned/EDF admit from the policy reorder pool, with the
-// first admission fixing the pack's prompt-length bin. Admission control may
-// shed deadline-missing arrivals (they ride out in StepPack.shed, never
-// becoming sessions) or degrade them onto the cheap-provider lane; a pack is
+// order; binned/EDF admit from the policy reorder pool, with the first
+// admission fixing the pack's prompt-length bin. Admission control may shed
+// deadline-missing arrivals (they ride out in StepPack.shed, never becoming
+// sessions) or degrade them onto the cheap-provider lane; a pack is
 // lane-uniform (one provider per pack) and formation alternates lanes so
 // neither starves.
 #pragma once
@@ -27,10 +31,27 @@
 
 #include "serve/policy.hpp"
 #include "serve/queue.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 
 namespace haan::serve {
+
+/// Batching knobs shared by every pack.
+struct SchedulerConfig {
+  /// Maximum sessions per pack; must be > 0.
+  std::size_t max_batch = 8;
+
+  /// Maximum time to hold an open pack waiting for more work.
+  std::chrono::microseconds max_wait{1000};
+
+  /// Row budget: cap on the rows one pack feeds (0 = unlimited). With a
+  /// budget, mixed-length FIFO packs exhaust rows with few sessions while
+  /// binned packs fill every max_batch slot — the lever that lets length
+  /// binning raise pack occupancy.
+  std::size_t max_rows = 0;
+
+  /// Formation order + overload admission control (serve/policy.hpp).
+  PolicyConfig policy;
+};
 
 /// Pack formation knobs.
 struct StepSchedulerConfig {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -49,24 +48,12 @@ void pin_worker_to_node(std::size_t worker_index) {
 
 }  // namespace
 
-WorkerPool::WorkerPool(const model::Transformer& model, BatchScheduler& scheduler,
-                       ProviderFactory provider_factory, MetricsCollector& metrics,
-                       Options options)
-    : model_(model),
-      scheduler_(&scheduler),
-      provider_factory_(std::move(provider_factory)),
-      metrics_(metrics),
-      options_(options) {
-  HAAN_EXPECTS(options_.n_workers > 0);
-  HAAN_EXPECTS(static_cast<bool>(provider_factory_));
-}
-
 WorkerPool::WorkerPool(const model::Transformer& model, StepScheduler& scheduler,
                        SessionTable& sessions, ProviderFactory provider_factory,
                        MetricsCollector& metrics, Options options)
     : model_(model),
-      step_scheduler_(&scheduler),
-      sessions_(&sessions),
+      scheduler_(scheduler),
+      sessions_(sessions),
       provider_factory_(std::move(provider_factory)),
       metrics_(metrics),
       options_(options) {
@@ -103,32 +90,6 @@ void WorkerPool::push_result(RequestResult result) {
   metrics_.record(result);
   std::lock_guard<std::mutex> lock(results_mu_);
   results_.push_back(std::move(result));
-}
-
-RequestResult WorkerPool::make_result(std::size_t worker_index,
-                                      const Batch& batch, const Request& request,
-                                      std::span<const float> hidden,
-                                      double compute_us,
-                                      Clock::time_point done) const {
-  RequestResult result;
-  result.id = request.id;
-  result.worker = worker_index;
-  result.batch = batch.sequence;
-  result.batch_size = batch.requests.size();
-  result.prompt_len = request.tokens.size();
-  result.hidden_checksum = checksum_floats(hidden);
-  if (options_.keep_hidden) {
-    result.hidden.assign(hidden.begin(), hidden.end());
-  }
-  result.queue_us = elapsed_us(request.enqueued_at, request.dequeued_at);
-  result.compute_us = compute_us;
-  result.total_us = elapsed_us(request.enqueued_at, done);
-  result.priority = request.priority;
-  result.tenant = request.tenant;
-  result.degraded = request.degraded;
-  result.deadline_missed =
-      request.deadline_us > 0.0 && result.total_us > request.deadline_us;
-  return result;
 }
 
 void WorkerPool::record_shed(std::size_t worker_index, std::uint64_t sequence,
@@ -185,36 +146,19 @@ void WorkerPool::worker_main(std::size_t worker_index) {
     }
     return *degrade_provider;
   };
-  // Worker-local span parallelism for packed forwards (threads start lazily,
-  // so per-request mode never pays for the pool).
+  // Worker-local span parallelism for packed forwards (threads start lazily).
   model::RowPartitionPool span_pool(options_.norm_threads);
 
-  if (step_scheduler_ != nullptr) {
-    while (auto pack = step_scheduler_->next_pack()) {
-      record_shed(worker_index, pack->sequence, pack->shed);
-      if (pack->entries.empty()) continue;  // shed-only pack
-      metrics_.record_batch(pack->entries.size());
-      // Resolve the lane BEFORE opening the scratch scope: a lazily built
-      // degrade provider must not put its long-lived state in pack scratch.
-      model::NormProvider& lane = lane_provider(pack->degraded);
-      if (scratch) scratch->reset();
-      mem::ScratchScope scope(scratch.get());
-      execute_step_pack(worker_index, *pack, lane, span_pool);
-    }
-  } else {
-    while (auto batch = scheduler_->next_batch()) {
-      record_shed(worker_index, batch->sequence, batch->shed);
-      if (batch->requests.empty()) continue;  // shed-only batch
-      metrics_.record_batch(batch->requests.size());
-      model::NormProvider& lane = lane_provider(batch->degraded);
-      if (scratch) scratch->reset();
-      mem::ScratchScope scope(scratch.get());
-      if (options_.mega_batch) {
-        execute_packed(worker_index, *batch, lane, span_pool);
-      } else {
-        execute_per_request(worker_index, *batch, lane);
-      }
-    }
+  while (auto pack = scheduler_.next_pack()) {
+    record_shed(worker_index, pack->sequence, pack->shed);
+    if (pack->entries.empty()) continue;  // shed-only pack
+    metrics_.record_batch(pack->entries.size());
+    // Resolve the lane BEFORE opening the scratch scope: a lazily built
+    // degrade provider must not put its long-lived state in pack scratch.
+    model::NormProvider& lane = lane_provider(pack->degraded);
+    if (scratch) scratch->reset();
+    mem::ScratchScope scope(scratch.get());
+    execute_step_pack(worker_index, *pack, lane, span_pool);
   }
 
   if (scratch) metrics_.add_arena_stats(scratch->stats());
@@ -227,49 +171,6 @@ void WorkerPool::worker_main(std::size_t worker_index) {
   if (const core::HaanNormProvider* haan =
           core::as_haan_provider(degrade_provider.get())) {
     metrics_.add_norm_counters(haan->counters());
-  }
-}
-
-void WorkerPool::execute_packed(std::size_t worker_index, Batch& batch,
-                                model::NormProvider& provider,
-                                model::RowPartitionPool& span_pool) {
-  std::vector<std::span<const int>> sequences;
-  sequences.reserve(batch.requests.size());
-  std::optional<model::BatchLayout> layout_storage;
-  {
-    HAAN_TRACE_SPAN("pack", "serve",
-                    static_cast<std::uint32_t>(batch.requests.size()));
-    for (const Request& request : batch.requests) {
-      sequences.emplace_back(request.tokens);
-    }
-    layout_storage = model::BatchLayout::from_sequences(sequences);
-  }
-  const model::BatchLayout& layout = *layout_storage;
-
-  const Clock::time_point compute_start = Clock::now();
-  tensor::Tensor hidden;
-  {
-    HAAN_TRACE_SPAN("forward", "serve",
-                    static_cast<std::uint32_t>(layout.total_rows()),
-                    static_cast<std::uint32_t>(layout.sequences()));
-    hidden = model_.forward_hidden_batch(sequences, layout, provider, &span_pool);
-  }
-  const Clock::time_point done = Clock::now();
-  metrics_.record_packed(layout.total_rows(), layout.sequences());
-
-  // Requests in a mega-batch complete together: each carries the packed
-  // forward's duration as its compute time.
-  const double compute_us = elapsed_us(compute_start, done);
-  const std::size_t d = model_.config().d_model;
-  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    const model::SequenceSpan& span = layout.span(i);
-    HAAN_TRACE_SPAN("complete", "serve",
-                    static_cast<std::uint32_t>(batch.requests[i].id));
-    obs::flow_end("req", "serve", batch.requests[i].id);
-    push_result(make_result(
-        worker_index, batch, batch.requests[i],
-        hidden.data().subspan(span.row_begin * d, span.rows * d), compute_us,
-        done));
   }
 }
 
@@ -369,7 +270,7 @@ void WorkerPool::execute_step_pack(std::size_t worker_index, StepPack& pack,
       metrics_.record_ttft(session.ttft_us);
     }
 
-    sessions_->account_kv(session);
+    sessions_.account_kv(session);
 
     if (session.finished()) {
       HAAN_TRACE_SPAN("complete", "serve",
@@ -395,30 +296,12 @@ void WorkerPool::execute_step_pack(std::size_t worker_index, StepPack& pack,
       result.deadline_missed = session.request.deadline_us > 0.0 &&
                                result.total_us > session.request.deadline_us;
       push_result(std::move(result));
-      step_scheduler_->finish(&session);
+      scheduler_.finish(&session);
     } else {
-      step_scheduler_->requeue(&session);
+      scheduler_.requeue(&session);
     }
   }
-  metrics_.record_kv_bytes(sessions_->kv_bytes_resident());
-}
-
-void WorkerPool::execute_per_request(std::size_t worker_index, Batch& batch,
-                                     model::NormProvider& provider) {
-  for (const Request& request : batch.requests) {
-    const Clock::time_point compute_start = Clock::now();
-    tensor::Tensor hidden;
-    {
-      HAAN_TRACE_SPAN("forward", "serve",
-                      static_cast<std::uint32_t>(request.tokens.size()), 1u);
-      hidden = model_.forward_hidden(request.tokens, provider);
-    }
-    const Clock::time_point done = Clock::now();
-    HAAN_TRACE_SPAN("complete", "serve", static_cast<std::uint32_t>(request.id));
-    obs::flow_end("req", "serve", request.id);
-    push_result(make_result(worker_index, batch, request, hidden.data(),
-                            elapsed_us(compute_start, done), done));
-  }
+  metrics_.record_kv_bytes(sessions_.kv_bytes_resident());
 }
 
 }  // namespace haan::serve

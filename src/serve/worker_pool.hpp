@@ -1,15 +1,13 @@
 // Worker thread pool: N threads, each owning a private NormProvider built
-// from a shared factory, pulling batches from the scheduler and running
-// Transformer forward passes. In mega-batch mode (the default) a worker packs
-// its whole batch into one BatchLayout and runs a single
-// forward_hidden_batch over the concatenated (Σ seq_len × d) hidden block, so
-// every norm layer amortizes across ALL sequences in the batch; per-request
-// mode forwards one request at a time (the pre-mega-batch execution model,
-// kept for A/B benchmarking). The Transformer is shared read-only (its
-// forward path is const and pure given the provider); per-request outputs are
-// bit-identical in either mode and regardless of which worker executes a
-// request, because every provider resets its per-sequence state in
-// begin_sequence() and packed rows carry per-row predictor state.
+// from a shared factory, pulling step packs from the StepScheduler and
+// running each as one packed incremental forward over the (Σ rows × d)
+// hidden block of every session aboard, so every norm layer amortizes across
+// all of them. The Transformer is shared read-only (its forward path is const
+// and pure given the provider); per-request outputs are bit-identical
+// regardless of which worker executes a step or which sessions share its
+// pack, because every provider resets its per-sequence state in
+// begin_sequence(), packed rows carry per-row predictor state, and each
+// session's KV cache carries its attention state across steps.
 #pragma once
 
 #include <functional>
@@ -21,15 +19,13 @@
 #include "model/norm_provider.hpp"
 #include "model/transformer.hpp"
 #include "serve/metrics.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/step_scheduler.hpp"
 
 namespace haan::serve {
 
-/// Pool of inference workers draining a BatchScheduler (whole-request modes)
-/// or a StepScheduler (chunked/session mode, where each pack mixes prefill
-/// chunks and decode steps of different live sessions into one packed
-/// forward; see step_scheduler.hpp).
+/// Pool of inference workers draining a StepScheduler: each pack mixes
+/// prefill chunks and decode steps of different live sessions into one
+/// packed forward (see step_scheduler.hpp).
 class WorkerPool {
  public:
   using ProviderFactory =
@@ -40,29 +36,21 @@ class WorkerPool {
     /// Keep the full final hidden states in each RequestResult (tests /
     /// verification); checksums are always kept.
     bool keep_hidden = false;
-    /// Pack whole scheduler batches into one cross-request forward (true) or
-    /// forward request-at-a-time (false; the PR 3 execution model).
-    bool mega_batch = true;
     /// Worker-local span/row parallelism inside a packed forward (0 =
     /// HAAN_NORM_THREADS / hardware default, 1 = serial). Bit-identical for
     /// any value.
     std::size_t norm_threads = 0;
-    /// Provider for degraded batches/packs (admission control's cheap lane).
-    /// Built lazily per worker on the first degraded batch. Empty = fall
+    /// Provider for degraded packs (admission control's cheap lane). Built
+    /// lazily per worker on the first degraded pack. Empty = fall
     /// back to the primary factory (degrade becomes a no-op reroute).
     ProviderFactory degrade_factory;
   };
 
-  /// Workers are created by start(); the pool must outlive its threads, and
-  /// `model`, `scheduler`, `metrics` must outlive the pool.
-  WorkerPool(const model::Transformer& model, BatchScheduler& scheduler,
-             ProviderFactory provider_factory, MetricsCollector& metrics,
-             Options options);
-
-  /// Session-mode pool: workers pull step packs, execute them as one packed
-  /// incremental forward, then requeue or retire each session. `sessions`
-  /// must be the table `scheduler` admits into; both must outlive the pool.
-  /// `options.mega_batch` is ignored (session packs are always packed).
+  /// Workers are created by start(); the pool must outlive its threads.
+  /// Workers pull step packs, execute each as one packed incremental
+  /// forward, then requeue or retire every session aboard. `sessions` must be
+  /// the table `scheduler` admits into; `model`, `scheduler`, `sessions` and
+  /// `metrics` must outlive the pool.
   WorkerPool(const model::Transformer& model, StepScheduler& scheduler,
              SessionTable& sessions, ProviderFactory provider_factory,
              MetricsCollector& metrics, Options options);
@@ -96,17 +84,6 @@ class WorkerPool {
                          model::NormProvider& provider,
                          model::RowPartitionPool& span_pool);
 
-  /// One packed cross-request forward over the whole batch; per-request
-  /// results are unpacked from the batch's row spans. compute_us is the
-  /// packed forward's duration (requests in a mega-batch complete together).
-  void execute_packed(std::size_t worker_index, Batch& batch,
-                      model::NormProvider& provider,
-                      model::RowPartitionPool& span_pool);
-
-  /// The per-request execution model: one forward_hidden per request.
-  void execute_per_request(std::size_t worker_index, Batch& batch,
-                           model::NormProvider& provider);
-
   void push_result(RequestResult result);
 
   /// Records the requests a formation pass shed as unserved results (no
@@ -114,18 +91,9 @@ class WorkerPool {
   void record_shed(std::size_t worker_index, std::uint64_t sequence,
                    std::vector<Request>& shed);
 
-  /// Shared RequestResult population for both execution modes; `hidden` is
-  /// the request's final hidden rows (a span of the packed block or the
-  /// per-request tensor).
-  RequestResult make_result(std::size_t worker_index, const Batch& batch,
-                            const Request& request,
-                            std::span<const float> hidden, double compute_us,
-                            Clock::time_point done) const;
-
   const model::Transformer& model_;
-  BatchScheduler* scheduler_ = nullptr;        ///< whole-request modes
-  StepScheduler* step_scheduler_ = nullptr;    ///< session mode
-  SessionTable* sessions_ = nullptr;           ///< session mode
+  StepScheduler& scheduler_;
+  SessionTable& sessions_;
   ProviderFactory provider_factory_;
   MetricsCollector& metrics_;
   Options options_;

@@ -266,4 +266,8 @@ std::vector<Request> generate_workload(const WorkloadConfig& config) {
   return requests;
 }
 
+bool prompts_fit(const WorkloadConfig& config, std::size_t max_seq_len) {
+  return std::max(config.min_prompt, config.max_prompt) <= max_seq_len;
+}
+
 }  // namespace haan::serve

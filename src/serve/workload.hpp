@@ -129,4 +129,9 @@ struct WorkloadConfig {
 /// arrival_us offsets, prompts within [min_prompt, max_prompt].
 std::vector<Request> generate_workload(const WorkloadConfig& config);
 
+/// True when every prompt `config` can generate fits a model with
+/// `max_seq_len` positions — the check a CLI runs before serving, since the
+/// server treats an over-long prompt as a broken invariant.
+bool prompts_fit(const WorkloadConfig& config, std::size_t max_seq_len);
+
 }  // namespace haan::serve

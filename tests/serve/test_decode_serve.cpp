@@ -3,12 +3,10 @@
 // bit (checksums over fed rows, greedy token streams, full hidden states) for
 // any prefill chunk size, worker count and pack mix; a closed queue must
 // still drain live decode sessions to completion; max_new_tokens clamps to
-// the model window; kAuto mode resolution follows decode demand and
-// HAAN_PREFILL_CHUNK; phase metrics (TTFT, inter-token, prefill/decode rows,
+// the model window; phase metrics (TTFT, inter-token, prefill/decode rows,
 // KV residency) and phase-tagged trace spans report the split.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,7 +26,6 @@ ServerConfig decode_server(const std::string& norm) {
   config.queue_capacity = 16;
   config.scheduler.max_batch = 4;
   config.scheduler.max_wait = std::chrono::microseconds(200);
-  config.mode = ExecMode::kChunked;
   config.prefill_chunk = 2;
   config.paced = false;
   config.keep_hidden = true;
@@ -151,43 +148,6 @@ TEST(DecodeServe, MaxNewTokensClampsToModelWindow) {
   EXPECT_EQ(report.results[1].generated.size(),
             max_seq - workload[1].tokens.size() + 1);
   expect_matches_reference(report, server.run_reference(workload));
-}
-
-TEST(DecodeServe, AutoModeResolvesByDecodeDemandAndEnvironment) {
-  // Pin the environment for the duration: this test asserts both sides of
-  // the HAAN_PREFILL_CHUNK lever.
-  const char* saved = std::getenv("HAAN_PREFILL_CHUNK");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-  ::unsetenv("HAAN_PREFILL_CHUNK");
-
-  auto config = decode_server("exact");
-  config.mode = ExecMode::kAuto;
-  Server server(config);
-  const auto decode = decode_workload(4, config.model.vocab_size);
-  std::vector<Request> prefill_only = decode;
-  for (auto& request : prefill_only) request.max_new_tokens = 0;
-
-  EXPECT_EQ(server.resolve_mode(decode), ExecMode::kChunked);
-  EXPECT_EQ(server.resolve_mode(prefill_only), ExecMode::kMegaBatch);
-
-  config.mega_batch = false;
-  Server per_request(config);
-  EXPECT_EQ(per_request.resolve_mode(prefill_only), ExecMode::kPerRequest);
-
-  ::setenv("HAAN_PREFILL_CHUNK", "3", 1);
-  EXPECT_EQ(server.resolve_mode(prefill_only), ExecMode::kChunked);
-  ::unsetenv("HAAN_PREFILL_CHUNK");
-
-  // Explicit modes always win over the environment and the workload.
-  config.mode = ExecMode::kMegaBatch;
-  Server pinned(config);
-  ::setenv("HAAN_PREFILL_CHUNK", "3", 1);
-  EXPECT_EQ(pinned.resolve_mode(prefill_only), ExecMode::kMegaBatch);
-  ::unsetenv("HAAN_PREFILL_CHUNK");
-
-  if (!saved_value.empty()) {
-    ::setenv("HAAN_PREFILL_CHUNK", saved_value.c_str(), 1);
-  }
 }
 
 TEST(DecodeServe, PhaseMetricsSeparateTtftAndInterToken) {

@@ -1,9 +1,8 @@
 // Mega-batch serving: packed cross-request execution through the full
-// queue -> scheduler -> worker-pool -> metrics stack. Covers bit-identity
-// against per-request mode and the single-threaded reference (ragged prompt
-// lengths, prime Σ seq_len, singleton batches, forced row-partition thread
-// counts), the packed metrics (packs, rows/pack, occupancy), and counter
-// aggregation semantics under packing.
+// queue -> step scheduler -> worker-pool -> metrics stack. Covers
+// bit-identity against the single-threaded reference (ragged prompt lengths,
+// prime Σ seq_len, singleton packs, forced row-partition thread counts) and
+// the packed metrics (packs, rows/pack, occupancy).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,9 +24,6 @@ ServerConfig mega_server(const std::string& norm, std::size_t workers,
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
   config.keep_hidden = true;
-  // Explicit mode: these tests assert mode-specific counter shapes, so they
-  // must not flip to chunked execution under the HAAN_PREFILL_CHUNK CI matrix.
-  config.mode = ExecMode::kMegaBatch;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -77,38 +73,6 @@ TEST(MegaBatchServe, PackedRunBitIdenticalToReferenceRaggedLengths) {
     expect_bit_identical(packed, reference);
     EXPECT_GT(packed.metrics.packed_forwards, 0u);
   }
-}
-
-TEST(MegaBatchServe, PackedModeMatchesPerRequestModeBitForBit) {
-  auto config = mega_server("haan", 2, 4);
-  const auto workload = ragged_workload(24, config.model.vocab_size);
-
-  Server packed_server(config);
-  config.mode = ExecMode::kPerRequest;
-  Server per_request_server(config);
-
-  const auto packed = packed_server.run(workload);
-  const auto per_request = per_request_server.run(workload);
-  expect_bit_identical(packed, per_request);
-
-  // Per-row counters agree; only the batching shape differs (packed makes
-  // fewer row-block calls over more rows, and records packs).
-  EXPECT_EQ(packed.metrics.norm.norm_calls, per_request.metrics.norm.norm_calls);
-  EXPECT_EQ(packed.metrics.norm.isd_computed,
-            per_request.metrics.norm.isd_computed);
-  EXPECT_EQ(packed.metrics.norm.isd_predicted,
-            per_request.metrics.norm.isd_predicted);
-  EXPECT_EQ(packed.metrics.norm.elements_read,
-            per_request.metrics.norm.elements_read);
-  EXPECT_EQ(packed.metrics.norm.fused_residual_norms,
-            per_request.metrics.norm.fused_residual_norms);
-  EXPECT_EQ(packed.metrics.norm.batched_rows,
-            per_request.metrics.norm.batched_rows);
-  EXPECT_LT(packed.metrics.norm.batched_norm_calls,
-            per_request.metrics.norm.batched_norm_calls);
-  EXPECT_GT(packed.metrics.rows_per_batched_call(),
-            per_request.metrics.rows_per_batched_call());
-  EXPECT_EQ(per_request.metrics.packed_forwards, 0u);
 }
 
 TEST(MegaBatchServe, RowPartitionThreadCountDoesNotChangeOutputs) {

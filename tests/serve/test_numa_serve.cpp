@@ -1,6 +1,6 @@
 // NUMA placement parity through the serving stack: placement moves memory
 // (arenas, mbind) and threads (node pinning), never values, so every
-// provider x execution mode x thread count must produce bit-identical
+// provider x prefill chunking x thread count must produce bit-identical
 // results under HAAN_NUMA=off, auto and interleave — and match the
 // single-threaded reference oracle. Also covers the arena stats surfaced in
 // ServeMetrics (zero under off, live under auto) and the logical-bytes KV
@@ -37,7 +37,6 @@ ServerConfig numa_server(const std::string& norm, std::size_t workers) {
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
   config.keep_hidden = true;
-  config.mode = ExecMode::kMegaBatch;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -114,7 +113,6 @@ TEST(NumaServe, EveryProviderBitIdenticalAcrossPlacementModes) {
 
 TEST(NumaServe, ChunkedDecodeBitIdenticalAcrossPlacementModes) {
   auto config = numa_server("haan", 2);
-  config.mode = ExecMode::kChunked;
   config.prefill_chunk = 5;
   const auto workload =
       ragged_workload(12, config.model.vocab_size, /*max_new=*/3);

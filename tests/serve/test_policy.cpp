@@ -6,7 +6,8 @@
 #include <set>
 #include <vector>
 
-#include "serve/scheduler.hpp"
+#include "model/config.hpp"
+#include "serve/step_scheduler.hpp"
 
 namespace haan::serve {
 namespace {
@@ -270,47 +271,59 @@ TEST(PendingPool, ApplyAdmissionShedsAndStampsDegrade) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchScheduler under the policies.
+// StepScheduler under the policies.
 
-SchedulerConfig scheduler_config(SchedPolicy policy, std::size_t max_batch) {
-  SchedulerConfig config;
-  config.max_batch = max_batch;
-  config.max_wait = std::chrono::microseconds(100);
-  config.policy.policy = policy;
+StepSchedulerConfig scheduler_config(SchedPolicy policy, std::size_t max_batch) {
+  StepSchedulerConfig config;
+  config.batching.max_batch = max_batch;
+  config.batching.max_wait = std::chrono::microseconds(100);
+  config.batching.policy.policy = policy;
   return config;
 }
 
-TEST(PolicyBatchScheduler, BinnedFormsBinPureBatches) {
+std::vector<std::uint64_t> ids_of(const StepPack& pack) {
+  std::vector<std::uint64_t> ids;
+  for (const StepEntry& entry : pack.entries) ids.push_back(entry.session->request.id);
+  return ids;
+}
+
+/// Retires every session aboard, as a worker does after a prefill-only
+/// request's single step; returns their ids (read before the release).
+std::vector<std::uint64_t> retire(StepScheduler& scheduler, const StepPack& pack) {
+  std::vector<std::uint64_t> ids = ids_of(pack);
+  for (const StepEntry& entry : pack.entries) scheduler.finish(entry.session);
+  return ids;
+}
+
+TEST(PolicyStepScheduler, BinnedFormsBinPurePacks) {
   RequestQueue queue(16);
-  // Alternating short/long prompts: FIFO would form ragged batches; binned
-  // groups each batch from one length bin.
+  SessionTable sessions(model::tiny_test_model());
+  // Alternating short/long prompts: FIFO would form ragged packs; binned
+  // groups each pack from one length bin.
   for (std::uint64_t id = 0; id < 8; ++id) {
     ASSERT_TRUE(queue.push(make_request(id, id % 2 == 0 ? 8 : 32)));
   }
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
-  config.policy.bin_width = 16;
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
+  config.batching.policy.bin_width = 16;
+  StepScheduler scheduler(queue, sessions, config);
   EXPECT_EQ(scheduler.policy(), SchedPolicy::kBinned);
 
-  const auto first = scheduler.next_batch();
-  const auto second = scheduler.next_batch();
+  // Oldest request (id 0, short) anchors the first pack; every session in a
+  // pack shares its anchor's bin.
+  const auto first = scheduler.next_pack();
   ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(retire(scheduler, *first), (std::vector<std::uint64_t>{0, 2, 4, 6}));
+  const auto second = scheduler.next_pack();
   ASSERT_TRUE(second.has_value());
-  ASSERT_EQ(first->requests.size(), 4u);
-  ASSERT_EQ(second->requests.size(), 4u);
-  // Oldest request (id 0, short) anchors the first batch; every request in a
-  // batch shares its anchor's bin.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(first->requests[i].id, 2 * i);       // 0 2 4 6
-    EXPECT_EQ(second->requests[i].id, 2 * i + 1);  // 1 3 5 7
-  }
-  EXPECT_FALSE(scheduler.next_batch().has_value());
+  EXPECT_EQ(retire(scheduler, *second), (std::vector<std::uint64_t>{1, 3, 5, 7}));
+  EXPECT_FALSE(scheduler.next_pack().has_value());
 }
 
-TEST(PolicyBatchScheduler, EdfServesUrgentRequestsFirst) {
+TEST(PolicyStepScheduler, EdfServesUrgentRequestsFirst) {
   RequestQueue queue(16);
+  SessionTable sessions(model::tiny_test_model());
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 4; ++id) {
     Request request = make_request(id, 8, now);
@@ -319,39 +332,39 @@ TEST(PolicyBatchScheduler, EdfServesUrgentRequestsFirst) {
   }
   queue.close();
 
-  BatchScheduler scheduler(queue, scheduler_config(SchedPolicy::kEdf, 2));
-  const auto first = scheduler.next_batch();
-  const auto second = scheduler.next_batch();
+  StepScheduler scheduler(queue, sessions, scheduler_config(SchedPolicy::kEdf, 2));
+  const auto first = scheduler.next_pack();
   ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(retire(scheduler, *first), (std::vector<std::uint64_t>{3, 2}));
+  const auto second = scheduler.next_pack();
   ASSERT_TRUE(second.has_value());
-  ASSERT_EQ(first->requests.size(), 2u);
-  EXPECT_EQ(first->requests[0].id, 3u);
-  EXPECT_EQ(first->requests[1].id, 2u);
-  EXPECT_EQ(second->requests[0].id, 1u);
-  EXPECT_EQ(second->requests[1].id, 0u);
+  EXPECT_EQ(retire(scheduler, *second), (std::vector<std::uint64_t>{1, 0}));
 }
 
-TEST(PolicyBatchScheduler, RowBudgetClosesBatches) {
+TEST(PolicyStepScheduler, RowBudgetClosesPacks) {
   RequestQueue queue(16);
+  SessionTable sessions(model::tiny_test_model());
   for (std::uint64_t id = 0; id < 5; ++id) ASSERT_TRUE(queue.push(make_request(id, 4)));
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 8);
-  config.max_rows = 10;  // two 4-row prompts fit, a third would overflow
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 8);
+  config.batching.max_rows = 10;  // two 4-row prompts fit, a third would overflow
+  StepScheduler scheduler(queue, sessions, config);
 
   std::vector<std::size_t> sizes;
-  while (const auto batch = scheduler.next_batch()) {
-    sizes.push_back(batch->requests.size());
+  while (const auto pack = scheduler.next_pack()) {
+    sizes.push_back(pack->entries.size());
     std::size_t rows = 0;
-    for (const Request& request : batch->requests) rows += request.tokens.size();
-    EXPECT_LE(rows, config.max_rows);
+    for (const StepEntry& entry : pack->entries) rows += entry.rows;
+    EXPECT_LE(rows, config.batching.max_rows);
+    retire(scheduler, *pack);
   }
   EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 1}));
 }
 
-TEST(PolicyBatchScheduler, ShedRequestsRideOutInBatchShed) {
+TEST(PolicyStepScheduler, ShedRequestsRideOutInPackShed) {
   RequestQueue queue(16);
+  SessionTable sessions(model::tiny_test_model());
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 2; ++id) {
     Request missed = make_request(id, 8, now - std::chrono::milliseconds(10));
@@ -361,22 +374,24 @@ TEST(PolicyBatchScheduler, ShedRequestsRideOutInBatchShed) {
   ASSERT_TRUE(queue.push(make_request(2, 8, now)));  // no deadline
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kEdf, 4);
-  config.policy.allow_shed = true;
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kEdf, 4);
+  config.batching.policy.allow_shed = true;
+  StepScheduler scheduler(queue, sessions, config);
 
-  const auto batch = scheduler.next_batch();
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(batch->requests[0].id, 2u);
+  const auto pack = scheduler.next_pack();
+  ASSERT_TRUE(pack.has_value());
+  EXPECT_EQ(retire(scheduler, *pack), (std::vector<std::uint64_t>{2}));
   std::set<std::uint64_t> shed_ids;
-  for (const Request& request : batch->shed) shed_ids.insert(request.id);
+  for (const Request& request : pack->shed) shed_ids.insert(request.id);
   EXPECT_EQ(shed_ids, (std::set<std::uint64_t>{0, 1}));
-  EXPECT_FALSE(scheduler.next_batch().has_value());
+  // Shed requests never become sessions.
+  EXPECT_EQ(sessions.live(), 0u);
+  EXPECT_FALSE(scheduler.next_pack().has_value());
 }
 
-TEST(PolicyBatchScheduler, DegradedAndNormalRequestsNeverShareABatch) {
+TEST(PolicyStepScheduler, DegradedAndNormalRequestsNeverShareAPack) {
   RequestQueue queue(16);
+  SessionTable sessions(model::tiny_test_model());
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 2; ++id) {
     Request tight = make_request(id, 8, now);
@@ -388,19 +403,20 @@ TEST(PolicyBatchScheduler, DegradedAndNormalRequestsNeverShareABatch) {
   }
   queue.close();
 
-  SchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
-  config.policy.allow_degrade = true;
-  config.policy.degrade_slack_us = 1e12;  // any deadline-bearing request
-  BatchScheduler scheduler(queue, config);
+  StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
+  config.batching.policy.allow_degrade = true;
+  config.batching.policy.degrade_slack_us = 1e12;  // any deadline-bearing request
+  StepScheduler scheduler(queue, sessions, config);
 
   std::size_t degraded_requests = 0, normal_requests = 0;
-  while (const auto batch = scheduler.next_batch()) {
-    for (const Request& request : batch->requests) {
-      // Lane purity: every request matches its batch's lane.
-      EXPECT_EQ(request.degraded, batch->degraded);
-      (request.degraded ? degraded_requests : normal_requests) += 1;
+  while (const auto pack = scheduler.next_pack()) {
+    for (const StepEntry& entry : pack->entries) {
+      // Lane purity: every session matches its pack's lane.
+      EXPECT_EQ(entry.session->request.degraded, pack->degraded);
+      (entry.session->request.degraded ? degraded_requests : normal_requests) += 1;
     }
-    EXPECT_TRUE(batch->shed.empty());
+    EXPECT_TRUE(pack->shed.empty());
+    retire(scheduler, *pack);
   }
   EXPECT_EQ(degraded_requests, 2u);
   EXPECT_EQ(normal_requests, 2u);

@@ -2,7 +2,7 @@
 // export a Chrome trace that parses with the in-repo JSON parser, stays
 // begin/end balanced on every thread, carries one flow start ("s", feeder)
 // and one flow finish ("f", worker) per request id, shows the request
-// lifecycle spans (enqueue / batch-form / pack / forward / complete) and the
+// lifecycle spans (enqueue / pack-form / pack / forward / complete) and the
 // provider-tagged per-layer norm spans, and names the feeder and worker
 // tracks. Also checks the disabled path records nothing and the live
 // snapshot emitter produces parseable JSON lines during a real run.
@@ -31,10 +31,6 @@ ServerConfig traced_server(const std::string& norm) {
   config.scheduler.max_batch = 4;
   config.scheduler.max_wait = std::chrono::microseconds(200);
   config.paced = false;
-  // Pinned: these tests assert mega-batch lifecycle spans (batch-form); the
-  // chunked span shapes (pack-form, phase args) are covered by the decode
-  // trace assertions in test_decode_serve.cpp.
-  config.mode = ExecMode::kMegaBatch;
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
   config.calibration.position_stride = 4;
@@ -128,7 +124,7 @@ TEST_F(ServeTraceTest, TracedRunExportsBalancedFlowLinkedTrace) {
   }
 
   // Request lifecycle + forward-pass spans, with the provider-tagged norm.
-  for (const char* expected : {"enqueue", "batch-form", "pack", "forward",
+  for (const char* expected : {"enqueue", "pack-form", "pack", "forward",
                                "complete", "embed", "attn", "mlp", "norm/haan"}) {
     EXPECT_TRUE(span_names.count(expected)) << "missing span " << expected;
   }

@@ -53,8 +53,19 @@ TEST(Server, CompletesEveryRequestExactlyOnce) {
   EXPECT_LE(report.metrics.max_batch_size, 4u);
 }
 
-TEST(Server, MultiWorkerBitIdenticalToSingleThreadedReference) {
-  Server server(tiny_server("haan", 4));
+/// The run_reference parity tests, once per prefill chunk size: whole-prompt
+/// steps, the adversarial single-row chunk, and a chunk that splits every
+/// prompt mid-sequence.
+class ServerParity : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  ServerConfig chunked(ServerConfig config) const {
+    config.prefill_chunk = GetParam();
+    return config;
+  }
+};
+
+TEST_P(ServerParity, MultiWorkerBitIdenticalToSingleThreadedReference) {
+  Server server(chunked(tiny_server("haan", 4)));
   const auto workload = generate_workload(small_workload(48, server.config().model));
 
   const auto reference = server.run_reference(workload);
@@ -75,8 +86,8 @@ TEST(Server, MultiWorkerBitIdenticalToSingleThreadedReference) {
   }
 }
 
-TEST(Server, AggregatedHaanCountersMatchReference) {
-  Server server(tiny_server("haan", 4));
+TEST_P(ServerParity, AggregatedHaanCountersMatchReference) {
+  Server server(chunked(tiny_server("haan", 4)));
   const auto workload = generate_workload(small_workload(32, server.config().model));
 
   const auto reference = server.run_reference(workload);
@@ -109,7 +120,7 @@ TEST(Server, WorkerCountDoesNotChangeOutputs) {
   EXPECT_EQ(r1.metrics.norm.isd_predicted, r4.metrics.norm.isd_predicted);
 }
 
-TEST(Server, SkipPlanActiveOnDeepModel) {
+TEST_P(ServerParity, SkipPlanActiveOnDeepModel) {
   // The GPT2-117M surrogate (25 norm layers) has the log-linear ISD tail
   // Algorithm 1 targets; calibration must find an enabled plan and the
   // runtime must actually predict ISDs inside it.
@@ -123,7 +134,7 @@ TEST(Server, SkipPlanActiveOnDeepModel) {
   config.calibration.n_samples = 4;
   config.calibration.seq_len = 12;
   config.calibration.position_stride = 4;
-  Server server(config);
+  Server server(chunked(config));
   EXPECT_TRUE(server.plan().enabled);
 
   const auto workload = generate_workload(small_workload(12, config.model));
@@ -133,6 +144,10 @@ TEST(Server, SkipPlanActiveOnDeepModel) {
   EXPECT_EQ(report.metrics.norm.isd_predicted,
             server.run_reference(workload).metrics.norm.isd_predicted);
 }
+
+INSTANTIATE_TEST_SUITE_P(PrefillChunk, ServerParity,
+                         ::testing::Values(std::size_t{0}, std::size_t{1},
+                                           std::size_t{2}));
 
 TEST(Server, ExactProviderReportsZeroNormCounters) {
   Server server(tiny_server("exact", 2));

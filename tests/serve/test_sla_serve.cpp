@@ -83,7 +83,6 @@ TEST(SlaServe, ChunkedDecodeBitIdenticalUnderPolicies) {
   // with binned/EDF pack formation must still match the re-forward oracle.
   auto make_config = [](SchedPolicy policy) {
     ServerConfig config = base_server("haan", policy);
-    config.mode = ExecMode::kChunked;
     config.prefill_chunk = 4;
     return config;
   };

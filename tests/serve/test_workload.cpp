@@ -386,5 +386,23 @@ TEST(Workload, GeometricDecodeRespectsTightCap) {
   }
 }
 
+TEST(Workload, PromptsFitChecksTheLongestPromptAgainstTheWindow) {
+  auto config = base_config();
+  config.min_prompt = 8;
+  config.max_prompt = 64;
+  EXPECT_TRUE(prompts_fit(config, 64));   // exactly the window
+  EXPECT_FALSE(prompts_fit(config, 63));  // one token over
+  // The fixed length model serves min_prompt, so it counts too.
+  config.length_model = LengthModel::kFixed;
+  config.min_prompt = 100;
+  EXPECT_FALSE(prompts_fit(config, 64));
+  // Every generated prompt really is within the bound prompts_fit checked.
+  config = base_config();
+  ASSERT_TRUE(prompts_fit(config, config.max_prompt));
+  for (const auto& request : generate_workload(config)) {
+    EXPECT_LE(request.tokens.size(), config.max_prompt);
+  }
+}
+
 }  // namespace
 }  // namespace haan::serve
