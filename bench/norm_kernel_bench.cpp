@@ -3,12 +3,15 @@
 // double-precision stats, temp normalize buffer, separate affine pass) as the
 // pre-kernel-layer baseline. The JSON report is the anchor recorded in
 // bench/kernel_baseline.json; --min-speedup gates CI on the fused vectorized
-// residual_add_rmsnorm at d=4096 staying ahead of the seed path.
+// residual_add_rmsnorm at d=4096 staying ahead of the seed path. The report
+// also carries linear GMAC/s per backend; the run fails if any backend's
+// linear output differs from the scalar reference by a single bit.
 //
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -479,6 +482,58 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Matmul kernel: linear GMAC/s per backend at a prefill-sized and a
+  // decode-sized shape. Gated on cross-backend bit identity only (the
+  // exact-order contract in kernels.hpp), never on time: shared CI runners
+  // are too noisy for a timing gate. Runs after the timed norm sections so
+  // its long FMA bursts cannot shift their clocks. --------------------------
+  struct LinearShape {
+    std::size_t n, in, out;
+  };
+  const LinearShape linear_shapes[] = {{288, 64, 170}, {1, 96, 384}};
+  common::Json::Array linear_results;
+  bool linear_identical = true;
+  std::printf("--- linear (y = x W^T), GMAC/s per backend ---\n");
+  for (const LinearShape& shape : linear_shapes) {
+    const std::size_t macs = shape.n * shape.in * shape.out;
+    std::vector<float> x(shape.n * shape.in), w(shape.out * shape.in);
+    common::Rng rng(macs);
+    rng.fill_gaussian(x, 0.0, 1.0);
+    rng.fill_gaussian(w, 0.0, 0.1);
+    std::vector<float> y(shape.n * shape.out), reference;
+    common::Json::Object gmac_s;
+    std::printf("n=%3zu in=%3zu out=%3zu ", shape.n, shape.in, shape.out);
+    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
+      const auto run = [&] {
+        table->linear(x.data(), shape.n, shape.in, w.data(), shape.out,
+                      nullptr, y.data());
+        sink(y[0]);
+      };
+      run();
+      if (reference.empty()) {
+        reference = y;
+      } else if (std::memcmp(reference.data(), y.data(),
+                             y.size() * sizeof(float)) != 0) {
+        std::fprintf(stderr, "FAIL: %s linear differs from %s at n=%zu in=%zu "
+                     "out=%zu\n", table->name,
+                     kernels::supported_kernels().front()->name, shape.n,
+                     shape.in, shape.out);
+        linear_identical = false;
+      }
+      // ns per multiply-accumulate -> GMAC/s.
+      const double gmacs = 1.0 / time_ns_per_element(run, macs, target_ms);
+      gmac_s[table->name] = gmacs;
+      std::printf(" %s %7.2f", table->name, gmacs);
+    }
+    std::printf(" GMAC/s\n");
+    common::Json::Object entry;
+    entry["n"] = shape.n;
+    entry["in"] = shape.in;
+    entry["out"] = shape.out;
+    entry["gmac_s"] = gmac_s;
+    linear_results.push_back(entry);
+  }
+
   common::Json::Object doc;
   doc["bench"] = "norm_kernel_bench";
   doc["active_kernel"] = kernels::active_name();
@@ -494,6 +549,8 @@ int main(int argc, char** argv) {
   doc["rowblock_rows"] = rows_json;
   doc["rowblock_results"] = rowblock_results;
   doc["rowblock_speedup_d4096_rows64"] = rowblock_speedup_4096x64;
+  doc["linear"] = linear_results;
+  doc["linear_bit_identical"] = linear_identical;
   if (tune) doc["tune"] = tune_doc;
 
   const std::string json_path = cli.get("json");
@@ -521,5 +578,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!tune_ok) return 1;
+  if (!linear_identical) return 1;
   return 0;
 }

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace haan::kernels {
 namespace {
@@ -404,6 +405,173 @@ void quantize_dequantize_rows_avx2(float* x, std::size_t rows, std::size_t d,
   }
 }
 
+// --- Matmul kernels (exact-order contract, see kernels.hpp) ---------------
+// Lanes run across outputs (linear) or keys (attention_scores); every lane is
+// one output's own double accumulator stepping through the reduction index in
+// ascending order, so the FMA chain rounds exactly like the scalar loop.
+
+/// Output columns per linear block: two ymm of double accumulators per row.
+constexpr std::size_t kLinearCols = 8;
+/// Rows sharing one staged column panel per register tile.
+constexpr std::size_t kLinearRows = 4;
+
+/// All-ones in the first min(count, 8) of 8 int lanes (the AVX2 mask format).
+inline __m256i lane_mask8(std::size_t count) {
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const int active = static_cast<int>(std::min<std::size_t>(count, 8));
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(active), lanes);
+}
+
+/// In-register transpose of an 8x8 float block: on return r[p] holds column p
+/// (element k = old r[k][p]).
+inline void transpose8x8(__m256 r[8]) {
+  __m256 t[8];
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+    t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+  }
+  // s[4h + j], 128-bit lane L: column 4L + j of rows 4h..4h+3.
+  __m256 s[8];
+#pragma GCC unroll 2
+  for (int h = 0; h < 2; ++h) {
+    s[4 * h] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0x44);
+    s[4 * h + 1] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0xEE);
+    s[4 * h + 2] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0x44);
+    s[4 * h + 3] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0xEE);
+  }
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    r[j] = _mm256_permute2f128_ps(s[j], s[4 + j], 0x20);
+    r[4 + j] = _mm256_permute2f128_ps(s[j], s[4 + j], 0x31);
+  }
+}
+
+/// Stages weight rows [0, width) of the (width x in) block at `w` as a
+/// transposed double panel, panel[p*8 + k] = w[k*in + p], one 8x8 block at a
+/// time; the panel holds round_up(in, 8) columns. Rows past `width` and
+/// columns past `in` stage +0.0 and never reach a stored output.
+void stage_columns_avx2(const float* w, std::size_t in, std::size_t width,
+                        double* panel) {
+  for (std::size_t p0 = 0; p0 < in; p0 += 8) {
+    const __m256i pm = lane_mask8(in - p0);
+    __m256 r[8];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < 8; ++k) {
+      r[k] = k < width ? _mm256_maskload_ps(w + k * in + p0, pm)
+                       : _mm256_setzero_ps();
+    }
+    transpose8x8(r);
+    double* dst = panel + p0 * kLinearCols;
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < 8; ++p) {
+      _mm256_storeu_pd(dst + p * kLinearCols,
+                       _mm256_cvtps_pd(_mm256_castps256_ps128(r[p])));
+      _mm256_storeu_pd(dst + p * kLinearCols + 4,
+                       _mm256_cvtps_pd(_mm256_extractf128_ps(r[p], 1)));
+    }
+  }
+}
+
+/// R rows of x against one staged panel: y[r][0..width) for r < R.
+template <std::size_t R>
+void linear_tile_avx2(const float* x, std::size_t in, const double* panel,
+                      __m256d bias_lo, __m256d bias_hi, __m256i m,
+                      std::size_t out, float* y) {
+  __m256d lo[R];
+  __m256d hi[R];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    lo[r] = bias_lo;
+    hi[r] = bias_hi;
+  }
+  for (std::size_t p = 0; p < in; ++p) {
+    const __m256d w_lo = _mm256_loadu_pd(panel + p * kLinearCols);
+    const __m256d w_hi = _mm256_loadu_pd(panel + p * kLinearCols + 4);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d xv = _mm256_set1_pd(static_cast<double>(x[r * in + p]));
+      lo[r] = _mm256_fmadd_pd(xv, w_lo, lo[r]);
+      hi[r] = _mm256_fmadd_pd(xv, w_hi, hi[r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    const __m256 v = _mm256_set_m128(_mm256_cvtpd_ps(hi[r]),
+                                     _mm256_cvtpd_ps(lo[r]));
+    _mm256_maskstore_ps(y + r * out, m, v);
+  }
+}
+
+void linear_avx2(const float* x, std::size_t n, std::size_t in, const float* w,
+                 std::size_t out, const float* bias, float* y) {
+  thread_local std::vector<double> panel;
+  panel.resize((in + 7) / 8 * 8 * kLinearCols);
+  for (std::size_t o0 = 0; o0 < out; o0 += kLinearCols) {
+    const std::size_t width = std::min(kLinearCols, out - o0);
+    const __m256i m = lane_mask8(width);
+    stage_columns_avx2(w + o0 * in, in, width, panel.data());
+    const __m256 b = bias == nullptr ? _mm256_setzero_ps()
+                                     : _mm256_maskload_ps(bias + o0, m);
+    const __m256d bias_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(b));
+    const __m256d bias_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1));
+    std::size_t i = 0;
+    for (; i + kLinearRows <= n; i += kLinearRows) {
+      linear_tile_avx2<kLinearRows>(x + i * in, in, panel.data(), bias_lo,
+                                    bias_hi, m, out, y + i * out + o0);
+    }
+    for (; i < n; ++i) {
+      linear_tile_avx2<1>(x + i * in, in, panel.data(), bias_lo, bias_hi, m,
+                          out, y + i * out + o0);
+    }
+  }
+}
+
+void attention_scores_avx2(const float* q, std::size_t d_head, const float* kt,
+                           std::size_t ld, std::size_t ctx, float scale,
+                           float* scores) {
+  constexpr std::size_t kLanes = 4;  // 4 x 4 keys in flight per query row
+  const __m128 scale_v = _mm_set1_ps(scale);
+  for (std::size_t j = 0; j < ctx; j += 4 * kLanes) {
+    __m128i m[kLanes];
+    __m256d acc[kLanes];
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      const std::size_t start = j + 4 * s;
+      m[s] = _mm256_castsi256_si128(lane_mask8(start < ctx ? ctx - start : 0));
+      acc[s] = _mm256_setzero_pd();
+    }
+    for (std::size_t c = 0; c < d_head; ++c) {
+      const __m256d qc = _mm256_set1_pd(static_cast<double>(q[c]));
+      const float* row = kt + c * ld + j;
+#pragma GCC unroll 8
+      for (std::size_t s = 0; s < kLanes; ++s) {
+        const __m256d k = _mm256_cvtps_pd(_mm_maskload_ps(row + 4 * s, m[s]));
+        acc[s] = _mm256_fmadd_pd(qc, k, acc[s]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      _mm_maskstore_ps(scores + j + 4 * s, m[s],
+                       _mm_mul_ps(scale_v, _mm256_cvtpd_ps(acc[s])));
+    }
+  }
+}
+
+void attention_context_avx2(const float* p, std::size_t ctx, const float* v,
+                            std::size_t ld, std::size_t d_head, float* out) {
+  for (std::size_t c = 0; c < d_head; c += 8) {
+    const __m256i m = lane_mask8(d_head - c);
+    __m256 acc = _mm256_maskload_ps(out + c, m);
+    for (std::size_t j = 0; j < ctx; ++j) {
+      if (p[j] == 0.0f) continue;
+      const __m256 vj = _mm256_maskload_ps(v + j * ld + c, m);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(p[j]), vj));
+    }
+    _mm256_maskstore_ps(out + c, m, acc);
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",
     stats_avx2,
@@ -418,6 +586,9 @@ constexpr KernelTable kAvx2Table = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx2,
+    linear_avx2,
+    attention_scores_avx2,
+    attention_context_avx2,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -438,6 +609,9 @@ constexpr KernelTable kAvx2PfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx2,
+    linear_avx2,
+    attention_scores_avx2,
+    attention_context_avx2,
 };
 
 constexpr KernelTable kAvx2NtTable = {
@@ -454,6 +628,9 @@ constexpr KernelTable kAvx2NtTable = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx2,
+    linear_avx2,
+    attention_scores_avx2,
+    attention_context_avx2,
 };
 
 constexpr KernelTable kAvx2NtPfTable = {
@@ -470,6 +647,9 @@ constexpr KernelTable kAvx2NtPfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx2,
+    linear_avx2,
+    attention_scores_avx2,
+    attention_context_avx2,
 };
 
 constexpr const KernelTable* kAvx2Variants[] = {&kAvx2PfTable, &kAvx2NtTable,

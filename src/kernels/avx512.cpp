@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace haan::kernels {
 namespace {
@@ -459,6 +460,210 @@ void quantize_dequantize_rows_avx512(float* x, std::size_t rows, std::size_t d,
   }
 }
 
+// --- Matmul kernels (exact-order contract, see kernels.hpp) ---------------
+// Lanes run across outputs (linear) or keys (attention_scores); every lane is
+// one output's own double accumulator stepping through the reduction index in
+// ascending order, so the FMA chain rounds exactly like the scalar loop.
+
+/// Output columns per linear block: four zmm of double accumulators per row
+/// (16 + 16 columns), enough independent FMA chains to cover the FMA latency
+/// even for a single row.
+constexpr std::size_t kLinearCols = 32;
+/// Rows sharing one staged column panel per register tile.
+constexpr std::size_t kLinearRows = 4;
+
+/// Mask of the first min(count, 16) lanes.
+inline __mmask16 column_mask16(std::size_t count) {
+  return count >= 16 ? static_cast<__mmask16>(0xFFFF)
+                     : static_cast<__mmask16>((1u << count) - 1u);
+}
+
+/// In-register transpose of a 16x16 float block: on return r[p] holds
+/// column p (element k = old r[k][p]).
+inline void transpose16x16(__m512 r[16]) {
+  __m512 t[16];
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) {
+    t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+    t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+  }
+  // s[4i + j], 128-bit lane L: column 4L + j of rows 4i..4i+3.
+  __m512d s[16];
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    const __m512d a = _mm512_castps_pd(t[4 * i]);
+    const __m512d b = _mm512_castps_pd(t[4 * i + 1]);
+    const __m512d c = _mm512_castps_pd(t[4 * i + 2]);
+    const __m512d d = _mm512_castps_pd(t[4 * i + 3]);
+    s[4 * i] = _mm512_unpacklo_pd(a, c);
+    s[4 * i + 1] = _mm512_unpackhi_pd(a, c);
+    s[4 * i + 2] = _mm512_unpacklo_pd(b, d);
+    s[4 * i + 3] = _mm512_unpackhi_pd(b, d);
+  }
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    const __m512 s0 = _mm512_castpd_ps(s[j]);
+    const __m512 s1 = _mm512_castpd_ps(s[4 + j]);
+    const __m512 s2 = _mm512_castpd_ps(s[8 + j]);
+    const __m512 s3 = _mm512_castpd_ps(s[12 + j]);
+    const __m512 x0 = _mm512_shuffle_f32x4(s0, s1, 0x44);
+    const __m512 x1 = _mm512_shuffle_f32x4(s0, s1, 0xEE);
+    const __m512 y0 = _mm512_shuffle_f32x4(s2, s3, 0x44);
+    const __m512 y1 = _mm512_shuffle_f32x4(s2, s3, 0xEE);
+    r[j] = _mm512_shuffle_f32x4(x0, y0, 0x88);
+    r[4 + j] = _mm512_shuffle_f32x4(x0, y0, 0xDD);
+    r[8 + j] = _mm512_shuffle_f32x4(x1, y1, 0x88);
+    r[12 + j] = _mm512_shuffle_f32x4(x1, y1, 0xDD);
+  }
+}
+
+/// Stages weight rows [0, width) of the (width x in) block at `w` as a
+/// transposed double panel, panel[p*32 + k] = w[k*in + p], one 16x16 block
+/// at a time; the panel holds round_up(in, 16) columns. Rows past `width`
+/// and columns past `in` stage +0.0 and never reach a stored output.
+void stage_columns_avx512(const float* w, std::size_t in, std::size_t width,
+                          double* panel) {
+  for (std::size_t k0 = 0; k0 < kLinearCols; k0 += 16) {
+    for (std::size_t p0 = 0; p0 < in; p0 += 16) {
+      const __mmask16 pm = column_mask16(in - p0);
+      __m512 r[16];
+#pragma GCC unroll 16
+      for (std::size_t k = 0; k < 16; ++k) {
+        r[k] = k0 + k < width
+                   ? _mm512_maskz_loadu_ps(pm, w + (k0 + k) * in + p0)
+                   : _mm512_setzero_ps();
+      }
+      transpose16x16(r);
+      double* dst = panel + p0 * kLinearCols + k0;
+#pragma GCC unroll 16
+      for (std::size_t p = 0; p < 16; ++p) {
+        _mm512_storeu_pd(dst + p * kLinearCols, cvt_lo_pd(r[p]));
+        _mm512_storeu_pd(dst + p * kLinearCols + 8, cvt_hi_pd(r[p]));
+      }
+    }
+  }
+}
+
+/// R rows of x against one staged panel: y[r][0..32) for r < R, masked by
+/// m_lo / m_hi (columns 0-15 / 16-31).
+template <std::size_t R>
+void linear_tile_avx512(const float* x, std::size_t in, const double* panel,
+                        const __m512d bias[4], __mmask16 m_lo, __mmask16 m_hi,
+                        std::size_t out, float* y) {
+  __m512d acc[R][4];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < 4; ++g) acc[r][g] = bias[g];
+  }
+  for (std::size_t p = 0; p < in; ++p) {
+    __m512d wv[4];
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < 4; ++g) {
+      wv[g] = _mm512_loadu_pd(panel + p * kLinearCols + 8 * g);
+    }
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m512d xv = _mm512_set1_pd(static_cast<double>(x[r * in + p]));
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < 4; ++g) {
+        acc[r][g] = _mm512_fmadd_pd(xv, wv[g], acc[r][g]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    const __m512 lo = _mm512_insertf32x8(
+        _mm512_castps256_ps512(_mm512_cvtpd_ps(acc[r][0])),
+        _mm512_cvtpd_ps(acc[r][1]), 1);
+    const __m512 hi = _mm512_insertf32x8(
+        _mm512_castps256_ps512(_mm512_cvtpd_ps(acc[r][2])),
+        _mm512_cvtpd_ps(acc[r][3]), 1);
+    _mm512_mask_storeu_ps(y + r * out, m_lo, lo);
+    _mm512_mask_storeu_ps(y + r * out + 16, m_hi, hi);
+  }
+}
+
+void linear_avx512(const float* x, std::size_t n, std::size_t in,
+                   const float* w, std::size_t out, const float* bias,
+                   float* y) {
+  thread_local std::vector<double> panel;
+  panel.resize((in + 15) / 16 * 16 * kLinearCols);
+  for (std::size_t o0 = 0; o0 < out; o0 += kLinearCols) {
+    const std::size_t width = std::min(kLinearCols, out - o0);
+    const __mmask16 m_lo = column_mask16(width);
+    const __mmask16 m_hi = column_mask16(width > 16 ? width - 16 : 0);
+    stage_columns_avx512(w + o0 * in, in, width, panel.data());
+    __m512d b[4];
+    const __m512 b_lo = bias == nullptr
+                            ? _mm512_setzero_ps()
+                            : _mm512_maskz_loadu_ps(m_lo, bias + o0);
+    const __m512 b_hi = bias == nullptr
+                            ? _mm512_setzero_ps()
+                            : _mm512_maskz_loadu_ps(m_hi, bias + o0 + 16);
+    b[0] = cvt_lo_pd(b_lo);
+    b[1] = cvt_hi_pd(b_lo);
+    b[2] = cvt_lo_pd(b_hi);
+    b[3] = cvt_hi_pd(b_hi);
+    std::size_t i = 0;
+    for (; i + kLinearRows <= n; i += kLinearRows) {
+      linear_tile_avx512<kLinearRows>(x + i * in, in, panel.data(), b, m_lo,
+                                      m_hi, out, y + i * out + o0);
+    }
+    for (; i < n; ++i) {
+      linear_tile_avx512<1>(x + i * in, in, panel.data(), b, m_lo, m_hi, out,
+                            y + i * out + o0);
+    }
+  }
+}
+
+void attention_scores_avx512(const float* q, std::size_t d_head,
+                             const float* kt, std::size_t ld, std::size_t ctx,
+                             float scale, float* scores) {
+  constexpr std::size_t kLanes = 4;  // 4 x 8 keys in flight per query row
+  const __m256 scale_v = _mm256_set1_ps(scale);
+  for (std::size_t j = 0; j < ctx; j += 8 * kLanes) {
+    __mmask8 m[kLanes];
+    __m512d acc[kLanes];
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      const std::size_t start = j + 8 * s;
+      const std::size_t keys = start < ctx ? ctx - start : 0;
+      m[s] = static_cast<__mmask8>(column_mask16(keys));  // low 8 lanes
+      acc[s] = _mm512_setzero_pd();
+    }
+    for (std::size_t c = 0; c < d_head; ++c) {
+      const __m512d qc = _mm512_set1_pd(static_cast<double>(q[c]));
+      const float* row = kt + c * ld + j;
+#pragma GCC unroll 8
+      for (std::size_t s = 0; s < kLanes; ++s) {
+        const __m512d k =
+            _mm512_cvtps_pd(_mm256_maskz_loadu_ps(m[s], row + 8 * s));
+        acc[s] = _mm512_fmadd_pd(qc, k, acc[s]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      _mm256_mask_storeu_ps(scores + j + 8 * s, m[s],
+                            _mm256_mul_ps(scale_v, _mm512_cvtpd_ps(acc[s])));
+    }
+  }
+}
+
+void attention_context_avx512(const float* p, std::size_t ctx, const float* v,
+                              std::size_t ld, std::size_t d_head, float* out) {
+  for (std::size_t c = 0; c < d_head; c += 16) {
+    const __mmask16 m = column_mask16(d_head - c);
+    __m512 acc = _mm512_maskz_loadu_ps(m, out + c);
+    for (std::size_t j = 0; j < ctx; ++j) {
+      if (p[j] == 0.0f) continue;
+      const __m512 vj = _mm512_maskz_loadu_ps(m, v + j * ld + c);
+      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(p[j]), vj));
+    }
+    _mm512_mask_storeu_ps(out + c, m, acc);
+  }
+}
+
 constexpr KernelTable kAvx512Table = {
     "avx512",
     stats_avx512,
@@ -473,6 +678,9 @@ constexpr KernelTable kAvx512Table = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx512,
+    linear_avx512,
+    attention_scores_avx512,
+    attention_context_avx512,
 };
 
 // Variant tables share every per-row kernel with the base; only the
@@ -493,6 +701,9 @@ constexpr KernelTable kAvx512PfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<false>,
     quantize_dequantize_rows_avx512,
+    linear_avx512,
+    attention_scores_avx512,
+    attention_context_avx512,
 };
 
 constexpr KernelTable kAvx512NtTable = {
@@ -509,6 +720,9 @@ constexpr KernelTable kAvx512NtTable = {
     residual_add_stats_rows_t<false>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx512,
+    linear_avx512,
+    attention_scores_avx512,
+    attention_context_avx512,
 };
 
 constexpr KernelTable kAvx512NtPfTable = {
@@ -525,6 +739,9 @@ constexpr KernelTable kAvx512NtPfTable = {
     residual_add_stats_rows_t<true>,
     normalize_affine_rows_t<true>,
     quantize_dequantize_rows_avx512,
+    linear_avx512,
+    attention_scores_avx512,
+    attention_context_avx512,
 };
 
 constexpr const KernelTable* kAvx512Variants[] = {

@@ -30,6 +30,17 @@ const KernelTable* avx512_table();
 std::span<const KernelTable* const> avx2_variant_tables();
 std::span<const KernelTable* const> avx512_variant_tables();
 
+/// The scalar backend's matmul entries (the seed loops), shared with backends
+/// that have no vector implementation of their own (NEON).
+void linear_scalar(const float* x, std::size_t n, std::size_t in,
+                   const float* w, std::size_t out, const float* bias,
+                   float* y);
+void attention_scores_scalar(const float* q, std::size_t d_head,
+                             const float* kt, std::size_t ld, std::size_t ctx,
+                             float scale, float* scores);
+void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
+                              std::size_t ld, std::size_t d_head, float* out);
+
 /// The NEON (AArch64) table. Null when this build does not target AArch64.
 const KernelTable* neon_table();
 

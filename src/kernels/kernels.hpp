@@ -1,7 +1,8 @@
-// Runtime-dispatched normalization kernels: the vectorized hot loops behind
-// every norm in the repo. One KernelTable per backend (portable scalar, AVX2,
-// NEON); dispatch picks the widest backend the CPU supports once at first use,
-// with `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
+// Runtime-dispatched kernels: the vectorized hot loops behind every norm in
+// the repo, plus the forward pass's matmul and attention-score loops. One
+// KernelTable per backend (portable scalar, AVX2, AVX-512, NEON); dispatch
+// picks the widest backend the CPU supports once at first use, with
+// `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
 //
 // The scalar backend is the semantic reference: it reproduces the seed
 // `tensor::norm_ref` / `core::subsample` arithmetic bit for bit (same
@@ -47,6 +48,8 @@ struct SumStats {
 ///     FP32/INT8/BF16: bit-identical for every input including NaN. FP16:
 ///     bit-identical for all non-NaN inputs; NaN stays NaN but the payload
 ///     bits may differ (both backends produce a quiet NaN).
+///   linear / attention_scores / attention_context
+///     Bit-identical (exact-order contract, see the entries below).
 struct KernelTable {
   /// Backend family ("scalar", "avx2", "avx512", "neon") or a row-block
   /// variant of one ("avx512-nt", "avx2-pf", ...; see
@@ -122,6 +125,38 @@ struct KernelTable {
   void (*quantize_dequantize_rows)(float* x, std::size_t rows, std::size_t d,
                                    numerics::NumericFormat format,
                                    const float* scales);
+
+  // --- Matmul kernels ---------------------------------------------------
+  // Exact-order contract: bit-identical on every backend, for any row count
+  // and tile position. In linear and attention_scores each output value owns
+  // one double accumulator that starts at its bias (or +0.0) and adds the
+  // float x float products in ascending reduction index, then rounds once to
+  // float. A float x float product is exact in double, so an FMA rounds
+  // exactly like the separate multiply and add of the scalar loop. SIMD lanes
+  // therefore run across rows, outputs or keys, never across the reduction
+  // index. attention_context keeps the seed's float arithmetic, also in
+  // ascending order. NaN and Inf propagate to the same positions (NaN
+  // payloads may differ).
+
+  /// y[i*out + o] = (float)(bias[o] + Σ_p x[i*in + p] * w[o*in + p]) for
+  /// i < n, o < out: x is (n x in), w is (out x in), both row-major; bias may
+  /// be null (accumulators start at +0.0). y must not alias x or w.
+  void (*linear)(const float* x, std::size_t n, std::size_t in,
+                 const float* w, std::size_t out, const float* bias, float* y);
+
+  /// scores[j] = scale * (float)(Σ_c q[c] * kt[c*ld + j]) for j < ctx: one
+  /// query row against ctx keys stored transposed (kt is d_head x ld,
+  /// ld >= ctx), the reduction over c ascending from +0.0.
+  void (*attention_scores)(const float* q, std::size_t d_head, const float* kt,
+                           std::size_t ld, std::size_t ctx, float scale,
+                           float* scores);
+
+  /// out[c] += p[j] * v[j*ld + c] for c < d_head, over j ascending in
+  /// [0, ctx), skipping keys whose weight p[j] is exactly 0.0f: the P·V
+  /// product of one attention row, in float, each step a multiply then an
+  /// add (never fused). Lanes run across c.
+  void (*attention_context)(const float* p, std::size_t ctx, const float* v,
+                            std::size_t ld, std::size_t d_head, float* out);
 };
 
 /// Maps an empty span to the nullptr the kernel tables use for "no affine

@@ -290,6 +290,11 @@ constexpr KernelTable kNeonTable = {
     residual_add_stats_rows_neon,
     normalize_affine_rows_neon,
     quantize_dequantize_rows_neon,
+    // No NEON matmul kernel has been measured yet; the scalar seed loops
+    // serve, bit-identical to every other backend by the exact-order contract.
+    detail::linear_scalar,
+    detail::attention_scores_scalar,
+    detail::attention_context_scalar,
 };
 
 }  // namespace

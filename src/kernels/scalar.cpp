@@ -1,9 +1,10 @@
 // Portable scalar backend: the bit-exact reference every SIMD backend is
-// tested against. The loop bodies reproduce the seed's `tensor::norm_ref` and
-// `core::subsample` arithmetic exactly — same accumulation order, same double
-// intermediates, same float rounding points — so HAAN_FORCE_SCALAR=1 runs are
-// bit-identical to the pre-kernel-layer implementation.
-#include "kernels/kernels.hpp"
+// tested against. The loop bodies reproduce the seed's `tensor::norm_ref`,
+// `core::subsample`, `tensor::linear` and attention arithmetic exactly — same
+// accumulation order, same double intermediates, same float rounding points —
+// so HAAN_FORCE_SCALAR=1 runs are bit-identical to the pre-kernel-layer
+// implementation.
+#include "kernels/backends.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -130,6 +131,53 @@ void quantize_dequantize_rows_scalar(float* x, std::size_t rows, std::size_t d,
   }
 }
 
+}  // namespace
+
+namespace detail {
+
+void linear_scalar(const float* x, std::size_t n, std::size_t in,
+                   const float* w, std::size_t out, const float* bias,
+                   float* y) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* x_row = x + i * in;
+    float* y_row = y + i * out;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* w_row = w + o * in;
+      double acc = bias == nullptr ? 0.0 : bias[o];
+      for (std::size_t p = 0; p < in; ++p) {
+        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
+      }
+      y_row[o] = static_cast<float>(acc);
+    }
+  }
+}
+
+void attention_scores_scalar(const float* q, std::size_t d_head,
+                             const float* kt, std::size_t ld, std::size_t ctx,
+                             float scale, float* scores) {
+  for (std::size_t j = 0; j < ctx; ++j) {
+    double acc = 0.0;
+    for (std::size_t c = 0; c < d_head; ++c) {
+      acc += static_cast<double>(q[c]) * static_cast<double>(kt[c * ld + j]);
+    }
+    scores[j] = scale * static_cast<float>(acc);
+  }
+}
+
+void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
+                              std::size_t ld, std::size_t d_head, float* out) {
+  for (std::size_t j = 0; j < ctx; ++j) {
+    const float pj = p[j];
+    if (pj == 0.0f) continue;
+    const float* vj = v + j * ld;
+    for (std::size_t c = 0; c < d_head; ++c) out[c] += pj * vj[c];
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
 constexpr KernelTable kScalarTable = {
     "scalar",
     stats_scalar,
@@ -144,6 +192,9 @@ constexpr KernelTable kScalarTable = {
     residual_add_stats_rows_scalar,
     normalize_affine_rows_scalar,
     quantize_dequantize_rows_scalar,
+    detail::linear_scalar,
+    detail::attention_scores_scalar,
+    detail::attention_context_scalar,
 };
 
 }  // namespace

@@ -1,51 +1,73 @@
 #include "model/attention.hpp"
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace haan::model {
 
+namespace {
+
+/// Causal attention core shared by the one-shot and cached paths: query row i
+/// of `q` sits at absolute position start_position + i and attends over the
+/// key/value rows [0, start_position + i] of `k` / `v` (row-major, d_model
+/// wide). Per head, K is transposed once so each query row's scores are one
+/// key-lane kernel call; the row's softmax and its P·V accumulation (one
+/// kernel call, ascending j, exact zeros skipped) follow. Every value depends
+/// only on the row's own prefix, never on how many rows share the call.
+tensor::Tensor causal_context(const tensor::Tensor& q, std::span<const float> k,
+                              std::span<const float> v,
+                              std::size_t start_position, std::size_t n_heads) {
+  const std::size_t rows = q.shape().dim(0);
+  const std::size_t d_model = q.shape().dim(1);
+  const std::size_t d_head = d_model / n_heads;
+  const std::size_t keys = start_position + rows;
+  HAAN_EXPECTS(k.size() == keys * d_model && v.size() == keys * d_model);
+
+  const kernels::KernelTable& table = kernels::active();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
+  tensor::Tensor context(tensor::Shape{rows, d_model});
+  // Per-thread buffers reused across calls: K_h transposed (d_head x keys)
+  // and one query row's scores.
+  thread_local std::vector<float> kt;
+  thread_local std::vector<float> scores;
+  kt.resize(d_head * keys);
+  scores.resize(keys);
+
+  for (std::size_t h = 0; h < n_heads; ++h) {
+    const std::size_t off = h * d_head;
+    for (std::size_t j = 0; j < keys; ++j) {
+      for (std::size_t c = 0; c < d_head; ++c) {
+        kt[c * keys + j] = k[j * d_model + off + c];
+      }
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t ctx = start_position + i + 1;
+      table.attention_scores(q.row(i).data() + off, d_head, kt.data(), keys,
+                             ctx, scale, scores.data());
+      tensor::softmax(std::span<float>(scores).first(ctx));
+      table.attention_context(scores.data(), ctx, v.data() + off, d_model,
+                              d_head, context.row(i).data() + off);
+    }
+  }
+  return context;
+}
+
+}  // namespace
+
 tensor::Tensor multi_head_attention(const tensor::Tensor& x, const BlockWeights& block,
                                     std::size_t n_heads) {
   HAAN_EXPECTS(x.shape().rank() == 2);
-  const std::size_t seq_len = x.shape().dim(0);
-  const std::size_t d_model = x.shape().dim(1);
-  HAAN_EXPECTS(d_model % n_heads == 0);
-  const std::size_t d_head = d_model / n_heads;
+  HAAN_EXPECTS(x.shape().dim(1) % n_heads == 0);
 
   const tensor::Tensor q = tensor::linear(x, block.wq, {});
   const tensor::Tensor k = tensor::linear(x, block.wk, {});
   const tensor::Tensor v = tensor::linear(x, block.wv, {});
-
-  tensor::Tensor context(tensor::Shape{seq_len, d_model});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-
-  for (std::size_t h = 0; h < n_heads; ++h) {
-    const std::size_t off = h * d_head;
-    // scores = Q_h K_h^T, causal-masked softmax, then scores V_h.
-    tensor::Tensor scores(tensor::Shape{seq_len, seq_len});
-    for (std::size_t i = 0; i < seq_len; ++i) {
-      const auto qi = q.row(i).subspan(off, d_head);
-      for (std::size_t j = 0; j <= i; ++j) {
-        const auto kj = k.row(j).subspan(off, d_head);
-        scores.at(i, j) = scale * static_cast<float>(tensor::dot(qi, kj));
-      }
-    }
-    tensor::causal_softmax(scores);
-    for (std::size_t i = 0; i < seq_len; ++i) {
-      const auto out_row = context.row(i).subspan(off, d_head);
-      for (std::size_t j = 0; j <= i; ++j) {
-        const float p = scores.at(i, j);
-        if (p == 0.0f) continue;
-        const auto vj = v.row(j).subspan(off, d_head);
-        for (std::size_t c = 0; c < d_head; ++c) out_row[c] += p * vj[c];
-      }
-    }
-  }
+  const tensor::Tensor context =
+      causal_context(q, k.data(), v.data(), /*start_position=*/0, n_heads);
   return tensor::linear(context, block.wo, {});
 }
 
@@ -55,13 +77,11 @@ tensor::Tensor multi_head_attention_cached(const tensor::Tensor& x_new,
                                            std::size_t block_index,
                                            std::size_t start_position) {
   HAAN_EXPECTS(x_new.shape().rank() == 2);
-  const std::size_t rows = x_new.shape().dim(0);
   const std::size_t d_model = x_new.shape().dim(1);
   HAAN_EXPECTS(d_model % n_heads == 0);
   HAAN_EXPECTS(cache.valid() && cache.d_model() == d_model);
   HAAN_EXPECTS(block_index < cache.blocks());
   HAAN_EXPECTS(cache.rows(block_index) == start_position);
-  const std::size_t d_head = d_model / n_heads;
 
   const tensor::Tensor q = tensor::linear(x_new, block.wq, {});
   {
@@ -69,46 +89,9 @@ tensor::Tensor multi_head_attention_cached(const tensor::Tensor& x_new,
     const tensor::Tensor v_new = tensor::linear(x_new, block.wv, {});
     cache.append(block_index, k_new.data(), v_new.data());
   }
-  const std::span<const float> k_all = cache.k(block_index);
-  const std::span<const float> v_all = cache.v(block_index);
-
-  tensor::Tensor context(tensor::Shape{rows, d_model});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-  std::vector<float> scores;
-
-  for (std::size_t h = 0; h < n_heads; ++h) {
-    const std::size_t off = h * d_head;
-    for (std::size_t i = 0; i < rows; ++i) {
-      // New row i is absolute token start_position + i: it attends over the
-      // causal prefix [0, ctx) of the cached K/V rows.
-      const std::size_t ctx = start_position + i + 1;
-      const auto qi = q.row(i).subspan(off, d_head);
-      scores.resize(ctx);
-      for (std::size_t j = 0; j < ctx; ++j) {
-        const auto kj = k_all.subspan(j * d_model + off, d_head);
-        scores[j] = scale * static_cast<float>(tensor::dot(qi, kj));
-      }
-      // Stable softmax over the prefix, in causal_softmax's arithmetic order.
-      float max_v = -std::numeric_limits<float>::infinity();
-      for (std::size_t j = 0; j < ctx; ++j) max_v = std::max(max_v, scores[j]);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < ctx; ++j) {
-        scores[j] = std::exp(scores[j] - max_v);
-        sum += scores[j];
-      }
-      HAAN_ASSERT(sum > 0.0);
-      for (std::size_t j = 0; j < ctx; ++j) {
-        scores[j] = static_cast<float>(scores[j] / sum);
-      }
-      const auto out_row = context.row(i).subspan(off, d_head);
-      for (std::size_t j = 0; j < ctx; ++j) {
-        const float p = scores[j];
-        if (p == 0.0f) continue;
-        const auto vj = v_all.subspan(j * d_model + off, d_head);
-        for (std::size_t c = 0; c < d_head; ++c) out_row[c] += p * vj[c];
-      }
-    }
-  }
+  const tensor::Tensor context =
+      causal_context(q, cache.k(block_index), cache.v(block_index),
+                     start_position, n_heads);
   return tensor::linear(context, block.wo, {});
 }
 

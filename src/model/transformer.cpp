@@ -1,6 +1,7 @@
 #include "model/transformer.hpp"
 
 #include "common/assert.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -120,10 +121,12 @@ std::vector<float> Transformer::last_logits(std::span<const int> tokens,
 std::vector<float> Transformer::logits_for_hidden_row(
     std::span<const float> row) const {
   HAAN_EXPECTS(row.size() == config_.d_model);
+  // One 1 x vocab product against the tied embedding: each logit is the same
+  // ascending double dot product tensor::dot computes, rounded to float.
   std::vector<float> logits(config_.vocab_size);
-  for (std::size_t v = 0; v < config_.vocab_size; ++v) {
-    logits[v] = static_cast<float>(tensor::dot(row, weights_.embedding.row(v)));
-  }
+  kernels::active().linear(row.data(), 1, config_.d_model,
+                           weights_.embedding.data().data(), config_.vocab_size,
+                           nullptr, logits.data());
   return logits;
 }
 

@@ -5,28 +5,9 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "kernels/kernels.hpp"
 
 namespace haan::tensor {
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  HAAN_EXPECTS(a.shape().rank() == 2 && b.shape().rank() == 2);
-  const std::size_t m = a.shape().dim(0);
-  const std::size_t k = a.shape().dim(1);
-  HAAN_EXPECTS(b.shape().dim(0) == k);
-  const std::size_t n = b.shape().dim(1);
-  Tensor c(Shape{m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float a_ip = a_row[p];
-      if (a_ip == 0.0f) continue;
-      const auto b_row = b.row(p);
-      for (std::size_t j = 0; j < n; ++j) c_row[j] += a_ip * b_row[j];
-    }
-  }
-  return c;
-}
 
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   HAAN_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
@@ -36,59 +17,27 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   HAAN_EXPECTS(w.shape().dim(1) == in);
   HAAN_EXPECTS(bias.empty() || bias.size() == out);
   Tensor y(Shape{n, out});
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto x_row = x.row(i);
-    const auto y_row = y.row(i);
-    for (std::size_t o = 0; o < out; ++o) {
-      const auto w_row = w.row(o);
-      double acc = bias.empty() ? 0.0 : bias[o];
-      for (std::size_t p = 0; p < in; ++p) {
-        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
-      }
-      y_row[o] = static_cast<float>(acc);
-    }
-  }
+  kernels::active().linear(x.data().data(), n, in, w.data().data(), out,
+                           kernels::data_or_null(bias), y.data().data());
   return y;
+}
+
+void softmax(std::span<float> row) {
+  float max_v = -std::numeric_limits<float>::infinity();
+  for (const float v : row) max_v = std::max(max_v, v);
+  double sum = 0.0;
+  for (float& v : row) {
+    v = std::exp(v - max_v);
+    sum += v;
+  }
+  HAAN_ASSERT(sum > 0.0);
+  for (float& v : row) v = static_cast<float>(v / sum);
 }
 
 void softmax_rows(Tensor& t) {
   HAAN_EXPECTS(t.shape().rank() == 2);
   const std::size_t rows = t.shape().dim(0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    auto row = t.row(r);
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (const float v : row) max_v = std::max(max_v, v);
-    double sum = 0.0;
-    for (float& v : row) {
-      v = std::exp(v - max_v);
-      sum += v;
-    }
-    HAAN_ASSERT(sum > 0.0);
-    for (float& v : row) v = static_cast<float>(v / sum);
-  }
-}
-
-void causal_softmax(Tensor& scores) {
-  HAAN_EXPECTS(scores.shape().rank() == 2);
-  HAAN_EXPECTS(scores.shape().dim(0) == scores.shape().dim(1));
-  const std::size_t n = scores.shape().dim(0);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto row = scores.row(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      row[j] = -std::numeric_limits<float>::infinity();
-    }
-    // Stable softmax over the unmasked prefix [0, i].
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (std::size_t j = 0; j <= i; ++j) max_v = std::max(max_v, row[j]);
-    double sum = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) {
-      row[j] = std::exp(row[j] - max_v);
-      sum += row[j];
-    }
-    HAAN_ASSERT(sum > 0.0);
-    for (std::size_t j = 0; j <= i; ++j) row[j] = static_cast<float>(row[j] / sum);
-    for (std::size_t j = i + 1; j < n; ++j) row[j] = 0.0f;
-  }
+  for (std::size_t r = 0; r < rows; ++r) softmax(t.row(r));
 }
 
 void gelu_inplace(Tensor& t) {

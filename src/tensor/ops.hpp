@@ -1,6 +1,7 @@
-// Tensor operations for the transformer simulator: matmul, row softmax,
-// activations, elementwise arithmetic, reductions. All reference-grade float
-// implementations; performance only needs to support width-scaled surrogates.
+// Tensor operations for the transformer simulator: linear, row softmax,
+// activations, elementwise arithmetic, reductions. Reference-grade float
+// implementations, except `linear`, which runs the kernel layer's vectorized
+// exact-order matmul.
 #pragma once
 
 #include <span>
@@ -9,19 +10,19 @@
 
 namespace haan::tensor {
 
-/// C = A(mxk) * B(kxn). Shapes validated.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
 /// y = x * W^T + b, where x is (n x in), w is (out x in), b has length out.
 /// The (out x in) weight layout matches how the model stores projections.
+/// Runs the active backend's exact-order kernel (KernelTable::linear), so the
+/// result is bit-identical on every backend and for any row count.
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias);
+
+/// In-place numerically stable softmax of one row: v = exp(v - max) in float,
+/// summed in double in ascending order, then v = (float)(v / sum). Attention
+/// applies it to each query row's causal prefix of scores.
+void softmax(std::span<float> row);
 
 /// In-place numerically stable softmax over the last axis of a rank-2 tensor.
 void softmax_rows(Tensor& t);
-
-/// In-place scaled masked causal softmax for attention scores (rank-2,
-/// square): entry (i, j) with j > i is masked to -inf before softmax.
-void causal_softmax(Tensor& scores);
 
 /// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT).
 void gelu_inplace(Tensor& t);

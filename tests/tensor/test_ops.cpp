@@ -9,25 +9,6 @@
 namespace haan::tensor {
 namespace {
 
-TEST(Matmul, SmallKnownProduct) {
-  const Tensor a(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
-  const Tensor b(Shape{3, 2}, {7, 8, 9, 10, 11, 12});
-  const Tensor c = matmul(a, b);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
-}
-
-TEST(Matmul, IdentityPreserves) {
-  common::Rng rng(1);
-  const Tensor a = Tensor::randn(Shape{4, 4}, rng);
-  Tensor eye(Shape{4, 4});
-  for (std::size_t i = 0; i < 4; ++i) eye.at(i, i) = 1.0f;
-  const Tensor c = matmul(a, eye);
-  for (std::size_t i = 0; i < a.numel(); ++i) EXPECT_FLOAT_EQ(c.at(i), a.at(i));
-}
-
 TEST(Linear, MatchesMatmulWithTransposedWeights) {
   common::Rng rng(2);
   const Tensor x = Tensor::randn(Shape{3, 5}, rng);
@@ -67,30 +48,6 @@ TEST(Softmax, StableUnderLargeLogits) {
   Tensor t(Shape{1, 3}, {1000.0f, 1000.0f, 1000.0f});
   softmax_rows(t);
   for (const float v : t.row(0)) EXPECT_NEAR(v, 1.0f / 3.0f, 1e-6f);
-}
-
-TEST(CausalSoftmax, MasksFuture) {
-  common::Rng rng(4);
-  Tensor scores = Tensor::randn(Shape{4, 4}, rng);
-  causal_softmax(scores);
-  for (std::size_t i = 0; i < 4; ++i) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      if (j > i) {
-        EXPECT_EQ(scores.at(i, j), 0.0f);
-      } else {
-        sum += scores.at(i, j);
-      }
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-5);
-  }
-}
-
-TEST(CausalSoftmax, FirstRowIsDelta) {
-  common::Rng rng(5);
-  Tensor scores = Tensor::randn(Shape{3, 3}, rng);
-  causal_softmax(scores);
-  EXPECT_FLOAT_EQ(scores.at(0, 0), 1.0f);
 }
 
 TEST(Gelu, KnownValues) {
@@ -165,25 +122,6 @@ TEST(VectorOps, ErrorMetrics) {
   EXPECT_DOUBLE_EQ(max_abs_error(a, b), 0.5);
   EXPECT_NEAR(rms_error(a, b), 0.5 / std::sqrt(2.0), 1e-12);
 }
-
-/// Property: matmul is associative-with-scaling and distributes over add.
-class MatmulProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(MatmulProperty, DistributesOverAddition) {
-  const std::size_t n = GetParam();
-  common::Rng rng(n);
-  const Tensor a = Tensor::randn(Shape{n, n}, rng);
-  const Tensor b = Tensor::randn(Shape{n, n}, rng);
-  const Tensor c = Tensor::randn(Shape{n, n}, rng);
-  Tensor b_plus_c = b;
-  add_inplace(b_plus_c, c);
-  const Tensor lhs = matmul(a, b_plus_c);
-  Tensor rhs = matmul(a, b);
-  add_inplace(rhs, matmul(a, c));
-  EXPECT_LT(max_abs_error(lhs.data(), rhs.data()), 1e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, MatmulProperty, ::testing::Values(1u, 3u, 8u, 17u));
 
 }  // namespace
 }  // namespace haan::tensor
