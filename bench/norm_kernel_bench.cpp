@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "common/json_lite.hpp"
 #include "common/rng.hpp"
 #include "core/haan_norm.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
 #include "model/norm_provider.hpp"
@@ -206,21 +204,7 @@ int main(int argc, char** argv) {
                "rows=64 beats the per-row provider path by this factor "
                "(0 disables)");
   cli.add_flag("json", "", "write the report as JSON to this path");
-  cli.add_flag("tune", "0",
-               "run the autotune sweep: per (d, rows) cell compare the static "
-               "dispatch table against kernels::tuned_for(d) with the tuner's "
-               "own measurement harness");
-  cli.add_flag("min-tune-ratio", "0",
-               "with --tune, fail unless static_ns/tuned_ns >= this ratio in "
-               "every swept cell (0 disables; use <1, e.g. 0.9, for noise "
-               "headroom)");
-  cli.add_flag("autotune-cache", "",
-               "autotune decision cache path (overrides HAAN_AUTOTUNE_CACHE)");
   if (!cli.parse(argc, argv)) return cli.error() ? 1 : 0;
-
-  if (!cli.get("autotune-cache").empty()) {
-    kernels::set_autotune_cache_path(cli.get("autotune-cache"));
-  }
 
   const double target_ms = cli.get_double("target-ms");
   const double min_speedup = cli.get_double("min-speedup");
@@ -390,98 +374,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Autotune sweep: static dispatch table vs tuned_for(d), measured with
-  // the tuner's own harness so the gate checks exactly what the tuner
-  // optimizes (the fused residual+RMSNorm row-block bandwidth pass). ---------
-  const bool tune = cli.get_bool("tune");
-  const double min_tune_ratio = cli.get_double("min-tune-ratio");
-  common::Json::Object tune_doc;
-  bool tune_ok = true;
-  if (tune) {
-    std::printf("--- autotune sweep: static dispatch vs tuned_for(d) ---\n");
-    common::Json::Array tune_entries;
-    double worst_ratio = std::numeric_limits<double>::infinity();
-    for (const std::size_t d : dims) {
-      const kernels::AutotuneChoice& choice = kernels::tuned_for(d);
-      for (const std::size_t rows : row_counts) {
-        const double static_ns =
-            kernels::measure_rows_ns_per_row(kernels::active(), d, rows);
-        const double tuned_ns =
-            kernels::measure_rows_ns_per_row(*choice.table, d, rows);
-        const double ratio = tuned_ns > 0.0 ? static_ns / tuned_ns : 0.0;
-        worst_ratio = std::min(worst_ratio, ratio);
-        common::Json::Object entry;
-        entry["d"] = d;
-        entry["rows"] = rows;
-        entry["static_table"] = kernels::active_name();
-        entry["tuned_table"] = choice.table->name;
-        entry["source"] = kernels::to_string(choice.source);
-        entry["static_ns_per_row"] = static_ns;
-        entry["tuned_ns_per_row"] = tuned_ns;
-        entry["static_gbps"] =
-            gbps(kFusedRmsBytes, static_ns / static_cast<double>(d));
-        entry["tuned_gbps"] =
-            gbps(kFusedRmsBytes, tuned_ns / static_cast<double>(d));
-        entry["ratio"] = ratio;
-        tune_entries.push_back(entry);
-        std::printf(
-            "d=%5zu rows=%4zu  static(%s) %9.1f ns/row  tuned(%s) %9.1f "
-            "ns/row  ratio %5.2fx\n",
-            d, rows, kernels::active_name(), static_ns, choice.table->name,
-            tuned_ns, ratio);
-      }
-    }
-    tune_doc["entries"] = tune_entries;
-    tune_doc["worst_ratio"] = worst_ratio;
-    if (min_tune_ratio > 0.0 && worst_ratio < min_tune_ratio) {
-      std::fprintf(stderr,
-                   "FAIL: autotuned table is %.3fx the static dispatch in the "
-                   "worst cell (< required %.3fx)\n",
-                   worst_ratio, min_tune_ratio);
-      tune_ok = false;
-    }
-
-    // AVX-512 vs AVX2 anchor: the tentpole claim — fused RMSNorm d=4096 on
-    // large row blocks improves over the AVX2 family when both are runnable.
-    // rows=64 (the same cell as the rowblock anchor) keeps the loop
-    // compute-bound; past ~128 rows the pass saturates memory bandwidth and
-    // the two families converge into noise.
-    const kernels::KernelTable* avx512 = kernels::find_kernel_table("avx512");
-    const kernels::KernelTable* avx2 = kernels::find_kernel_table("avx2");
-    const bool avx512_runnable = [&] {
-      if (avx512 == nullptr || avx2 == nullptr) return false;
-      for (const kernels::KernelTable* t : kernels::supported_kernels()) {
-        if (t == avx512) return true;
-      }
-      return false;
-    }();
-    if (avx512_runnable) {
-      const std::size_t d = 4096, rows = 64;
-      const double avx2_ns = kernels::measure_rows_ns_per_row(*avx2, d, rows);
-      const double avx512_ns =
-          kernels::measure_rows_ns_per_row(*avx512, d, rows);
-      const double ratio = avx512_ns > 0.0 ? avx2_ns / avx512_ns : 0.0;
-      common::Json::Object cmp;
-      cmp["d"] = d;
-      cmp["rows"] = rows;
-      cmp["avx2_ns_per_row"] = avx2_ns;
-      cmp["avx512_ns_per_row"] = avx512_ns;
-      cmp["avx512_speedup_vs_avx2"] = ratio;
-      tune_doc["avx512_vs_avx2"] = cmp;
-      std::printf(
-          "d=%5zu rows=%4zu  avx2 %9.1f ns/row  avx512 %9.1f ns/row  "
-          "avx512 speedup %5.2fx\n",
-          d, rows, avx2_ns, avx512_ns, ratio);
-      if (min_tune_ratio > 0.0 && ratio < min_tune_ratio) {
-        std::fprintf(stderr,
-                     "FAIL: avx512 fused RMSNorm d=4096 rows=256 is %.3fx "
-                     "avx2 (< required %.3fx)\n",
-                     ratio, min_tune_ratio);
-        tune_ok = false;
-      }
-    }
-  }
-
   // --- Matmul kernel: linear GMAC/s per backend at a prefill-sized and a
   // decode-sized shape. Gated on cross-backend bit identity only (the
   // exact-order contract in kernels.hpp), never on time: shared CI runners
@@ -551,7 +443,6 @@ int main(int argc, char** argv) {
   doc["rowblock_speedup_d4096_rows64"] = rowblock_speedup_4096x64;
   doc["linear"] = linear_results;
   doc["linear_bit_identical"] = linear_identical;
-  if (tune) doc["tune"] = tune_doc;
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
@@ -577,7 +468,6 @@ int main(int argc, char** argv) {
                  rowblock_speedup_4096x64, min_rowblock_speedup);
     return 1;
   }
-  if (!tune_ok) return 1;
   if (!linear_identical) return 1;
   return 0;
 }

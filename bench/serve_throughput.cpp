@@ -68,7 +68,6 @@
 #include "common/cli.hpp"
 #include "common/json_lite.hpp"
 #include "core/provider_factory.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
 #include "obs/trace.hpp"
@@ -474,15 +473,8 @@ int main(int argc, char** argv) {
                "fail if the closed-loop wall-clock of a tracing-enabled run "
                "exceeds a tracing-disabled run by more than this ratio "
                "(e.g. 1.10 = 10%; 0 disables)");
-  cli.add_flag("autotune-cache", "",
-               "kernel autotune decision cache path (overrides "
-               "HAAN_AUTOTUNE_CACHE)");
   cli.add_flag("json", "", "write the report as JSON to this path");
   if (!cli.parse(argc, argv)) return cli.error() ? 1 : 0;
-
-  if (!cli.get("autotune-cache").empty()) {
-    kernels::set_autotune_cache_path(cli.get("autotune-cache"));
-  }
 
   const auto width = static_cast<std::size_t>(cli.get_int("width"));
   serve::ServerConfig config;

@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "core/subsample.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
 #include "numerics/fast_math.hpp"
@@ -34,20 +33,6 @@ std::pmr::memory_resource* HaanNormProvider::scratch_resource() const {
 }
 
 void HaanNormProvider::begin_sequence() { predictor_.begin_sequence(); }
-
-const kernels::KernelTable& HaanNormProvider::tuned(std::size_t d) {
-  if (tuned_table_ == nullptr || tuned_d_ != d) {
-    const kernels::AutotuneChoice& choice = kernels::tuned_for(d);
-    tuned_table_ = choice.table;
-    tuned_d_ = d;
-    chunk_cap_ = choice.cross_node_partition
-                     ? pool_.threads()
-                     : std::max<std::size_t>(
-                           1, std::min(pool_.threads(),
-                                       mem::topology().max_node_cpus()));
-  }
-  return *tuned_table_;
-}
 
 double HaanNormProvider::compute_isd(double second_moment) const {
   const double x = second_moment + config_.eps;
@@ -81,8 +66,8 @@ void HaanNormProvider::residual_add_normalize(
   HAAN_EXPECTS(residual.size() == h.size());
   // One pass updates the residual stream and fills the operand buffer.
   buffer_.resize(h.size());
-  tuned(h.size()).residual_add_copy(h.data(), residual.data(), buffer_.data(),
-                                    h.size());
+  kernels::active().residual_add_copy(h.data(), residual.data(),
+                                      buffer_.data(), h.size());
   ++counters_.fused_residual_norms;
   normalize_prepared(layer_index, position, kind, alpha, beta, out);
 }
@@ -123,14 +108,14 @@ void HaanNormProvider::residual_add_normalize_rows(
   ++counters_.batched_norm_calls;
   counters_.batched_rows += rows;
 
-  const kernels::KernelTable& k = tuned(d);
+  const kernels::KernelTable& k = kernels::active();
   const std::size_t min_rows = model::min_partition_rows(d);
   const float* src;
   bool stats_done = false;
   if (config_.format != numerics::NumericFormat::kFP32) {
     // One pass updates the residual stream and fills the operand block.
     buffer_.resize(h.size());
-    pool_.for_rows(rows, min_rows, chunk_cap_,
+    pool_.for_rows(rows, min_rows,
                    [&](std::size_t, std::size_t r0, std::size_t nr) {
       k.residual_add_copy(h.data() + r0 * d, residual.data() + r0 * d,
                           buffer_.data() + r0 * d, nr * d);
@@ -145,7 +130,7 @@ void HaanNormProvider::residual_add_normalize_rows(
       const std::size_t nstat =
           config_.nsub == 0 ? d : std::min(config_.nsub, d);
       row_stats_.resize(rows);
-      pool_.for_rows(rows, min_rows, chunk_cap_,
+      pool_.for_rows(rows, min_rows,
                      [&](std::size_t, std::size_t r0, std::size_t nr) {
         k.residual_add_stats_rows(h.data() + r0 * d, residual.data() + r0 * d,
                                   nr, d, nstat, row_stats_.data() + r0);
@@ -153,7 +138,7 @@ void HaanNormProvider::residual_add_normalize_rows(
       stats_done = true;
     } else {
       // Skipped RMSNorm layers never read statistics: plain add only.
-      pool_.for_rows(rows, min_rows, chunk_cap_,
+      pool_.for_rows(rows, min_rows,
                      [&](std::size_t, std::size_t r0, std::size_t nr) {
         k.residual_add(h.data() + r0 * d, residual.data() + r0 * d, nr * d);
       });
@@ -167,10 +152,10 @@ void HaanNormProvider::residual_add_normalize_rows(
 void HaanNormProvider::quantize_rows(float* block, std::size_t rows,
                                      std::size_t d) {
   row_scale_.resize(rows);
-  const kernels::KernelTable& k = tuned(d);
+  const kernels::KernelTable& k = kernels::active();
   // Scale selection and quantization are per-row; chunks write disjoint
   // row_scale_ slots and block rows.
-  pool_.for_rows(rows, model::min_partition_rows(d), chunk_cap_,
+  pool_.for_rows(rows, model::min_partition_rows(d),
                  [&](std::size_t, std::size_t r0, std::size_t nr) {
     for (std::size_t r = r0; r < r0 + nr; ++r) {
       row_scale_[r] =
@@ -190,7 +175,7 @@ void HaanNormProvider::finish_rows(std::size_t layer_index,
                                    bool stats_done, std::span<const float> alpha,
                                    std::span<const float> beta,
                                    std::span<float> out) {
-  const kernels::KernelTable& k = tuned(d);
+  const kernels::KernelTable& k = kernels::active();
   // Per-layer resolution, hoisted out of the row loop: one skip-plan lookup,
   // one anchor check, one statistics width.
   const bool skip = predictor_.should_skip(layer_index);
@@ -209,7 +194,7 @@ void HaanNormProvider::finish_rows(std::size_t layer_index,
   // — the lone predictor write — happens serially below from row_isd_.
   // Counters accumulate serially too, so totals and results are bit-identical
   // to the serial loop for any thread count.
-  pool_.for_rows(rows, model::min_partition_rows(d), chunk_cap_,
+  pool_.for_rows(rows, model::min_partition_rows(d),
                  [&](std::size_t, std::size_t r0, std::size_t nr) {
     if (need_stats && !stats_done) {
       k.stats_rows(src + r0 * d, nr, d, nstat, row_stats_.data() + r0);
@@ -258,7 +243,7 @@ void HaanNormProvider::normalize_prepared(std::size_t layer_index,
                                           std::span<const float> beta,
                                           std::span<float> out) {
   ++counters_.norm_calls;
-  const kernels::KernelTable& k = tuned(buffer_.size());
+  const kernels::KernelTable& k = kernels::active();
 
   // Operand quantization: the datapath sees the quantized input both in the
   // statistics path and the normalization path (paper §III-C / §IV-A).

@@ -84,13 +84,6 @@ class HaanNormProvider final : public model::NormProvider {
   double last_isd_used() const { return last_isd_; }
 
  private:
-  /// The autotuned kernel table for width d, memoized per provider (one
-  /// registry lookup, then a pointer compare per call). Every datapath pass —
-  /// operand copy, statistics, quantization, normalize — goes through this
-  /// ONE table so per-row and row-block execution stay bit-identical under
-  /// autotuning.
-  const kernels::KernelTable& tuned(std::size_t d);
-
   /// scratch_arena_ when placement is on, the default heap resource otherwise.
   std::pmr::memory_resource* scratch_resource() const;
 
@@ -115,11 +108,6 @@ class HaanNormProvider final : public model::NormProvider {
                    std::span<float> out);
 
   HaanConfig config_;
-  const kernels::KernelTable* tuned_table_ = nullptr;
-  std::size_t tuned_d_ = 0;
-  /// for_rows chunk cap from the autotuner's cross-node decision (memoized
-  /// with tuned_table_; see ExactNormProvider::chunk_cap_).
-  std::size_t chunk_cap_ = 0;
   IsdPredictor predictor_;
   model::RowPartitionPool pool_;  ///< worker-local row parallelism
   Counters counters_;

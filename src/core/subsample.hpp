@@ -29,8 +29,8 @@ struct SubsampledStats {
 SubsampledStats subsampled_stats(std::span<const float> z, std::size_t nsub,
                                  model::NormKind kind, double eps = 1e-5);
 
-/// Same, over an explicit kernel table — providers pass the autotuned backend
-/// so the subsampled reduction matches their row-block paths bit for bit.
+/// Same, over an explicit kernel table — providers pass kernels::active() so
+/// the subsampled reduction matches their row-block paths bit for bit.
 SubsampledStats subsampled_stats(const kernels::KernelTable& k,
                                  std::span<const float> z, std::size_t nsub,
                                  model::NormKind kind, double eps = 1e-5);

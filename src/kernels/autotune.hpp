@@ -1,116 +1,57 @@
-// Startup kernel autotuner. At provider construction the serving stack asks
-// for the best row-block kernel table for its model width d: the tuner
-// micro-benchmarks every candidate backend/variant over a few row-block tiles
-// (the fused residual-add + RMSNorm path that dominates serve time), picks one
-// winner per d, and memoizes the decision for the process lifetime. Decisions
-// can be persisted to a JSON cache keyed by CPU + mode so repeat launches skip
-// the measurement entirely.
-//
-// Bit-identity: the tuner returns ONE table per d and callers thread it
-// through every norm path (per-row and row-block alike), so any in-process
-// comparison — chunked vs one-shot decode, rows vs per-row parity — sees a
-// single consistent backend. In the default "safe" mode the candidate set is
-// restricted to the active family's own variants, which are value-identical
-// to the static dispatch; cross-family tuning (reassociated reductions, still
-// within the kernels.hpp tolerance contract) requires the explicit
-// HAAN_AUTOTUNE=1 opt-in.
-//
-// Environment:
-//   HAAN_AUTOTUNE        unset/empty -> safe mode; "1" -> full (cross-family)
-//                        mode; "0" -> off (static dispatch, no measurement).
-//   HAAN_AUTOTUNE_CACHE  path of the JSON decision cache (optional). A
-//                        programmatic set_autotune_cache_path() overrides it.
-//   HAAN_FORCE_SCALAR    wins over everything: the tuner returns scalar.
+// Static-dispatch surface under the names of the former startup norm
+// autotuner. Every row width gets kernels::active(), the one table chosen per
+// process by CPUID (or HAAN_FORCE_SCALAR=1); nothing is measured. Code under
+// src/ calls active() directly; these names remain only for the benchmark
+// harness in perfbench/ and go once it calls active() itself.
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "kernels/kernels.hpp"
 
 namespace haan::kernels {
 
-/// How aggressive the candidate set is. kSafe keeps every candidate
-/// value-identical to the static dispatch; kFull also tries other backend
-/// families (different reduction order, same tolerance contract).
-enum class AutotuneMode { kOff, kSafe, kFull };
-
-/// Reads HAAN_AUTOTUNE afresh: "0" -> kOff, "1" -> kFull, else kSafe.
-AutotuneMode autotune_mode();
-
-/// True when tuned_for() may measure (mode != kOff and the scalar override is
-/// not in force).
-bool autotune_enabled();
-
-/// One micro-benchmark cell: ns/row of the fused RMSNorm row block at `rows`
-/// rows, for the static dispatch and for the chosen table.
+/// A per-tile measurement of the former tuner; none are produced.
 struct AutotuneTile {
   std::size_t rows = 0;
   double static_ns_per_row = 0.0;
   double tuned_ns_per_row = 0.0;
 };
 
-/// The tuner's decision for one row width d.
+/// The kernel table for one row width d.
 struct AutotuneChoice {
-  /// Where the decision came from: static dispatch (tuning off or no winner
-  /// measured), a fresh measurement, or the JSON cache.
-  enum class Source { kStatic, kMeasured, kCache };
+  enum class Source { kStatic };
 
-  const KernelTable* table = nullptr;  ///< Never null once returned.
+  const KernelTable* table = nullptr;  ///< Always &active().
   std::size_t d = 0;
-  std::size_t rows_tile = 0;   ///< Tile where the winner's advantage peaks (0 = static).
-  double ns_per_row = 0.0;     ///< Winner's ns/row at rows_tile (0 = unmeasured).
+  std::size_t rows_tile = 0;        ///< Always 0.
   Source source = Source::kStatic;
-  bool cache_hit = false;      ///< A usable cache entry was found for this d.
-  std::vector<AutotuneTile> tiles;  ///< Per-tile measurements (empty unless kMeasured).
-
-  /// NUMA nodes visible when the decision was made (1 on single-node hosts).
-  int nodes = 1;
-
-  /// Whether row partitions for this width may span NUMA nodes. Always true
-  /// on single-node hosts or with placement off; on multi-node hosts the
-  /// tuner measures whether a remote node's CPU can stream a node-resident
-  /// block fast enough that cross-socket chunks still pay, and providers cap
-  /// for_rows chunk counts to one node's CPUs when it cannot. The cap changes
-  /// scheduling only — chunk results are row-wise, so values are identical.
-  bool cross_node_partition = true;
+  std::vector<AutotuneTile> tiles;  ///< Always empty.
 };
 
-/// "static" | "measured" | "cache" — for logs and metrics JSON.
-const char* to_string(AutotuneChoice::Source source);
+inline const char* to_string(AutotuneChoice::Source) { return "static"; }
 
-/// The decision for width d. Memoized per process (thread-safe): the first
-/// call per d consults the cache file, measures if needed, persists the
-/// result, and logs the choice; later calls return the stored decision.
-/// With autotuning off this is the static active() table.
-const AutotuneChoice& tuned_for(std::size_t d);
+/// The choice for width d; the reference stays valid for the process.
+inline const AutotuneChoice& tuned_for(std::size_t d) {
+  static std::mutex mutex;
+  static std::map<std::size_t, AutotuneChoice> choices;
+  const std::lock_guard<std::mutex> lock(mutex);
+  const auto [it, inserted] = choices.try_emplace(d);
+  if (inserted) {
+    it->second.table = &active();
+    it->second.d = d;
+  }
+  return it->second;
+}
 
-/// tuned_for(d).table — the common case.
-const KernelTable& tuned_table(std::size_t d);
+inline const KernelTable& tuned_table(std::size_t d) {
+  return *tuned_for(d).table;
+}
 
-/// The candidate tables the current mode would consider for tuning, static
-/// dispatch first. Exposed for the bench sweep.
-std::vector<const KernelTable*> autotune_candidates();
-
-/// Micro-benchmarks `table` on the fused row-block RMSNorm (residual add +
-/// stats + normalize) over a (rows x d) block, plus a read-back pass over the
-/// output so streaming stores pay their true reload cost. Returns the best
-/// (minimum) ns/row over `reps` repetitions. Shared by the tuner and the
-/// bench `--tune` sweep so both gate on the same measurement.
-double measure_rows_ns_per_row(const KernelTable& table, std::size_t d,
-                               std::size_t rows, int reps = 3);
-
-/// Overrides the cache file path (takes precedence over HAAN_AUTOTUNE_CACHE).
-/// Empty string restores the environment lookup.
-void set_autotune_cache_path(std::string path);
-
-/// The effective cache path: the programmatic override if set, else
-/// HAAN_AUTOTUNE_CACHE, else empty (no persistence).
-std::string autotune_cache_path();
-
-/// Test hook: drops every memoized decision and the programmatic cache-path
-/// override so environment changes take effect on the next tuned_for() call.
-void reset_autotune_for_testing();
+/// A no-op: there is no decision to forget.
+inline void reset_autotune_for_testing() {}
 
 }  // namespace haan::kernels

@@ -15,15 +15,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 namespace haan::kernels {
 namespace {
-
-/// Software-prefetch lookahead for the kPF row-block variants, in floats
-/// (1 KiB ahead of the streaming read).
-constexpr std::size_t kPrefetchAhead = 256;
 
 double hsum_pd(__m256d v) {
   const __m128d lo = _mm256_castpd256_pd128(v);
@@ -43,16 +38,11 @@ void accumulate8(__m256 v, __m256d& sum0, __m256d& sum1, __m256d& sq0,
   sq1 = _mm256_fmadd_pd(hi, hi, sq1);
 }
 
-template <bool kPF>
-SumStats stats_body(const float* z, std::size_t n) {
+SumStats stats_avx2(const float* z, std::size_t n) {
   __m256d sum0 = _mm256_setzero_pd(), sum1 = _mm256_setzero_pd();
   __m256d sq0 = _mm256_setzero_pd(), sq1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    if constexpr (kPF) {
-      _mm_prefetch(reinterpret_cast<const char*>(z + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-    }
     accumulate8(_mm256_loadu_ps(z + i), sum0, sum1, sq0, sq1);
   }
   SumStats out;
@@ -66,20 +56,11 @@ SumStats stats_body(const float* z, std::size_t n) {
   return out;
 }
 
-SumStats stats_avx2(const float* z, std::size_t n) {
-  return stats_body<false>(z, n);
-}
-
-template <bool kPF>
-double centered_sum_sq_body(const float* z, std::size_t n, double mean) {
+double centered_sum_sq_avx2(const float* z, std::size_t n, double mean) {
   const __m256d mean_v = _mm256_set1_pd(mean);
   __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    if constexpr (kPF) {
-      _mm_prefetch(reinterpret_cast<const char*>(z + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-    }
     const __m256 v = _mm256_loadu_ps(z + i);
     const __m256d lo =
         _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v)), mean_v);
@@ -94,10 +75,6 @@ double centered_sum_sq_body(const float* z, std::size_t n, double mean) {
     acc += d * d;
   }
   return acc;
-}
-
-double centered_sum_sq_avx2(const float* z, std::size_t n, double mean) {
-  return centered_sum_sq_body<false>(z, n, mean);
 }
 
 void residual_add_avx2(float* h, const float* residual, std::size_t n) {
@@ -125,19 +102,12 @@ void residual_add_copy_avx2(float* h, const float* residual, float* dst,
   }
 }
 
-template <bool kPF>
-SumStats residual_add_stats_body(float* h, const float* residual,
+SumStats residual_add_stats_avx2(float* h, const float* residual,
                                  std::size_t n) {
   __m256d sum0 = _mm256_setzero_pd(), sum1 = _mm256_setzero_pd();
   __m256d sq0 = _mm256_setzero_pd(), sq1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    if constexpr (kPF) {
-      _mm_prefetch(reinterpret_cast<const char*>(h + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(residual + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-    }
     const __m256 sum =
         _mm256_add_ps(_mm256_loadu_ps(h + i), _mm256_loadu_ps(residual + i));
     _mm256_storeu_ps(h + i, sum);
@@ -153,11 +123,6 @@ SumStats residual_add_stats_body(float* h, const float* residual,
     out.sum_sq += static_cast<double>(v) * v;
   }
   return out;
-}
-
-SumStats residual_add_stats_avx2(float* h, const float* residual,
-                                 std::size_t n) {
-  return residual_add_stats_body<false>(h, residual, n);
 }
 
 void normalize_affine_avx2(const float* z, std::size_t n, double mean,
@@ -276,31 +241,28 @@ void quantize_dequantize_avx2(float* values, std::size_t n,
 // row runs the same vector/tail split as the per-row entry points (bit-
 // identical per backend) with no per-row dispatch.
 
-template <bool kPF>
-void stats_rows_t(const float* x, std::size_t rows, std::size_t stride,
-                  std::size_t n, SumStats* out) {
+void stats_rows_avx2(const float* x, std::size_t rows, std::size_t stride,
+                     std::size_t n, SumStats* out) {
   for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = stats_body<kPF>(x + r * stride, n);
+    out[r] = stats_avx2(x + r * stride, n);
   }
 }
 
-template <bool kPF>
-void centered_sum_sq_rows_t(const float* x, std::size_t rows,
-                            std::size_t stride, std::size_t n,
-                            const double* mean, double* out) {
+void centered_sum_sq_rows_avx2(const float* x, std::size_t rows,
+                               std::size_t stride, std::size_t n,
+                               const double* mean, double* out) {
   for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = centered_sum_sq_body<kPF>(x + r * stride, n, mean[r]);
+    out[r] = centered_sum_sq_avx2(x + r * stride, n, mean[r]);
   }
 }
 
-template <bool kPF>
-void residual_add_stats_rows_t(float* h, const float* residual,
-                               std::size_t rows, std::size_t d,
-                               std::size_t nstats, SumStats* out) {
+void residual_add_stats_rows_avx2(float* h, const float* residual,
+                                  std::size_t rows, std::size_t d,
+                                  std::size_t nstats, SumStats* out) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* hr = h + r * d;
     const float* rr = residual + r * d;
-    out[r] = residual_add_stats_body<kPF>(hr, rr, nstats);
+    out[r] = residual_add_stats_avx2(hr, rr, nstats);
     residual_add_avx2(hr + nstats, rr + nstats, d - nstats);
   }
 }
@@ -327,74 +289,15 @@ void saturate_avx2(float* v, std::size_t n) {
   }
 }
 
-inline float normalize_one(const float* z, std::size_t i, double mean,
-                           double isd, const float* alpha, const float* beta) {
-  float v = static_cast<float>((z[i] - mean) * isd);
-  if (alpha != nullptr) v *= alpha[i];
-  if (beta != nullptr) v += beta[i];
-  return v;
-}
-
-inline float saturate_one(float x) {
-  return std::isnan(x) ? 0.0f : std::clamp(x, -kSaturation, kSaturation);
-}
-
-/// Streaming-store normalize row: a scalar head peels to 32-byte alignment of
-/// the output (scalar and vector lanes round identically, so the head is
-/// value-identical), the body streams cache-bypassing stores, and the tail
-/// finishes scalar. The saturation clamp is fused in-register — clamping
-/// before the store equals clamping a stored value elementwise.
-void normalize_affine_nt_avx2(const float* z, std::size_t n, double mean,
-                              double isd, const float* alpha, const float* beta,
-                              float* out, bool saturate) {
-  const __m256d mean_v = _mm256_set1_pd(mean);
-  const __m256d isd_v = _mm256_set1_pd(isd);
-  const __m256 ones = _mm256_set1_ps(1.0f);
-  std::size_t i = 0;
-  while (i < n && (reinterpret_cast<std::uintptr_t>(out + i) & 31u) != 0) {
-    const float v = normalize_one(z, i, mean, isd, alpha, beta);
-    out[i] = saturate ? saturate_one(v) : v;
-    ++i;
-  }
-  for (; i + 8 <= n; i += 8) {
-    const __m256 zv = _mm256_loadu_ps(z + i);
-    const __m256d lo = _mm256_mul_pd(
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(zv)), mean_v),
-        isd_v);
-    const __m256d hi = _mm256_mul_pd(
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(zv, 1)), mean_v),
-        isd_v);
-    __m256 v = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
-    const __m256 a = alpha != nullptr ? _mm256_loadu_ps(alpha + i) : ones;
-    v = _mm256_mul_ps(v, a);
-    if (beta != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(beta + i));
-    if (saturate) v = saturate_lanes(v);
-    _mm256_stream_ps(out + i, v);
-  }
-  for (; i < n; ++i) {
-    const float v = normalize_one(z, i, mean, isd, alpha, beta);
-    out[i] = saturate ? saturate_one(v) : v;
-  }
-}
-
-template <bool kNT>
-void normalize_affine_rows_t(const float* x, std::size_t rows, std::size_t d,
-                             const double* mean, const double* isd,
-                             const float* alpha, const float* beta, float* out,
-                             bool saturate) {
+void normalize_affine_rows_avx2(const float* x, std::size_t rows,
+                                std::size_t d, const double* mean,
+                                const double* isd, const float* alpha,
+                                const float* beta, float* out, bool saturate) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* out_r = out + r * d;
-    if constexpr (kNT) {
-      normalize_affine_nt_avx2(x + r * d, d, mean[r], isd[r], alpha, beta,
-                               out_r, saturate);
-    } else {
-      normalize_affine_avx2(x + r * d, d, mean[r], isd[r], alpha, beta, out_r);
-      if (saturate) saturate_avx2(out_r, d);
-    }
+    normalize_affine_avx2(x + r * d, d, mean[r], isd[r], alpha, beta, out_r);
+    if (saturate) saturate_avx2(out_r, d);
   }
-  // Streaming stores are weakly ordered; fence once per block so readers on
-  // other pool threads observe the rows.
-  if constexpr (kNT) _mm_sfence();
 }
 
 void quantize_dequantize_rows_avx2(float* x, std::size_t rows, std::size_t d,
@@ -581,87 +484,20 @@ constexpr KernelTable kAvx2Table = {
     residual_add_stats_avx2,
     normalize_affine_avx2,
     quantize_dequantize_avx2,
-    stats_rows_t<false>,
-    centered_sum_sq_rows_t<false>,
-    residual_add_stats_rows_t<false>,
-    normalize_affine_rows_t<false>,
+    stats_rows_avx2,
+    centered_sum_sq_rows_avx2,
+    residual_add_stats_rows_avx2,
+    normalize_affine_rows_avx2,
     quantize_dequantize_rows_avx2,
     linear_avx2,
     attention_scores_avx2,
     attention_context_avx2,
 };
-
-// Variant tables share every per-row kernel with the base; only the
-// row-block entries the autotuner's fused-norm harness actually measures
-// differ (prefetch on the streaming reductions, nontemporal on the
-// normalize output stream).
-constexpr KernelTable kAvx2PfTable = {
-    "avx2-pf",
-    stats_avx2,
-    centered_sum_sq_avx2,
-    residual_add_avx2,
-    residual_add_copy_avx2,
-    residual_add_stats_avx2,
-    normalize_affine_avx2,
-    quantize_dequantize_avx2,
-    stats_rows_t<true>,
-    centered_sum_sq_rows_t<true>,
-    residual_add_stats_rows_t<true>,
-    normalize_affine_rows_t<false>,
-    quantize_dequantize_rows_avx2,
-    linear_avx2,
-    attention_scores_avx2,
-    attention_context_avx2,
-};
-
-constexpr KernelTable kAvx2NtTable = {
-    "avx2-nt",
-    stats_avx2,
-    centered_sum_sq_avx2,
-    residual_add_avx2,
-    residual_add_copy_avx2,
-    residual_add_stats_avx2,
-    normalize_affine_avx2,
-    quantize_dequantize_avx2,
-    stats_rows_t<false>,
-    centered_sum_sq_rows_t<false>,
-    residual_add_stats_rows_t<false>,
-    normalize_affine_rows_t<true>,
-    quantize_dequantize_rows_avx2,
-    linear_avx2,
-    attention_scores_avx2,
-    attention_context_avx2,
-};
-
-constexpr KernelTable kAvx2NtPfTable = {
-    "avx2-ntpf",
-    stats_avx2,
-    centered_sum_sq_avx2,
-    residual_add_avx2,
-    residual_add_copy_avx2,
-    residual_add_stats_avx2,
-    normalize_affine_avx2,
-    quantize_dequantize_avx2,
-    stats_rows_t<true>,
-    centered_sum_sq_rows_t<true>,
-    residual_add_stats_rows_t<true>,
-    normalize_affine_rows_t<true>,
-    quantize_dequantize_rows_avx2,
-    linear_avx2,
-    attention_scores_avx2,
-    attention_context_avx2,
-};
-
-constexpr const KernelTable* kAvx2Variants[] = {&kAvx2PfTable, &kAvx2NtTable,
-                                                &kAvx2NtPfTable};
 
 }  // namespace
 
 namespace detail {
 const KernelTable* avx2_table() { return &kAvx2Table; }
-std::span<const KernelTable* const> avx2_variant_tables() {
-  return kAvx2Variants;
-}
 }  // namespace detail
 
 }  // namespace haan::kernels
@@ -670,7 +506,6 @@ std::span<const KernelTable* const> avx2_variant_tables() {
 
 namespace haan::kernels::detail {
 const KernelTable* avx2_table() { return nullptr; }
-std::span<const KernelTable* const> avx2_variant_tables() { return {}; }
 }  // namespace haan::kernels::detail
 
 #endif

@@ -13,13 +13,6 @@
 // reassociate relative to the scalar reference; elementwise kernels perform
 // the same rounding steps as scalar and are bit-identical except where the
 // header's tolerance contract says otherwise (FP16 NaN payloads).
-//
-// The row-block kernels come in prefetch (template kPF) and nontemporal
-// (template kNT) flavours exported as the "avx512-pf"/"-nt"/"-ntpf" variant
-// tables: candidates for the startup autotuner in the large rows x d regime
-// where a pack blows out L2. Both flavours are value-identical to the base
-// table — prefetch has no architectural effect, and streaming stores change
-// where the result lands, not what it is.
 #include "kernels/backends.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX512F__) && \
@@ -28,16 +21,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <vector>
 
 namespace haan::kernels {
 namespace {
-
-/// Software-prefetch lookahead for the kPF row-block variants, in floats
-/// (1 KiB = 16 cache lines ahead of the streaming read).
-constexpr std::size_t kPrefetchAhead = 256;
 
 /// Active-lane mask for a tail of `rem` elements, 1 <= rem <= 15.
 inline __mmask16 tail_mask16(std::size_t rem) {
@@ -73,16 +60,11 @@ inline void accumulate16(__m512 v, __m512d& sum0, __m512d& sum1, __m512d& sq0,
   sq1 = _mm512_fmadd_pd(hi, hi, sq1);
 }
 
-template <bool kPF>
-SumStats stats_body(const float* z, std::size_t n) {
+SumStats stats_avx512(const float* z, std::size_t n) {
   __m512d sum0 = _mm512_setzero_pd(), sum1 = _mm512_setzero_pd();
   __m512d sq0 = _mm512_setzero_pd(), sq1 = _mm512_setzero_pd();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    if constexpr (kPF) {
-      _mm_prefetch(reinterpret_cast<const char*>(z + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-    }
     accumulate16(_mm512_loadu_ps(z + i), sum0, sum1, sq0, sq1);
   }
   if (i < n) {
@@ -95,20 +77,11 @@ SumStats stats_body(const float* z, std::size_t n) {
   return out;
 }
 
-SumStats stats_avx512(const float* z, std::size_t n) {
-  return stats_body<false>(z, n);
-}
-
-template <bool kPF>
-double centered_sum_sq_body(const float* z, std::size_t n, double mean) {
+double centered_sum_sq_avx512(const float* z, std::size_t n, double mean) {
   const __m512d mean_v = _mm512_set1_pd(mean);
   __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    if constexpr (kPF) {
-      _mm_prefetch(reinterpret_cast<const char*>(z + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-    }
     const __m512 v = _mm512_loadu_ps(z + i);
     const __m512d lo = _mm512_sub_pd(cvt_lo_pd(v), mean_v);
     const __m512d hi = _mm512_sub_pd(cvt_hi_pd(v), mean_v);
@@ -128,10 +101,6 @@ double centered_sum_sq_body(const float* z, std::size_t n, double mean) {
     acc1 = _mm512_fmadd_pd(hi, hi, acc1);
   }
   return hsum_pd512(_mm512_add_pd(acc0, acc1));
-}
-
-double centered_sum_sq_avx512(const float* z, std::size_t n, double mean) {
-  return centered_sum_sq_body<false>(z, n, mean);
 }
 
 void residual_add_avx512(float* h, const float* residual, std::size_t n) {
@@ -167,19 +136,12 @@ void residual_add_copy_avx512(float* h, const float* residual, float* dst,
   }
 }
 
-template <bool kPF>
-SumStats residual_add_stats_body(float* h, const float* residual,
-                                 std::size_t n) {
+SumStats residual_add_stats_avx512(float* h, const float* residual,
+                                   std::size_t n) {
   __m512d sum0 = _mm512_setzero_pd(), sum1 = _mm512_setzero_pd();
   __m512d sq0 = _mm512_setzero_pd(), sq1 = _mm512_setzero_pd();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    if constexpr (kPF) {
-      _mm_prefetch(reinterpret_cast<const char*>(h + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(residual + i + kPrefetchAhead),
-                   _MM_HINT_T0);
-    }
     const __m512 sum =
         _mm512_add_ps(_mm512_loadu_ps(h + i), _mm512_loadu_ps(residual + i));
     _mm512_storeu_ps(h + i, sum);
@@ -196,11 +158,6 @@ SumStats residual_add_stats_body(float* h, const float* residual,
   out.sum = hsum_pd512(_mm512_add_pd(sum0, sum1));
   out.sum_sq = hsum_pd512(_mm512_add_pd(sq0, sq1));
   return out;
-}
-
-SumStats residual_add_stats_avx512(float* h, const float* residual,
-                                   std::size_t n) {
-  return residual_add_stats_body<false>(h, residual, n);
 }
 
 /// One normalized lane vector: (float)((z - mean) * isd) * alpha + beta, the
@@ -339,31 +296,28 @@ void quantize_dequantize_avx512(float* values, std::size_t n,
 // row runs the same vector/tail split as the per-row entry points (bit-
 // identical per backend) with no per-row dispatch.
 
-template <bool kPF>
-void stats_rows_t(const float* x, std::size_t rows, std::size_t stride,
-                  std::size_t n, SumStats* out) {
+void stats_rows_avx512(const float* x, std::size_t rows, std::size_t stride,
+                       std::size_t n, SumStats* out) {
   for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = stats_body<kPF>(x + r * stride, n);
+    out[r] = stats_avx512(x + r * stride, n);
   }
 }
 
-template <bool kPF>
-void centered_sum_sq_rows_t(const float* x, std::size_t rows,
-                            std::size_t stride, std::size_t n,
-                            const double* mean, double* out) {
+void centered_sum_sq_rows_avx512(const float* x, std::size_t rows,
+                                 std::size_t stride, std::size_t n,
+                                 const double* mean, double* out) {
   for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = centered_sum_sq_body<kPF>(x + r * stride, n, mean[r]);
+    out[r] = centered_sum_sq_avx512(x + r * stride, n, mean[r]);
   }
 }
 
-template <bool kPF>
-void residual_add_stats_rows_t(float* h, const float* residual,
-                               std::size_t rows, std::size_t d,
-                               std::size_t nstats, SumStats* out) {
+void residual_add_stats_rows_avx512(float* h, const float* residual,
+                                    std::size_t rows, std::size_t d,
+                                    std::size_t nstats, SumStats* out) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* hr = h + r * d;
     const float* rr = residual + r * d;
-    out[r] = residual_add_stats_body<kPF>(hr, rr, nstats);
+    out[r] = residual_add_stats_avx512(hr, rr, nstats);
     residual_add_avx512(hr + nstats, rr + nstats, d - nstats);
   }
 }
@@ -391,65 +345,16 @@ void saturate_avx512(float* v, std::size_t n) {
   }
 }
 
-inline float normalize_one(const float* z, std::size_t i, double mean,
-                           double isd, const float* alpha, const float* beta) {
-  float v = static_cast<float>((z[i] - mean) * isd);
-  if (alpha != nullptr) v *= alpha[i];
-  if (beta != nullptr) v += beta[i];
-  return v;
-}
-
-inline float saturate_one(float x) {
-  return std::isnan(x) ? 0.0f : std::clamp(x, -kSaturation, kSaturation);
-}
-
-/// Streaming-store normalize row: a scalar head peels to 64-byte alignment of
-/// the output (scalar and vector lanes round identically, so the head is
-/// value-identical), the body streams cache-bypassing stores, and the tail
-/// finishes scalar. The saturation clamp is fused in-register — clamping
-/// before the store equals clamping a stored value elementwise.
-void normalize_affine_nt_avx512(const float* z, std::size_t n, double mean,
-                                double isd, const float* alpha,
-                                const float* beta, float* out, bool saturate) {
-  const __m512d mean_v = _mm512_set1_pd(mean);
-  const __m512d isd_v = _mm512_set1_pd(isd);
-  std::size_t i = 0;
-  while (i < n && (reinterpret_cast<std::uintptr_t>(out + i) & 63u) != 0) {
-    const float v = normalize_one(z, i, mean, isd, alpha, beta);
-    out[i] = saturate ? saturate_one(v) : v;
-    ++i;
-  }
-  for (; i + 16 <= n; i += 16) {
-    __m512 v = normalize_lanes(_mm512_loadu_ps(z + i), mean_v, isd_v, alpha,
-                               beta, i, 0, /*masked=*/false);
-    if (saturate) v = saturate_lanes(v);
-    _mm512_stream_ps(out + i, v);
-  }
-  for (; i < n; ++i) {
-    const float v = normalize_one(z, i, mean, isd, alpha, beta);
-    out[i] = saturate ? saturate_one(v) : v;
-  }
-}
-
-template <bool kNT>
-void normalize_affine_rows_t(const float* x, std::size_t rows, std::size_t d,
-                             const double* mean, const double* isd,
-                             const float* alpha, const float* beta, float* out,
-                             bool saturate) {
+void normalize_affine_rows_avx512(const float* x, std::size_t rows,
+                                  std::size_t d, const double* mean,
+                                  const double* isd, const float* alpha,
+                                  const float* beta, float* out,
+                                  bool saturate) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* out_r = out + r * d;
-    if constexpr (kNT) {
-      normalize_affine_nt_avx512(x + r * d, d, mean[r], isd[r], alpha, beta,
-                                 out_r, saturate);
-    } else {
-      normalize_affine_avx512(x + r * d, d, mean[r], isd[r], alpha, beta,
-                              out_r);
-      if (saturate) saturate_avx512(out_r, d);
-    }
+    normalize_affine_avx512(x + r * d, d, mean[r], isd[r], alpha, beta, out_r);
+    if (saturate) saturate_avx512(out_r, d);
   }
-  // Streaming stores are weakly ordered; fence once per block so readers on
-  // other pool threads observe the rows.
-  if constexpr (kNT) _mm_sfence();
 }
 
 void quantize_dequantize_rows_avx512(float* x, std::size_t rows, std::size_t d,
@@ -673,87 +578,20 @@ constexpr KernelTable kAvx512Table = {
     residual_add_stats_avx512,
     normalize_affine_avx512,
     quantize_dequantize_avx512,
-    stats_rows_t<false>,
-    centered_sum_sq_rows_t<false>,
-    residual_add_stats_rows_t<false>,
-    normalize_affine_rows_t<false>,
+    stats_rows_avx512,
+    centered_sum_sq_rows_avx512,
+    residual_add_stats_rows_avx512,
+    normalize_affine_rows_avx512,
     quantize_dequantize_rows_avx512,
     linear_avx512,
     attention_scores_avx512,
     attention_context_avx512,
 };
-
-// Variant tables share every per-row kernel with the base; only the
-// row-block entries the autotuner's fused-norm harness actually measures
-// differ (prefetch on the streaming reductions, nontemporal on the
-// normalize output stream).
-constexpr KernelTable kAvx512PfTable = {
-    "avx512-pf",
-    stats_avx512,
-    centered_sum_sq_avx512,
-    residual_add_avx512,
-    residual_add_copy_avx512,
-    residual_add_stats_avx512,
-    normalize_affine_avx512,
-    quantize_dequantize_avx512,
-    stats_rows_t<true>,
-    centered_sum_sq_rows_t<true>,
-    residual_add_stats_rows_t<true>,
-    normalize_affine_rows_t<false>,
-    quantize_dequantize_rows_avx512,
-    linear_avx512,
-    attention_scores_avx512,
-    attention_context_avx512,
-};
-
-constexpr KernelTable kAvx512NtTable = {
-    "avx512-nt",
-    stats_avx512,
-    centered_sum_sq_avx512,
-    residual_add_avx512,
-    residual_add_copy_avx512,
-    residual_add_stats_avx512,
-    normalize_affine_avx512,
-    quantize_dequantize_avx512,
-    stats_rows_t<false>,
-    centered_sum_sq_rows_t<false>,
-    residual_add_stats_rows_t<false>,
-    normalize_affine_rows_t<true>,
-    quantize_dequantize_rows_avx512,
-    linear_avx512,
-    attention_scores_avx512,
-    attention_context_avx512,
-};
-
-constexpr KernelTable kAvx512NtPfTable = {
-    "avx512-ntpf",
-    stats_avx512,
-    centered_sum_sq_avx512,
-    residual_add_avx512,
-    residual_add_copy_avx512,
-    residual_add_stats_avx512,
-    normalize_affine_avx512,
-    quantize_dequantize_avx512,
-    stats_rows_t<true>,
-    centered_sum_sq_rows_t<true>,
-    residual_add_stats_rows_t<true>,
-    normalize_affine_rows_t<true>,
-    quantize_dequantize_rows_avx512,
-    linear_avx512,
-    attention_scores_avx512,
-    attention_context_avx512,
-};
-
-constexpr const KernelTable* kAvx512Variants[] = {
-    &kAvx512PfTable, &kAvx512NtTable, &kAvx512NtPfTable};
 
 }  // namespace
 
 namespace detail {
 const KernelTable* avx512_table() { return &kAvx512Table; }
-std::span<const KernelTable* const> avx512_variant_tables() {
-  return kAvx512Variants;
-}
 }  // namespace detail
 
 }  // namespace haan::kernels
@@ -762,7 +600,6 @@ std::span<const KernelTable* const> avx512_variant_tables() {
 
 namespace haan::kernels::detail {
 const KernelTable* avx512_table() { return nullptr; }
-std::span<const KernelTable* const> avx512_variant_tables() { return {}; }
 }  // namespace haan::kernels::detail
 
 #endif

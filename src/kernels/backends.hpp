@@ -4,8 +4,6 @@
 // into backend code.
 #pragma once
 
-#include <span>
-
 #include "kernels/kernels.hpp"
 
 namespace haan::kernels::detail {
@@ -20,15 +18,6 @@ const KernelTable* avx2_table();
 /// always compiled; CMake only adds the ISA flags when the compiler supports
 /// them). Callers must verify CPU support before using the table.
 const KernelTable* avx512_table();
-
-/// Streaming-store ("-nt") and software-prefetch ("-pf", "-ntpf") variants of
-/// a family's row-block kernels. Value-identical to the family's base table —
-/// nontemporal stores change cache placement, prefetch changes latency, and
-/// the arithmetic sequence is untouched — so they are safe autotuner
-/// candidates under every bit-identity guarantee. Empty when the family is
-/// unavailable in this build.
-std::span<const KernelTable* const> avx2_variant_tables();
-std::span<const KernelTable* const> avx512_variant_tables();
 
 /// The scalar backend's matmul entries (the seed loops), shared with backends
 /// that have no vector implementation of their own (NEON).

@@ -98,36 +98,13 @@ const char* active_name() { return active().name; }
 std::vector<const KernelTable*> supported_kernels() {
   std::vector<const KernelTable*> tables{&scalar_kernels()};
   // Both x86 families when runnable (not just the widest): parity tests keep
-  // covering AVX2 on AVX-512 machines, and the autotuner may legitimately
-  // prefer the narrower family on downclock-prone parts.
+  // covering AVX2 on AVX-512 machines.
   if (const KernelTable* avx2 = runnable_avx2_table()) tables.push_back(avx2);
   if (const KernelTable* avx512 = runnable_avx512_table()) {
     tables.push_back(avx512);
   }
   if (const KernelTable* neon = detail::neon_table()) tables.push_back(neon);
   return tables;
-}
-
-std::vector<const KernelTable*> supported_kernel_variants() {
-  std::vector<const KernelTable*> tables = supported_kernels();
-  if (runnable_avx2_table() != nullptr) {
-    for (const KernelTable* t : detail::avx2_variant_tables()) {
-      tables.push_back(t);
-    }
-  }
-  if (runnable_avx512_table() != nullptr) {
-    for (const KernelTable* t : detail::avx512_variant_tables()) {
-      tables.push_back(t);
-    }
-  }
-  return tables;
-}
-
-const KernelTable* find_kernel_table(std::string_view name) {
-  for (const KernelTable* table : supported_kernel_variants()) {
-    if (name == table->name) return table;
-  }
-  return nullptr;
 }
 
 void residual_add_rmsnorm(const KernelTable& kernels, std::span<float> h,

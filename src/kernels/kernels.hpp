@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <memory_resource>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "numerics/formats.hpp"
@@ -51,9 +50,7 @@ struct SumStats {
 ///   linear / attention_scores / attention_context
 ///     Bit-identical (exact-order contract, see the entries below).
 struct KernelTable {
-  /// Backend family ("scalar", "avx2", "avx512", "neon") or a row-block
-  /// variant of one ("avx512-nt", "avx2-pf", ...; see
-  /// supported_kernel_variants()).
+  /// Backend family: "scalar", "avx2", "avx512" or "neon".
   const char* name;
 
   /// Sum and sum of squares of z[0..n).
@@ -181,19 +178,6 @@ const char* active_name();
 /// ignores HAAN_FORCE_SCALAR.
 std::vector<const KernelTable*> supported_kernels();
 
-/// Every runnable kernel table including the row-block variants
-/// ("avx2-pf", "avx512-nt", ...): the families of supported_kernels() plus
-/// each family's streaming-store / prefetch variants. Variants are
-/// value-identical to their base family (cache placement and latency hints
-/// only); they are the autotuner's candidate set and the variant parity
-/// tests' iteration list.
-std::vector<const KernelTable*> supported_kernel_variants();
-
-/// Looks a table up by exact name among supported_kernel_variants(); null
-/// when the name is unknown or not runnable on this CPU. Used to resolve
-/// autotune cache entries.
-const KernelTable* find_kernel_table(std::string_view name);
-
 /// True when the HAAN_FORCE_SCALAR environment variable requests the scalar
 /// backend (set, non-empty, and not "0"). Read afresh on every call; note
 /// active() caches its first answer.
@@ -293,7 +277,7 @@ SumStats stats(std::span<const float> z);
 void residual_add(std::span<float> h, std::span<const float> residual);
 
 /// Elementwise quantize-dequantize over the active backend (or an explicit
-/// table, for providers threading an autotuned backend).
+/// table, for tests and benches).
 void quantize_dequantize_span(std::span<float> values,
                               numerics::NumericFormat format,
                               float scale = 1.0f);

@@ -24,6 +24,14 @@ namespace {
 
 constexpr int kModeUnset = -1;
 
+/// CPU ids at or above this cannot be placed in a cpu_set_t, so a cpulist
+/// segment reaching them is unusable for pinning.
+#ifdef CPU_SETSIZE
+constexpr int kCpuIdLimit = CPU_SETSIZE;
+#else
+constexpr int kCpuIdLimit = 1024;
+#endif
+
 // Override encoded as int so a single atomic covers "unset" and every mode.
 std::atomic<int> g_mode_override{kModeUnset};
 
@@ -108,7 +116,7 @@ std::vector<int> parse_cpu_list(std::string_view text) {
       if (std::from_chars(seg.data(), lo_end, lo).ec != std::errc{}) continue;
       if (std::from_chars(lo_end + 1, seg_end, hi).ec != std::errc{}) continue;
     }
-    if (lo < 0 || hi < lo) continue;
+    if (lo < 0 || hi < lo || hi >= kCpuIdLimit) continue;
     for (int c = lo; c <= hi; ++c) cpus.push_back(c);
   }
   std::sort(cpus.begin(), cpus.end());
@@ -179,12 +187,6 @@ int Topology::cpu_for_slot(std::size_t index, std::size_t slot) const {
   const std::vector<int>& cpus = nodes_[index].cpus;
   HAAN_EXPECTS(!cpus.empty());
   return cpus[slot % cpus.size()];
-}
-
-std::size_t Topology::max_node_cpus() const {
-  std::size_t widest = 1;
-  for (const NumaNode& node : nodes_) widest = std::max(widest, node.cpus.size());
-  return widest;
 }
 
 std::string Topology::describe() const {

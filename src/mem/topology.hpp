@@ -83,10 +83,6 @@ class Topology {
   /// node's CPU list, never leaving the node).
   int cpu_for_slot(std::size_t index, std::size_t slot) const;
 
-  /// CPU count of the widest node — the most chunks a row partition can use
-  /// without crossing a socket (the autotuner's cross-node cap).
-  std::size_t max_node_cpus() const;
-
   /// "nodes=2 cpus=[0-23][24-47]" — for bench/report headers and logs.
   std::string describe() const;
 
@@ -99,7 +95,8 @@ class Topology {
 const Topology& topology();
 
 /// Parses a sysfs cpulist ("0-3,8,10-11") into sorted CPU ids. Malformed
-/// segments are skipped; exposed for tests.
+/// segments, and segments reaching past the ids a cpu_set_t can hold, are
+/// skipped; exposed for tests.
 std::vector<int> parse_cpu_list(std::string_view text);
 
 /// CPU the calling thread is currently on (sched_getcpu), -1 when

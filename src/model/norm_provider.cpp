@@ -1,10 +1,8 @@
 #include "model/norm_provider.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
 #include "tensor/norm_ref.hpp"
@@ -80,25 +78,11 @@ ExactNormProvider::ExactNormProvider(double eps, std::size_t norm_threads)
       workspace_(scratch_arena_ ? scratch_arena_.get()
                                 : std::pmr::get_default_resource()) {}
 
-const kernels::KernelTable& ExactNormProvider::tuned(std::size_t d) {
-  if (tuned_table_ == nullptr || tuned_d_ != d) {
-    const kernels::AutotuneChoice& choice = kernels::tuned_for(d);
-    tuned_table_ = choice.table;
-    tuned_d_ = d;
-    chunk_cap_ = choice.cross_node_partition
-                     ? pool_.threads()
-                     : std::max<std::size_t>(
-                           1, std::min(pool_.threads(),
-                                       mem::topology().max_node_cpus()));
-  }
-  return *tuned_table_;
-}
-
 void ExactNormProvider::normalize(std::size_t /*layer_index*/, std::size_t /*position*/,
                                   NormKind kind, std::span<const float> z,
                                   std::span<const float> alpha,
                                   std::span<const float> beta, std::span<float> out) {
-  const kernels::KernelTable& k = tuned(z.size());
+  const kernels::KernelTable& k = kernels::active();
   if (kind == NormKind::kLayerNorm) {
     tensor::layernorm(k, z, alpha, beta, out, eps_);
   } else {
@@ -111,7 +95,7 @@ void ExactNormProvider::residual_add_normalize(
     std::span<float> h, std::span<const float> residual,
     std::span<const float> alpha, std::span<const float> beta,
     std::span<float> out) {
-  const kernels::KernelTable& k = tuned(h.size());
+  const kernels::KernelTable& k = kernels::active();
   if (kind == NormKind::kLayerNorm) {
     kernels::residual_add_layernorm(k, h, residual, alpha, beta, out, eps_);
   } else {
@@ -127,7 +111,7 @@ void ExactNormProvider::normalize_rows(std::size_t /*layer_index*/,
                                        std::span<const float> beta,
                                        std::span<float> out) {
   const std::size_t d = check_row_block(rows, x.size(), alpha, beta, out.size());
-  const kernels::KernelTable& k = tuned(d);
+  const kernels::KernelTable& k = kernels::active();
   const double n = static_cast<double>(d);
   workspace_.stats.resize(rows);
   workspace_.mean.resize(rows);
@@ -136,7 +120,7 @@ void ExactNormProvider::normalize_rows(std::size_t /*layer_index*/,
   // full stats -> variance -> normalize pipeline over its own contiguous row
   // range, writing disjoint workspace and output slices — bit-identical for
   // any chunk count (every kernel is row-wise).
-  pool_.for_rows(rows, min_partition_rows(d), chunk_cap_,
+  pool_.for_rows(rows, min_partition_rows(d),
                  [&](std::size_t /*chunk*/, std::size_t r0, std::size_t nr) {
     const float* xr = x.data() + r0 * d;
     kernels::SumStats* stats = workspace_.stats.data() + r0;
@@ -171,13 +155,13 @@ void ExactNormProvider::residual_add_normalize_rows(
     std::span<float> out) {
   const std::size_t d = check_row_block(rows, h.size(), alpha, beta, out.size());
   HAAN_EXPECTS(residual.size() == h.size());
-  const kernels::KernelTable& k = tuned(d);
+  const kernels::KernelTable& k = kernels::active();
   if (chunk_workspaces_.size() + 1 < pool_.threads()) {
     chunk_workspaces_.resize(pool_.threads() - 1);
   }
   // The fused helpers are row-wise; chunks get disjoint row subspans and
   // private workspaces (chunk 0 reuses the member scratch).
-  pool_.for_rows(rows, min_partition_rows(d), chunk_cap_,
+  pool_.for_rows(rows, min_partition_rows(d),
                  [&](std::size_t chunk, std::size_t r0, std::size_t nr) {
     kernels::RowNormWorkspace& ws =
         chunk == 0 ? workspace_ : chunk_workspaces_[chunk - 1];

@@ -131,20 +131,7 @@ class ExactNormProvider final : public NormProvider {
                                    std::span<float> out) override;
 
  private:
-  /// The autotuned kernel table for width d, memoized per provider so the hot
-  /// path pays one pointer compare instead of the tuner's registry lock. ONE
-  /// table serves every path (per-row, fused, row-block) — that single
-  /// consistent backend is what keeps chunked-vs-one-shot comparisons
-  /// bit-identical under autotuning.
-  const kernels::KernelTable& tuned(std::size_t d);
-
   double eps_;
-  const kernels::KernelTable* tuned_table_ = nullptr;
-  std::size_t tuned_d_ = 0;
-  /// Chunk-count cap fed to for_rows: pool_.threads() when the autotuner
-  /// allows cross-node partitions, one node's CPU count when it measured them
-  /// a loss (memoized alongside tuned_table_). Scheduling only — never values.
-  std::size_t chunk_cap_ = 0;
   RowPartitionPool pool_;  ///< worker-local row parallelism (lazy threads)
   /// Backs workspace_ under HAAN_NUMA=auto/interleave. The provider is
   /// worker-local and workspace_ is only resized on the owning thread, so the

@@ -143,14 +143,8 @@ void RowPartitionPool::start_threads() {
 
 void RowPartitionPool::for_rows(std::size_t rows, std::size_t min_rows,
                                 const ChunkFn& fn) {
-  for_rows(rows, min_rows, threads_, fn);
-}
-
-void RowPartitionPool::for_rows(std::size_t rows, std::size_t min_rows,
-                                std::size_t max_chunks, const ChunkFn& fn) {
   if (rows == 0) return;
-  const std::size_t chunks =
-      plan_chunks(rows, min_rows, std::min(threads_, std::max<std::size_t>(1, max_chunks)));
+  const std::size_t chunks = plan_chunks(rows, min_rows, threads_);
   if (chunks <= 1) {
     fn(0, 0, rows);
     return;

@@ -71,16 +71,6 @@ class RowPartitionPool {
   /// calling thread.
   void for_rows(std::size_t rows, std::size_t min_rows, const ChunkFn& fn);
 
-  /// As above but with an additional chunk-count cap (clamped to threads()).
-  /// Providers pass the autotuner's cross-node partition decision here:
-  /// capping to one node's worth of chunks keeps a memory-bound block from
-  /// spraying across sockets when measurement says that loses. Chunk bounds
-  /// still depend only on (rows, min_rows, effective max chunks) and every
-  /// kernel in the seam is row-wise, so results stay bit-identical for any
-  /// cap.
-  void for_rows(std::size_t rows, std::size_t min_rows, std::size_t max_chunks,
-                const ChunkFn& fn);
-
   /// Process-wide count of rows whose chunk executed on a different NUMA node
   /// than the pool owner's home node (0 on single-node hosts or with
   /// placement off). Observability only — sampled by ServeMetrics.

@@ -74,11 +74,7 @@ common::Json PrioritySummary::to_json() const {
 common::Json KernelTuningInfo::to_json() const {
   common::Json::Object out;
   out["backend"] = backend;
-  out["dispatch"] = dispatch;
-  out["source"] = source;
-  out["cache_hit"] = cache_hit;
   out["d"] = d;
-  out["rows_tile"] = rows_tile;
   out["norm_layers"] = norm_layers;
   return out;
 }
@@ -94,7 +90,6 @@ common::Json MemPlacementInfo::to_json() const {
   out["arena_resets"] = static_cast<std::size_t>(arena_resets);
   out["arena_reuse_ratio"] = arena_reuse_ratio();
   out["cross_node_rows"] = static_cast<std::size_t>(cross_node_rows);
-  out["cross_node_partition"] = cross_node_partition;
   return out;
 }
 
@@ -214,10 +209,8 @@ std::string ServeMetrics::to_string() const {
   out << "batched norms    : " << norm.batched_norm_calls << " calls ("
       << common::format_double(rows_per_batched_call(), 2) << " rows/call)\n";
   if (!kernel.backend.empty()) {
-    out << "kernel backend   : " << kernel.backend << " (dispatch "
-        << kernel.dispatch << ", autotune " << kernel.source;
-    if (kernel.rows_tile != 0) out << ", rows_tile " << kernel.rows_tile;
-    out << ") over " << kernel.norm_layers << " norm layers\n";
+    out << "kernel backend   : " << kernel.backend << " over "
+        << kernel.norm_layers << " norm layers\n";
   }
   if (!mem.numa_mode.empty()) {
     out << "memory placement : numa " << mem.numa_mode << ", " << mem.nodes
@@ -226,8 +219,7 @@ std::string ServeMetrics::to_string() const {
         << common::format_double(mem.arena_reuse_ratio(), 3) << ", "
         << mem.arena_resets << " resets)";
     if (mem.nodes > 1) {
-      out << ", cross-node rows " << mem.cross_node_rows << " (partition "
-          << (mem.cross_node_partition ? "allowed" : "capped") << ")";
+      out << ", cross-node rows " << mem.cross_node_rows;
     }
     out << "\n";
   }

@@ -53,18 +53,12 @@ LatencySummary summarize_latency(std::vector<double> samples);
 /// bucket-resolution (within one bucket ratio of the exact nearest-rank).
 LatencySummary summarize_histogram(const common::LogHistogram& histogram);
 
-/// The kernel backend + autotune decision behind this run's norm layers,
-/// stamped by the server from kernels::tuned_for(d_model). One decision
-/// covers every norm layer (the tuner picks per row width, and all of a
-/// model's norm layers share d_model).
+/// The kernel backend behind this run's norm layers, stamped by the server
+/// from kernels::active(): one table per process serves every norm layer.
 struct KernelTuningInfo {
-  std::string backend;   ///< tuned table name ("avx512-pf", "avx2", ...)
-  std::string dispatch;  ///< static dispatch family (kernels::active_name())
-  std::string source;    ///< "static" | "measured" | "cache"
-  bool cache_hit = false;
-  std::size_t d = 0;          ///< row width the choice was tuned for
-  std::size_t rows_tile = 0;  ///< tile where the winner's advantage peaks
-  std::size_t norm_layers = 0;  ///< norm layers the decision applies to
+  std::string backend;          ///< kernels::active_name() ("avx512", ...)
+  std::size_t d = 0;            ///< the model's row width
+  std::size_t norm_layers = 0;  ///< norm layers the table serves
 
   common::Json to_json() const;
 };
@@ -85,7 +79,6 @@ struct MemPlacementInfo {
   /// Rows whose row-partition chunk executed off its pool's home node during
   /// the run (0 on single-node hosts or with placement off).
   std::uint64_t cross_node_rows = 0;
-  bool cross_node_partition = true;  ///< autotuner's cross-socket verdict
 
   /// Fraction of arena allocations served from already-mapped slabs. The
   /// --numa-sweep gate requires this >= 0.95 after warmup: steady-state

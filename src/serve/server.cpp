@@ -8,7 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/table.hpp"
-#include "kernels/autotune.hpp"
+#include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
 #include "model/row_partition.hpp"
 #include "obs/snapshot.hpp"
@@ -65,8 +65,6 @@ obs::Snapshot live_snapshot(const MetricsCollector& metrics,
   json["p95_us"] = live.total.p95_us;
   json["p99_us"] = live.total.p99_us;
   json["kernel_backend"] = kernel.backend;
-  json["autotune_source"] = kernel.source;
-  json["autotune_rows_tile"] = kernel.rows_tile;
   // Placement gauges that are live mid-run (worker arena stats only land in
   // the collector at drain; these two are process-global and always current).
   json["numa_mode"] = std::string(mem::to_string(mem::numa_mode()));
@@ -77,33 +75,23 @@ obs::Snapshot live_snapshot(const MetricsCollector& metrics,
   return snapshot;
 }
 
-/// The kernel decision behind this model's norm layers, rendered for metrics.
-/// tuned_for() is memoized, so this is a registry lookup after the server
-/// constructor warmed it.
+/// The kernel table behind this model's norm layers, rendered for metrics.
 KernelTuningInfo kernel_tuning_info(const model::ModelConfig& model) {
-  const kernels::AutotuneChoice& choice = kernels::tuned_for(model.d_model);
   KernelTuningInfo info;
-  info.backend = choice.table->name;
-  info.dispatch = kernels::active_name();
-  info.source = kernels::to_string(choice.source);
-  info.cache_hit = choice.cache_hit;
-  info.d = choice.d;
-  info.rows_tile = choice.rows_tile;
+  info.backend = kernels::active_name();
+  info.d = model.d_model;
   info.norm_layers = 2 * model.n_blocks + (model.final_norm ? 1 : 0);
   return info;
 }
 
-/// One trace instant per norm layer naming the tuned kernel table, so
-/// exported traces show which backend served each layer. Table names are
-/// string literals in the backend TUs — static storage, as the tracer
-/// requires.
-void trace_kernel_choice(const KernelTuningInfo& info,
-                         const kernels::AutotuneChoice& choice) {
+/// One trace instant per norm layer naming the kernel table, so exported
+/// traces show which backend served each layer. Table names are string
+/// literals in the backend TUs — static storage, as the tracer requires.
+void trace_kernel_choice(const KernelTuningInfo& info) {
   if (!obs::tracing_enabled()) return;
   for (std::size_t layer = 0; layer < info.norm_layers; ++layer) {
-    obs::instant(choice.table->name, "autotune",
-                 static_cast<std::uint32_t>(layer),
-                 static_cast<std::uint32_t>(choice.rows_tile));
+    obs::instant(kernels::active_name(), "kernels",
+                 static_cast<std::uint32_t>(layer), 0);
   }
 }
 
@@ -124,11 +112,6 @@ Server::Server(ServerConfig config)
   provider_options_.width = config_.model.d_model;
   provider_options_.model_name = config_.model.name;
   provider_options_.norm_threads = config_.norm_threads;
-
-  // Warm the kernel autotuner for this model's row width at construction —
-  // the measurement (and its startup log line) happens once here instead of
-  // inside the first worker's first norm layer.
-  kernels::tuned_for(config_.model.d_model);
 
   if (config_.norm != "exact") {
     if (config_.calibrate) {
@@ -239,8 +222,7 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   report.metrics.mean_queue_depth = queue.mean_depth();
   report.metrics.pack_capacity = config_.scheduler.max_batch;
   report.metrics.kernel = kernel_tuning_info(config_.model);
-  trace_kernel_choice(report.metrics.kernel,
-                      kernels::tuned_for(config_.model.d_model));
+  trace_kernel_choice(report.metrics.kernel);
 
   // Placement accounting: worker scratch-arena stats arrived in the collector
   // before join; KV arena usage lives in the session table, and the topology
@@ -249,8 +231,6 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   report.metrics.mem.nodes = static_cast<int>(mem::topology().nodes());
   report.metrics.mem.cross_node_rows =
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base;
-  report.metrics.mem.cross_node_partition =
-      kernels::tuned_for(config_.model.d_model).cross_node_partition;
   const SessionTable::ArenaUsage usage = sessions.arena_usage();
   report.metrics.mem.arena_bytes += usage.reserved_bytes;
   report.metrics.mem.arena_allocations += usage.allocations;

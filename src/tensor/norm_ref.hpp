@@ -16,10 +16,9 @@ struct VectorStats {
 };
 
 /// Computes mean/variance/rms of `z` exactly. The table-explicit overloads
-/// let the norm providers thread one autotuned backend through every path
-/// (per-row and row-block alike) so in-process bit-identity comparisons see
-/// a single consistent reduction order; the plain overloads use the static
-/// dispatch.
+/// run one backend through every path (per-row and row-block alike) so
+/// in-process bit-identity comparisons see a single consistent reduction
+/// order; the plain overloads use kernels::active().
 VectorStats exact_stats(std::span<const float> z);
 VectorStats exact_stats(const kernels::KernelTable& k, std::span<const float> z);
 

@@ -1,240 +1,27 @@
-// Autotuner decision semantics: memoization, cache determinism (a cache file
-// written by one tuning run pins the next run to the same choices), graceful
-// fallback on corrupt or stale caches, and the static-dispatch guarantees of
-// HAAN_AUTOTUNE=0. Tests drive the tuner through reset_autotune_for_testing()
-// + setenv rather than forking, so each case states the environment it needs
-// and restores it on exit.
+// The autotune.hpp names are a static-dispatch surface: every width maps to
+// kernels::active(), reported as a static choice with no measured tiles, and
+// repeat calls return the same object.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <string>
-
-#include "common/json_lite.hpp"
 #include "kernels/autotune.hpp"
 #include "kernels/kernels.hpp"
 
 namespace haan::kernels {
 namespace {
 
-/// Small widths keep measurement cheap: the tuner's iteration clamp gives
-/// ~2M touched floats per timed rep regardless of d.
-constexpr std::size_t kD = 96;
-
-/// RAII environment override restoring the previous value (or unsetting).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-/// Fresh tuner state with no cache and the given HAAN_AUTOTUNE value. Also
-/// clears HAAN_FORCE_SCALAR: the forced-scalar CI pass runs this suite too,
-/// and these tests are about tuner semantics, which the scalar override
-/// would otherwise short-circuit (that interaction has its own test below).
-struct TunerFixture {
-  ScopedEnv mode;
-  ScopedEnv env_cache;
-  ScopedEnv no_scalar;
-
-  explicit TunerFixture(const char* autotune_mode)
-      : mode("HAAN_AUTOTUNE", autotune_mode),
-        env_cache("HAAN_AUTOTUNE_CACHE", nullptr),
-        no_scalar("HAAN_FORCE_SCALAR", nullptr) {
+TEST(Autotune, EveryWidthGetsTheStaticDispatchTable) {
+  for (const std::size_t d : {1u, 64u, 96u, 4096u}) {
     reset_autotune_for_testing();
+    const AutotuneChoice& choice = tuned_for(d);
+    EXPECT_EQ(choice.table, &active()) << "d=" << d;
+    EXPECT_EQ(&tuned_table(d), &active()) << "d=" << d;
+    EXPECT_EQ(choice.d, d);
+    EXPECT_EQ(choice.source, AutotuneChoice::Source::kStatic);
+    EXPECT_STREQ(to_string(choice.source), "static");
+    EXPECT_EQ(choice.rows_tile, 0u);
+    EXPECT_TRUE(choice.tiles.empty());
+    EXPECT_EQ(&tuned_for(d), &choice) << "d=" << d;
   }
-  ~TunerFixture() { reset_autotune_for_testing(); }
-};
-
-std::string temp_cache_path(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path();
-  return (dir / (std::string("haan_autotune_test_") + tag + ".json")).string();
-}
-
-TEST(Autotune, OffModeReturnsStaticDispatch) {
-  TunerFixture fx("0");
-  EXPECT_EQ(autotune_mode(), AutotuneMode::kOff);
-  EXPECT_FALSE(autotune_enabled());
-  const AutotuneChoice& choice = tuned_for(kD);
-  EXPECT_EQ(choice.table, &active());
-  EXPECT_EQ(choice.source, AutotuneChoice::Source::kStatic);
-  EXPECT_FALSE(choice.cache_hit);
-  EXPECT_EQ(&tuned_table(kD), &active());
-}
-
-TEST(Autotune, ChoiceIsMemoizedAndRunnable) {
-  TunerFixture fx("1");
-  const AutotuneChoice& first = tuned_for(kD);
-  ASSERT_NE(first.table, nullptr);
-  // The chosen table must be runnable on this CPU (resolvable by name).
-  EXPECT_EQ(find_kernel_table(first.table->name), first.table);
-  // Memoized: the same object, and therefore the same table, every time.
-  const AutotuneChoice& second = tuned_for(kD);
-  EXPECT_EQ(&first, &second);
-  EXPECT_EQ(first.table, second.table);
-}
-
-TEST(Autotune, SafeModeCandidatesStayInActiveFamily) {
-  TunerFixture fx(nullptr);  // unset -> safe mode
-  EXPECT_EQ(autotune_mode(), AutotuneMode::kSafe);
-  const std::string family = active_name();
-  for (const KernelTable* table : autotune_candidates()) {
-    const std::string name = table->name;
-    EXPECT_TRUE(name == family || name.rfind(family + "-", 0) == 0)
-        << name << " not in family " << family;
-  }
-  // Safe-mode winners are value-identical to static dispatch by construction,
-  // so the choice can never change norm outputs.
-  const AutotuneChoice& choice = tuned_for(kD);
-  const std::string chosen = choice.table->name;
-  EXPECT_TRUE(chosen == family || chosen.rfind(family + "-", 0) == 0);
-}
-
-TEST(Autotune, CacheRoundTripPinsChoices) {
-  const std::string path = temp_cache_path("roundtrip");
-  std::filesystem::remove(path);
-
-  std::string first_table;
-  {
-    TunerFixture fx("1");
-    set_autotune_cache_path(path);
-    const AutotuneChoice& choice = tuned_for(kD);
-    first_table = choice.table->name;
-    EXPECT_FALSE(choice.cache_hit);  // cold cache: measured fresh
-    EXPECT_TRUE(std::filesystem::exists(path));
-  }
-
-  // Second "process": fresh tuner state, same cache file. The decision must
-  // come from the cache and match the first run exactly — determinism does
-  // not depend on the noisy re-measurement.
-  {
-    TunerFixture fx("1");
-    set_autotune_cache_path(path);
-    const AutotuneChoice& choice = tuned_for(kD);
-    EXPECT_TRUE(choice.cache_hit);
-    EXPECT_EQ(choice.source, AutotuneChoice::Source::kCache);
-    EXPECT_EQ(std::string(choice.table->name), first_table);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Autotune, CorruptCacheFallsBackToMeasurement) {
-  const std::string path = temp_cache_path("corrupt");
-  ASSERT_TRUE(common::write_file(path, "{not json at all"));
-
-  TunerFixture fx("1");
-  set_autotune_cache_path(path);
-  const AutotuneChoice& choice = tuned_for(kD);
-  ASSERT_NE(choice.table, nullptr);
-  EXPECT_FALSE(choice.cache_hit);
-  // The tuner must also have REWRITTEN the cache with a valid document.
-  const auto doc = common::Json::parse(common::read_file(path).value_or(""));
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_NE(doc->find("entries"), nullptr);
-  std::filesystem::remove(path);
-}
-
-TEST(Autotune, StaleCpuKeyFallsBackToMeasurement) {
-  const std::string path = temp_cache_path("stale");
-  // A structurally valid cache recorded on a different machine: the cpu key
-  // cannot match, so every entry is ignored and the bogus table name is
-  // never resolved.
-  common::Json::Object doc;
-  doc["version"] = 1;
-  doc["cpu"] = "sparc+vis3";
-  doc["mode"] = "full";
-  common::Json::Array entries;
-  common::Json::Object entry;
-  entry["d"] = kD;
-  entry["table"] = "vis3-nt";
-  entry["rows_tile"] = 64;
-  entry["ns_per_row"] = 1.0;
-  entries.push_back(entry);
-  doc["entries"] = entries;
-  ASSERT_TRUE(common::write_file(path, common::Json(doc).dump()));
-
-  TunerFixture fx("1");
-  set_autotune_cache_path(path);
-  const AutotuneChoice& choice = tuned_for(kD);
-  ASSERT_NE(choice.table, nullptr);
-  EXPECT_FALSE(choice.cache_hit);
-  EXPECT_EQ(find_kernel_table(choice.table->name), choice.table);
-  std::filesystem::remove(path);
-}
-
-TEST(Autotune, UnknownTableNameInCacheIsIgnored) {
-  const std::string path = temp_cache_path("unknown_table");
-  // Correct cpu key + mode, but an entry naming a table this build does not
-  // have (e.g. a cache from a newer version). Must fall back to measuring.
-  common::Json::Object doc;
-  doc["version"] = 1;
-  {
-    TunerFixture probe("1");
-    // Recover the real cpu key by writing a fresh cache once.
-    set_autotune_cache_path(path);
-    tuned_for(kD);
-  }
-  const auto real = common::Json::parse(common::read_file(path).value_or(""));
-  ASSERT_TRUE(real.has_value());
-  const common::Json* cpu = real->find("cpu");
-  ASSERT_NE(cpu, nullptr);
-  doc["cpu"] = cpu->as_string();
-  doc["mode"] = "full";
-  common::Json::Array entries;
-  common::Json::Object entry;
-  entry["d"] = kD;
-  entry["table"] = "avx1024-quantum";
-  entry["rows_tile"] = 64;
-  entry["ns_per_row"] = 1.0;
-  entries.push_back(entry);
-  doc["entries"] = entries;
-  ASSERT_TRUE(common::write_file(path, common::Json(doc).dump()));
-
-  TunerFixture fx("1");
-  set_autotune_cache_path(path);
-  const AutotuneChoice& choice = tuned_for(kD);
-  ASSERT_NE(choice.table, nullptr);
-  EXPECT_FALSE(choice.cache_hit);
-  EXPECT_EQ(find_kernel_table(choice.table->name), choice.table);
-  std::filesystem::remove(path);
-}
-
-TEST(Autotune, ForceScalarWinsOverTuning) {
-  TunerFixture fx("1");
-  ScopedEnv scalar("HAAN_FORCE_SCALAR", "1");  // after fixture: it clears this
-  reset_autotune_for_testing();
-  EXPECT_FALSE(autotune_enabled());
-  const AutotuneChoice& choice = tuned_for(kD);
-  EXPECT_EQ(std::string(choice.table->name), "scalar");
-  EXPECT_EQ(choice.source, AutotuneChoice::Source::kStatic);
-}
-
-TEST(Autotune, MeasureHarnessReturnsFinitePositive) {
-  const double ns = measure_rows_ns_per_row(active(), kD, 8, /*reps=*/1);
-  EXPECT_GT(ns, 0.0);
-  EXPECT_TRUE(std::isfinite(ns));
 }
 
 }  // namespace

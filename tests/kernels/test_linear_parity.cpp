@@ -114,7 +114,7 @@ TEST(LinearParity, EveryTableMatchesTheSeedLoopBitForBit) {
         for (const bool with_bias : {false, true}) {
           const float* b = with_bias ? bias.data() : nullptr;
           const auto want = seed_linear(x, n, in, w, out, b);
-          for (const KernelTable* table : supported_kernel_variants()) {
+          for (const KernelTable* table : supported_kernels()) {
             std::vector<float> got(n * out, -1.0f);
             table->linear(x.data(), n, in, w.data(), out, b, got.data());
             ASSERT_TRUE(same_bits(got, want))
@@ -167,7 +167,7 @@ TEST(LinearParity, CancellingSumsKeepTheAscendingOrder) {
         const auto reversed = seed_linear(x_rev, n, in, w_rev, out, nullptr);
         ASSERT_FALSE(same_bits(reversed, want))
             << "in=" << in << " out=" << out << " n=" << n;
-        for (const KernelTable* table : supported_kernel_variants()) {
+        for (const KernelTable* table : supported_kernels()) {
           std::vector<float> got(n * out);
           table->linear(x.data(), n, in, w.data(), out, nullptr, got.data());
           ASSERT_TRUE(same_bits(got, want))
@@ -186,7 +186,7 @@ TEST(LinearParity, ARowAloneEqualsTheSameRowInsideA288RowCall) {
     const auto x = random_values(kBatch * in, in + 3);
     const auto w = random_values(out * in, out + 5);
     const auto bias = random_values(out, 11);
-    for (const KernelTable* table : supported_kernel_variants()) {
+    for (const KernelTable* table : supported_kernels()) {
       std::vector<float> batch(kBatch * out);
       table->linear(x.data(), kBatch, in, w.data(), out, bias.data(),
                     batch.data());
@@ -216,7 +216,7 @@ TEST(LinearParity, NonFiniteInputsPropagateToTheSamePositions) {
   x[8 * in + 10] = 3.0e38f;  // float overflow in the double sum -> Inf
   w[12 * in + 10] = 3.0e38f;
   const auto want = seed_linear(x, n, in, w, out, nullptr);
-  for (const KernelTable* table : supported_kernel_variants()) {
+  for (const KernelTable* table : supported_kernels()) {
     std::vector<float> got(n * out);
     table->linear(x.data(), n, in, w.data(), out, nullptr, got.data());
     expect_same_nonfinite(got, want, table->name);
@@ -239,7 +239,7 @@ TEST(AttentionScoreParity, EveryTableMatchesTheSeedLoopBitForBit) {
       const auto kt = random_values(d_head * ld, ctx * 7 + d_head);
       const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
       const auto want = seed_scores(q, kt, ld, ctx, scale);
-      for (const KernelTable* table : supported_kernel_variants()) {
+      for (const KernelTable* table : supported_kernels()) {
         std::vector<float> got(ctx);
         table->attention_scores(q.data(), d_head, kt.data(), ld, ctx, scale,
                                 got.data());
@@ -264,7 +264,7 @@ TEST(AttentionScoreParity, CancellingSumsKeepTheAscendingOrder) {
         }
       }
       const auto want = seed_scores(q, kt, ctx, ctx, 0.25f);
-      for (const KernelTable* table : supported_kernel_variants()) {
+      for (const KernelTable* table : supported_kernels()) {
         std::vector<float> got(ctx);
         table->attention_scores(q.data(), d_head, kt.data(), ctx, ctx, 0.25f,
                                 got.data());
@@ -279,7 +279,7 @@ TEST(AttentionScoreParity, AShortPrefixEqualsTheSameKeysInsideALongCall) {
   constexpr std::size_t kKeys = 192, kHead = 24;
   const auto q = random_values(kHead, 3);
   const auto kt = random_values(kHead * kKeys, 4);
-  for (const KernelTable* table : supported_kernel_variants()) {
+  for (const KernelTable* table : supported_kernels()) {
     std::vector<float> full(kKeys);
     table->attention_scores(q.data(), kHead, kt.data(), kKeys, kKeys, 0.25f,
                             full.data());
@@ -305,7 +305,7 @@ TEST(AttentionScoreParity, NonFiniteKeysPropagateToTheSamePositions) {
   q[6] = 3.0e38f;
   kt[6 * kKeys + 40] = 3.0e38f;  // overflows to Inf when rounded to float
   const auto want = seed_scores(q, kt, kKeys, kKeys, 0.25f);
-  for (const KernelTable* table : supported_kernel_variants()) {
+  for (const KernelTable* table : supported_kernels()) {
     std::vector<float> got(kKeys);
     table->attention_scores(q.data(), kHead, kt.data(), kKeys, kKeys, 0.25f,
                             got.data());
@@ -325,7 +325,7 @@ TEST(AttentionContextParity, EveryTableMatchesTheSeedLoopBitForBit) {
       std::vector<float> want(d_head, 0.0f);
       want[0] = -0.0f;
       seed_context(p, v, ld, d_head, want);
-      for (const KernelTable* table : supported_kernel_variants()) {
+      for (const KernelTable* table : supported_kernels()) {
         std::vector<float> got(d_head, 0.0f);
         got[0] = -0.0f;
         table->attention_context(p.data(), ctx, v.data(), ld, d_head,
@@ -351,7 +351,7 @@ TEST(AttentionContextParity, NonFiniteValuesPropagateToTheSamePositions) {
   v[7 * kHead + 20] = -inf;
   std::vector<float> want(kHead, 0.0f);
   seed_context(p, v, kHead, kHead, want);
-  for (const KernelTable* table : supported_kernel_variants()) {
+  for (const KernelTable* table : supported_kernels()) {
     std::vector<float> got(kHead, 0.0f);
     table->attention_context(p.data(), kKeys, v.data(), kHead, kHead,
                              got.data());

@@ -248,150 +248,5 @@ TEST(RowBlockKernels, FusedRowsEntryPointsMatchPerRowFusedLoop) {
   }
 }
 
-// Every row-block variant ("avx2-pf", "avx512-nt", ...) must be BIT-IDENTICAL
-// to its base family on every rows entry point: nontemporal stores and
-// prefetch distance are cache hints, never value changes. Odd/prime shapes
-// exercise the variants' head/body/tail splits (the -nt normalize path
-// handles unaligned heads and sub-width tails with scalar code).
-TEST(RowBlockKernels, VariantsBitIdenticalToBaseFamily) {
-  for (const KernelTable* variant : supported_kernel_variants()) {
-    const std::string name = variant->name;
-    const auto dash = name.find('-');
-    if (dash == std::string::npos) continue;  // base family, not a variant
-    const KernelTable* base = find_kernel_table(name.substr(0, dash));
-    ASSERT_NE(base, nullptr) << name;
-
-    for (const auto& block : kBlocks) {
-      const std::size_t total = block.rows * block.d;
-      const auto x = random_block(total, block.d + 11);
-      const auto residual = random_block(total, block.d + 12, 0.0, 0.4);
-      common::Rng rng(block.d + 13);
-      std::vector<float> alpha(block.d), beta(block.d);
-      rng.fill_gaussian(alpha, 1.0, 0.2);
-      rng.fill_gaussian(beta, 0.0, 0.3);
-
-      // stats_rows over full rows and a subsampled prefix.
-      for (const std::size_t n : stat_lengths(block.d)) {
-        std::vector<SumStats> want(block.rows), got(block.rows);
-        base->stats_rows(x.data(), block.rows, block.d, n, want.data());
-        variant->stats_rows(x.data(), block.rows, block.d, n, got.data());
-        for (std::size_t r = 0; r < block.rows; ++r) {
-          ASSERT_EQ(got[r].sum, want[r].sum) << name << " n=" << n;
-          ASSERT_EQ(got[r].sum_sq, want[r].sum_sq) << name << " n=" << n;
-        }
-      }
-
-      // centered_sum_sq_rows.
-      {
-        std::vector<double> mean(block.rows);
-        for (std::size_t r = 0; r < block.rows; ++r) {
-          mean[r] = base->stats(x.data() + r * block.d, block.d).sum /
-                    static_cast<double>(block.d);
-        }
-        std::vector<double> want(block.rows), got(block.rows);
-        base->centered_sum_sq_rows(x.data(), block.rows, block.d, block.d,
-                                   mean.data(), want.data());
-        variant->centered_sum_sq_rows(x.data(), block.rows, block.d, block.d,
-                                      mean.data(), got.data());
-        for (std::size_t r = 0; r < block.rows; ++r) {
-          ASSERT_EQ(got[r], want[r]) << name << " r=" << r;
-        }
-      }
-
-      // residual_add_stats_rows: both the in-place sum and the statistics.
-      {
-        auto h_want = x;
-        auto h_got = x;
-        std::vector<SumStats> want(block.rows), got(block.rows);
-        base->residual_add_stats_rows(h_want.data(), residual.data(),
-                                      block.rows, block.d, block.d,
-                                      want.data());
-        variant->residual_add_stats_rows(h_got.data(), residual.data(),
-                                         block.rows, block.d, block.d,
-                                         got.data());
-        for (std::size_t i = 0; i < total; ++i) {
-          ASSERT_EQ(h_got[i], h_want[i]) << name << " i=" << i;
-        }
-        for (std::size_t r = 0; r < block.rows; ++r) {
-          ASSERT_EQ(got[r].sum, want[r].sum) << name;
-          ASSERT_EQ(got[r].sum_sq, want[r].sum_sq) << name;
-        }
-      }
-
-      // normalize_affine_rows, both saturation modes (the -nt streaming store
-      // path fuses the saturate clamp into its body loop).
-      {
-        std::vector<double> mean(block.rows), isd(block.rows);
-        for (std::size_t r = 0; r < block.rows; ++r) {
-          mean[r] = 0.01 * static_cast<double>(r);
-          isd[r] = (r % 3 == 0) ? 1e6 : 0.8;
-        }
-        auto z = x;
-        if (z.size() >= 4) z[2] = std::numeric_limits<float>::quiet_NaN();
-        for (const bool saturate : {false, true}) {
-          std::vector<float> want(total), got(total);
-          base->normalize_affine_rows(z.data(), block.rows, block.d,
-                                      mean.data(), isd.data(), alpha.data(),
-                                      beta.data(), want.data(), saturate);
-          variant->normalize_affine_rows(z.data(), block.rows, block.d,
-                                         mean.data(), isd.data(), alpha.data(),
-                                         beta.data(), got.data(), saturate);
-          for (std::size_t i = 0; i < total; ++i) {
-            if (std::isnan(want[i]) || std::isnan(got[i])) {
-              ASSERT_TRUE(std::isnan(want[i]) && std::isnan(got[i])) << name;
-              continue;
-            }
-            ASSERT_EQ(got[i], want[i])
-                << name << " saturate=" << saturate << " d=" << block.d
-                << " i=" << i;
-          }
-        }
-      }
-
-      // quantize_dequantize_rows (variants keep the base implementation, but
-      // the contract is table-wide — lock it in).
-      {
-        std::vector<float> scales(block.rows, 0.05f);
-        auto want = x;
-        auto got = x;
-        base->quantize_dequantize_rows(want.data(), block.rows, block.d,
-                                       numerics::NumericFormat::kINT8,
-                                       scales.data());
-        variant->quantize_dequantize_rows(got.data(), block.rows, block.d,
-                                          numerics::NumericFormat::kINT8,
-                                          scales.data());
-        for (std::size_t i = 0; i < total; ++i) {
-          ASSERT_EQ(got[i], want[i]) << name << " i=" << i;
-        }
-      }
-
-      // Fused rows entry points end-to-end through the variant table.
-      for (const bool layernorm : {false, true}) {
-        auto h_want = x;
-        auto h_got = x;
-        std::vector<float> out_want(total), out_got(total);
-        RowNormWorkspace ws_want, ws_got;
-        if (layernorm) {
-          residual_add_layernorm_rows(*base, block.rows, h_want, residual,
-                                      alpha, beta, out_want, 1e-5, ws_want);
-          residual_add_layernorm_rows(*variant, block.rows, h_got, residual,
-                                      alpha, beta, out_got, 1e-5, ws_got);
-        } else {
-          residual_add_rmsnorm_rows(*base, block.rows, h_want, residual, alpha,
-                                    beta, out_want, 1e-5, ws_want);
-          residual_add_rmsnorm_rows(*variant, block.rows, h_got, residual,
-                                    alpha, beta, out_got, 1e-5, ws_got);
-        }
-        for (std::size_t i = 0; i < total; ++i) {
-          ASSERT_EQ(h_got[i], h_want[i]) << name;
-          ASSERT_EQ(out_got[i], out_want[i])
-              << name << (layernorm ? " layernorm" : " rmsnorm")
-              << " rows=" << block.rows << " d=" << block.d << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace haan::kernels
