@@ -4,8 +4,9 @@
 // pre-kernel-layer baseline. The JSON report is the anchor recorded in
 // bench/kernel_baseline.json; --min-speedup gates CI on the fused vectorized
 // residual_add_rmsnorm at d=4096 staying ahead of the seed path. The report
-// also carries linear GMAC/s per backend; the run fails if any backend's
-// linear output differs from the scalar reference by a single bit.
+// also carries linear GMAC/s and softmax / SiLU ns/element per backend; the
+// run fails if any backend's linear, softmax or SiLU output differs from the
+// scalar reference by a single bit.
 //
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <chrono>
@@ -426,6 +427,63 @@ int main(int argc, char** argv) {
     linear_results.push_back(entry);
   }
 
+  // --- Exp kernels: softmax over one attention row at ctx 72 and 144 (the
+  // prefill_offline surrogate's mean context and twice it) and SiLU over a
+  // 288 x 170 MLP gate block, ns/element per backend. Each timed call runs in
+  // place on the previous call's output; the bit-identity check uses the
+  // first call, on the original input. Gated on identity only. -------------
+  struct ExpShape {
+    const char* kernel;
+    std::size_t rows, cols;
+  };
+  const ExpShape exp_shapes[] = {
+      {"softmax", 1, 72}, {"softmax", 1, 144}, {"silu", 288, 170}};
+  common::Json::Array exp_results;
+  bool exp_identical = true;
+  std::printf("--- softmax / silu, ns/element per backend ---\n");
+  for (const ExpShape& shape : exp_shapes) {
+    const std::size_t n = shape.rows * shape.cols;
+    std::vector<float> input(n);
+    common::Rng rng(n);
+    rng.fill_gaussian(input, 0.0, 3.0);
+    std::vector<float> work, reference;
+    common::Json::Object ns_per_element;
+    std::printf("%-7s %3zux%3zu ", shape.kernel, shape.rows, shape.cols);
+    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
+      const bool softmax = std::strcmp(shape.kernel, "softmax") == 0;
+      const auto run = [&] {
+        if (softmax) {
+          table->softmax(work.data(), n);
+        } else {
+          table->silu(work.data(), n);
+        }
+        sink(work[0]);
+      };
+      work = input;
+      run();
+      if (reference.empty()) {
+        reference = work;
+      } else if (std::memcmp(reference.data(), work.data(),
+                             n * sizeof(float)) != 0) {
+        std::fprintf(stderr, "FAIL: %s %s differs from %s at %zux%zu\n",
+                     table->name, shape.kernel,
+                     kernels::supported_kernels().front()->name, shape.rows,
+                     shape.cols);
+        exp_identical = false;
+      }
+      const double ns = time_ns_per_element(run, n, target_ms);
+      ns_per_element[table->name] = ns;
+      std::printf(" %s %6.3f", table->name, ns);
+    }
+    std::printf(" ns/el\n");
+    common::Json::Object entry;
+    entry["kernel"] = shape.kernel;
+    entry["rows"] = shape.rows;
+    entry["cols"] = shape.cols;
+    entry["ns_per_element"] = ns_per_element;
+    exp_results.push_back(entry);
+  }
+
   common::Json::Object doc;
   doc["bench"] = "norm_kernel_bench";
   doc["active_kernel"] = kernels::active_name();
@@ -443,6 +501,8 @@ int main(int argc, char** argv) {
   doc["rowblock_speedup_d4096_rows64"] = rowblock_speedup_4096x64;
   doc["linear"] = linear_results;
   doc["linear_bit_identical"] = linear_identical;
+  doc["exp_kernels"] = exp_results;
+  doc["exp_kernels_bit_identical"] = exp_identical;
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
@@ -468,6 +528,6 @@ int main(int argc, char** argv) {
                  rowblock_speedup_4096x64, min_rowblock_speedup);
     return 1;
   }
-  if (!linear_identical) return 1;
+  if (!linear_identical || !exp_identical) return 1;
   return 0;
 }

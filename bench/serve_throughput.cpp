@@ -52,7 +52,7 @@
 // against an untraced run (best-of-2 closed-loop walls).
 //
 //   ./build/bench/serve_throughput --norm=haan --workers=4 --scenario=steady
-//       --seed=1 --min-pack-amortization=4 --json=bench/serve_baseline.json
+//       --seed=1 --min-pack-amortization=4 --json=/tmp/serve.json
 //   ./build/bench/serve_throughput --decode=geometric --decode-tokens=8
 //       --decode-sweep=true --trace-out=/tmp/decode_trace.json
 #include <algorithm>

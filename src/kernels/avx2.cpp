@@ -15,7 +15,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
+
+#include "common/assert.hpp"
+#include "kernels/expf_model.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -475,6 +479,122 @@ void attention_context_avx2(const float* p, std::size_t ctx, const float* v,
   }
 }
 
+// --- Exp kernels -----------------------------------------------------------
+// Four double lanes per expf_model4 call, each lane one step of the scalar
+// expf model (kernels/expf_model.hpp), so every lane rounds exactly like
+// std::exp. Lanes libm treats specially (|x| >= 88, inf, NaN) are patched
+// with std::exp itself.
+
+/// The expf model over 4 floats. Lanes with |x| >= 88 or NaN come out
+/// meaningless; expf8 replaces them.
+inline __m128 expf_model4(__m128 x) {
+  const __m256d inv_ln2n = _mm256_set1_pd(detail::kInvLn2N);
+  const __m256d shift = _mm256_set1_pd(detail::kShift);
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d shifted = _mm256_add_pd(_mm256_mul_pd(inv_ln2n, xd), shift);
+  const __m256d kd = _mm256_sub_pd(shifted, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+  // s = 2^(ki/32): tab[ki % 32] plus ki << 47.
+  const __m256i ki = _mm256_castpd_si256(shifted);
+  const __m256i t = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(detail::kExpTable),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s =
+      _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64(ki, 47)));
+  const __m256d p = _mm256_fmadd_pd(_mm256_set1_pd(detail::kC0), r,
+                                    _mm256_set1_pd(detail::kC1));
+  const __m256d q =
+      _mm256_fmadd_pd(_mm256_set1_pd(detail::kC2), r, _mm256_set1_pd(1.0));
+  const __m256d y = _mm256_mul_pd(_mm256_fmadd_pd(p, _mm256_mul_pd(r, r), q), s);
+  return _mm256_cvtpd_ps(y);
+}
+
+/// e with its `lanes` (movemask bits) recomputed as std::exp(x): libm's own
+/// special cases.
+[[gnu::noinline]] __m256 expf_libm_lanes(__m256 x, __m256 e, int lanes) {
+  alignas(32) float xs[8];
+  alignas(32) float es[8];
+  _mm256_store_ps(xs, x);
+  _mm256_store_ps(es, e);
+  for (int i = 0; i < 8; ++i) {
+    if ((lanes >> i) & 1) es[i] = std::exp(xs[i]);
+  }
+  return _mm256_load_ps(es);
+}
+
+/// std::exp of the 8 floats in x, bit for bit; `valid` (lane_mask8 format)
+/// marks the lanes that hold data (the others never reach libm).
+inline __m256 expf8(__m256 x, __m256i valid) {
+  const __m256 e = _mm256_set_m128(expf_model4(_mm256_extractf128_ps(x, 1)),
+                                   expf_model4(_mm256_castps256_ps128(x)));
+  const __m256i abs_bits = _mm256_and_si256(_mm256_castps_si256(x),
+                                            _mm256_set1_epi32(0x7FFFFFFF));
+  const __m256i special = _mm256_and_si256(
+      valid, _mm256_cmpgt_epi32(
+                 abs_bits, _mm256_set1_epi32(detail::kExpSpecialAbsBits - 1)));
+  const int lanes = _mm256_movemask_ps(_mm256_castsi256_ps(special));
+  return lanes == 0 ? e : expf_libm_lanes(x, e, lanes);
+}
+
+void exp_avx2(const float* x, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask8(n - i);
+    _mm256_maskstore_ps(out + i, m, expf8(_mm256_maskload_ps(x + i, m), m));
+  }
+}
+
+void softmax_avx2(float* row, std::size_t n) {
+  // max_ps(v, acc) = v > acc ? v : acc, the operands of std::max(acc, v): a
+  // NaN never replaces the running max. Across lanes only the value counts —
+  // should +0 and -0 tie as the maximum, v - max_v differs at most in the
+  // sign of a zero, and exp(+-0) = 1.
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 acc = neg_inf;
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask8(n - i);
+    const __m256 v = _mm256_blendv_ps(neg_inf, _mm256_maskload_ps(row + i, m),
+                                      _mm256_castsi256_ps(m));
+    acc = _mm256_max_ps(v, acc);
+  }
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, acc);
+  float max_lane = lanes[0];
+  for (int k = 1; k < 8; ++k) max_lane = std::max(max_lane, lanes[k]);
+  const __m256 max_v = _mm256_set1_ps(max_lane);
+  // The double sum stays one scalar chain in ascending order; the next
+  // block's exp overlaps it.
+  double sum = 0.0;
+  alignas(32) float e[8];
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask8(n - i);
+    const __m256 v =
+        expf8(_mm256_sub_ps(_mm256_maskload_ps(row + i, m), max_v), m);
+    _mm256_store_ps(e, v);
+    _mm256_maskstore_ps(row + i, m, v);
+    const std::size_t count = std::min<std::size_t>(8, n - i);
+    for (std::size_t k = 0; k < count; ++k) sum += e[k];
+  }
+  HAAN_ASSERT(sum > 0.0);
+  const __m256d sum_v = _mm256_set1_pd(sum);
+  for (std::size_t i = 0; i < n; i += 4) {
+    const __m128i m = _mm256_castsi256_si128(lane_mask8(n - i));
+    const __m256d v = _mm256_cvtps_pd(_mm_maskload_ps(row + i, m));
+    _mm_maskstore_ps(row + i, m, _mm256_cvtpd_ps(_mm256_div_pd(v, sum_v)));
+  }
+}
+
+void silu_avx2(float* v, std::size_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask8(n - i);
+    const __m256 x = _mm256_maskload_ps(v + i, m);
+    // -x flips the sign bit, like the scalar unary minus (NaN included).
+    const __m256 e = expf8(_mm256_xor_ps(x, _mm256_set1_ps(-0.0f)), m);
+    _mm256_maskstore_ps(v + i, m, _mm256_div_ps(x, _mm256_add_ps(one, e)));
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",
     stats_avx2,
@@ -492,6 +612,9 @@ constexpr KernelTable kAvx2Table = {
     linear_avx2,
     attention_scores_avx2,
     attention_context_avx2,
+    exp_avx2,
+    softmax_avx2,
+    silu_avx2,
 };
 
 }  // namespace

@@ -21,7 +21,12 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
+
+#include "common/assert.hpp"
+#include "kernels/expf_model.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -569,6 +574,117 @@ void attention_context_avx512(const float* p, std::size_t ctx, const float* v,
   }
 }
 
+// --- Exp kernels -----------------------------------------------------------
+// Eight double lanes per expf_model8 call, each lane one step of the scalar
+// expf model (kernels/expf_model.hpp), so every lane rounds exactly like
+// std::exp. Lanes libm treats specially (|x| >= 88, inf, NaN) are patched
+// with std::exp itself.
+
+/// The expf model over 8 floats. Lanes with |x| >= 88 or NaN come out
+/// meaningless; expf16 replaces them.
+inline __m256 expf_model8(__m256 x) {
+  const __m512d inv_ln2n = _mm512_set1_pd(detail::kInvLn2N);
+  const __m512d shift = _mm512_set1_pd(detail::kShift);
+  const __m512d xd = _mm512_cvtps_pd(x);
+  const __m512d shifted = _mm512_add_pd(_mm512_mul_pd(inv_ln2n, xd), shift);
+  const __m512d kd = _mm512_sub_pd(shifted, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
+  // s = 2^(ki/32): tab[ki % 32] out of four 8-entry registers (permutex2var
+  // reads index bits 0-3, bit 4 picks the pair), plus ki << 47.
+  const __m512i ki = _mm512_castpd_si512(shifted);
+  const std::uint64_t* tab = detail::kExpTable;
+  const __m512i lo = _mm512_permutex2var_epi64(_mm512_loadu_si512(tab), ki,
+                                               _mm512_loadu_si512(tab + 8));
+  const __m512i hi = _mm512_permutex2var_epi64(_mm512_loadu_si512(tab + 16), ki,
+                                               _mm512_loadu_si512(tab + 24));
+  const __mmask8 upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+  const __m512d s = _mm512_castsi512_pd(_mm512_add_epi64(
+      _mm512_mask_blend_epi64(upper, lo, hi), _mm512_slli_epi64(ki, 47)));
+  const __m512d p = _mm512_fmadd_pd(_mm512_set1_pd(detail::kC0), r,
+                                    _mm512_set1_pd(detail::kC1));
+  const __m512d q =
+      _mm512_fmadd_pd(_mm512_set1_pd(detail::kC2), r, _mm512_set1_pd(1.0));
+  const __m512d y = _mm512_mul_pd(_mm512_fmadd_pd(p, _mm512_mul_pd(r, r), q), s);
+  return _mm512_cvtpd_ps(y);
+}
+
+/// e with its `lanes` recomputed as std::exp(x): libm's own special cases.
+[[gnu::noinline]] __m512 expf_libm_lanes(__m512 x, __m512 e, __mmask16 lanes) {
+  alignas(64) float xs[16];
+  alignas(64) float es[16];
+  _mm512_store_ps(xs, x);
+  _mm512_store_ps(es, e);
+  for (int i = 0; i < 16; ++i) {
+    if ((lanes >> i) & 1) es[i] = std::exp(xs[i]);
+  }
+  return _mm512_load_ps(es);
+}
+
+/// std::exp of the 16 floats in x, bit for bit; `valid` marks the lanes that
+/// hold data (the others may hold anything and never reach libm).
+inline __m512 expf16(__m512 x, __mmask16 valid) {
+  const __m512 e = _mm512_insertf32x8(
+      _mm512_castps256_ps512(expf_model8(_mm512_castps512_ps256(x))),
+      expf_model8(_mm512_extractf32x8_ps(x, 1)), 1);
+  const __m512i abs_bits = _mm512_and_si512(_mm512_castps_si512(x),
+                                            _mm512_set1_epi32(0x7FFFFFFF));
+  const __mmask16 special = _mm512_mask_cmpge_epu32_mask(
+      valid, abs_bits, _mm512_set1_epi32(detail::kExpSpecialAbsBits));
+  return special == 0 ? e : expf_libm_lanes(x, e, special);
+}
+
+void exp_avx512(const float* x, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = column_mask16(n - i);
+    _mm512_mask_storeu_ps(out + i, m,
+                          expf16(_mm512_maskz_loadu_ps(m, x + i), m));
+  }
+}
+
+void softmax_avx512(float* row, std::size_t n) {
+  // max_ps(v, acc) = v > acc ? v : acc, the operands of std::max(acc, v): a
+  // NaN never replaces the running max. Across lanes only the value counts —
+  // should +0 and -0 tie as the maximum, v - max_v differs at most in the
+  // sign of a zero, and exp(+-0) = 1.
+  __m512 acc = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = column_mask16(n - i);
+    acc = _mm512_mask_max_ps(acc, m, _mm512_maskz_loadu_ps(m, row + i), acc);
+  }
+  const __m512 max_v = _mm512_set1_ps(_mm512_reduce_max_ps(acc));
+  // The double sum stays one scalar chain in ascending order; the next
+  // block's exp overlaps it.
+  double sum = 0.0;
+  alignas(64) float e[16];
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = column_mask16(n - i);
+    const __m512 v =
+        expf16(_mm512_sub_ps(_mm512_maskz_loadu_ps(m, row + i), max_v), m);
+    _mm512_store_ps(e, v);
+    _mm512_mask_storeu_ps(row + i, m, v);
+    const std::size_t count = std::min<std::size_t>(16, n - i);
+    for (std::size_t k = 0; k < count; ++k) sum += e[k];
+  }
+  HAAN_ASSERT(sum > 0.0);
+  const __m512d sum_v = _mm512_set1_pd(sum);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const auto m = static_cast<__mmask8>(column_mask16(n - i));  // low 8 lanes
+    const __m512d v = _mm512_cvtps_pd(_mm256_maskz_loadu_ps(m, row + i));
+    _mm256_mask_storeu_ps(row + i, m, _mm512_cvtpd_ps(_mm512_div_pd(v, sum_v)));
+  }
+}
+
+void silu_avx512(float* v, std::size_t n) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = column_mask16(n - i);
+    const __m512 x = _mm512_maskz_loadu_ps(m, v + i);
+    // -x flips the sign bit, like the scalar unary minus (NaN included).
+    const __m512 e = expf16(_mm512_xor_ps(x, _mm512_set1_ps(-0.0f)), m);
+    _mm512_mask_storeu_ps(v + i, m, _mm512_div_ps(x, _mm512_add_ps(one, e)));
+  }
+}
+
 constexpr KernelTable kAvx512Table = {
     "avx512",
     stats_avx512,
@@ -586,6 +702,9 @@ constexpr KernelTable kAvx512Table = {
     linear_avx512,
     attention_scores_avx512,
     attention_context_avx512,
+    exp_avx512,
+    softmax_avx512,
+    silu_avx512,
 };
 
 }  // namespace

@@ -30,6 +30,13 @@ void attention_scores_scalar(const float* q, std::size_t d_head,
 void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
                               std::size_t ld, std::size_t d_head, float* out);
 
+/// The scalar backend's exp entries (the seed loops): the NEON table's own,
+/// and what the dispatcher swaps into a SIMD table whose expf model disagrees
+/// with this process's libm.
+void exp_scalar(const float* x, std::size_t n, float* out);
+void softmax_scalar(float* row, std::size_t n);
+void silu_scalar(float* v, std::size_t n);
+
 /// The NEON (AArch64) table. Null when this build does not target AArch64.
 const KernelTable* neon_table();
 

@@ -3,12 +3,17 @@
 // before any backend code (compiled with ISA flags) can execute.
 #include "kernels/kernels.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "kernels/backends.hpp"
+#include "kernels/expf_model.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -33,15 +38,80 @@ bool cpu_supports_avx512() {
 #endif
 }
 
+/// Inputs on which a SIMD table's exp must match this process's libm: the two
+/// where glibc's non-FMA expf differs from the FMA model, ordinary values
+/// across the range, subnormal results, and the libm-fallback edges.
+constexpr float kExpProbes[] = {
+    detail::kExpProbeNonFma[0],
+    detail::kExpProbeNonFma[1],
+    0.0f,
+    -0.0f,
+    1.0f,
+    -1.0f,
+    0x1.8p-9f,
+    -3.1415927f,
+    10.75f,
+    -17.25f,
+    42.0f,
+    -87.3f,
+    -87.9f,
+    87.9f,
+    88.0f,
+    -88.0f,
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::numeric_limits<float>::quiet_NaN(),
+};
+
+/// std::exp through a volatile read, so the compiler cannot fold the call on
+/// a constant probe (its folding is correctly rounded; libm's expf is not).
+float libm_exp(float x) {
+  const volatile float input = x;
+  return std::exp(input);
+}
+
+bool exp_matches_libm(const KernelTable& table) {
+  float out[std::size(kExpProbes)];
+  table.exp(kExpProbes, std::size(kExpProbes), out);
+  for (std::size_t i = 0; i < std::size(kExpProbes); ++i) {
+    if (std::bit_cast<std::uint32_t>(out[i]) !=
+        std::bit_cast<std::uint32_t>(libm_exp(kExpProbes[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `table` itself when its exp matches libm on the probes; otherwise `patched`,
+/// a copy carrying the scalar exp / softmax / silu loops.
+const KernelTable* with_checked_exp(const KernelTable* table,
+                                    KernelTable& patched) {
+  if (table == nullptr || exp_matches_libm(*table)) return table;
+  HAAN_LOG_WARN_C("kernels")
+      << table->name << ": the SIMD expf model disagrees with this libm's "
+      << "expf; exp, softmax and silu run the scalar loops";
+  patched = *table;
+  patched.exp = detail::exp_scalar;
+  patched.softmax = detail::softmax_scalar;
+  patched.silu = detail::silu_scalar;
+  return &patched;
+}
+
 /// The AVX-512 table when both the build and the CPU can run it (the TU
-/// compiles to a null stub when the compiler lacks the ISA flags).
+/// compiles to a null stub when the compiler lacks the ISA flags), checked
+/// once against libm's expf.
 const KernelTable* runnable_avx512_table() {
-  const KernelTable* table = detail::avx512_table();
-  return table != nullptr && cpu_supports_avx512() ? table : nullptr;
+  static KernelTable patched{};
+  static const KernelTable* const table = with_checked_exp(
+      cpu_supports_avx512() ? detail::avx512_table() : nullptr, patched);
+  return table;
 }
 
 const KernelTable* runnable_avx2_table() {
-  return cpu_supports_avx2() ? detail::avx2_table() : nullptr;
+  static KernelTable patched{};
+  static const KernelTable* const table = with_checked_exp(
+      cpu_supports_avx2() ? detail::avx2_table() : nullptr, patched);
+  return table;
 }
 
 const KernelTable* best_simd_table() {

@@ -1,7 +1,7 @@
 // Runtime-dispatched kernels: the vectorized hot loops behind every norm in
-// the repo, plus the forward pass's matmul and attention-score loops. One
-// KernelTable per backend (portable scalar, AVX2, AVX-512, NEON); dispatch
-// picks the widest backend the CPU supports once at first use, with
+// the repo, plus the forward pass's matmul, attention-score, softmax and SiLU
+// loops. One KernelTable per backend (portable scalar, AVX2, AVX-512, NEON);
+// dispatch picks the widest backend the CPU supports once at first use, with
 // `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
 //
 // The scalar backend is the semantic reference: it reproduces the seed
@@ -49,6 +49,13 @@ struct SumStats {
 ///     bits may differ (both backends produce a quiet NaN).
 ///   linear / attention_scores / attention_context
 ///     Bit-identical (exact-order contract, see the entries below).
+///   exp / softmax / silu
+///     Bit-identical for every input, inf and NaN included. SIMD lanes run a
+///     lane-wise model of glibc 2.36's FMA expf (kernels/expf_model.hpp);
+///     lanes with |x| >= 88, inf or NaN call std::exp. The dispatcher checks
+///     the model against this process's libm on probe inputs once, when it
+///     resolves the tables; on any mismatch (another libm, or glibc's non-FMA
+///     variant) the SIMD tables carry the scalar exp / softmax / silu.
 struct KernelTable {
   /// Backend family: "scalar", "avx2", "avx512" or "neon".
   const char* name;
@@ -154,6 +161,23 @@ struct KernelTable {
   /// add (never fused). Lanes run across c.
   void (*attention_context)(const float* p, std::size_t ctx, const float* v,
                             std::size_t ld, std::size_t d_head, float* out);
+
+  // --- Exp kernels ------------------------------------------------------
+  // The scalar entries are the seed loops of tensor::softmax / silu_inplace;
+  // SIMD entries vectorize everything but the softmax's double sum, whose
+  // sequential order is part of the result.
+
+  /// out[i] = std::exp(x[i]) in float, for i < n. out may alias x.
+  void (*exp)(const float* x, std::size_t n, float* out);
+
+  /// In-place stable softmax of one row of n >= 1 floats: max_v folds
+  /// std::max(max_v, v) from -inf, v = std::exp(v - max_v) in float, the
+  /// values are summed in double in ascending order (asserted > 0), then
+  /// v = (float)(v / sum).
+  void (*softmax)(float* row, std::size_t n);
+
+  /// v[i] = v[i] / (1.0f + std::exp(-v[i])) in float, in place.
+  void (*silu)(float* v, std::size_t n);
 };
 
 /// Maps an empty span to the nullptr the kernel tables use for "no affine

@@ -295,6 +295,11 @@ constexpr KernelTable kNeonTable = {
     detail::linear_scalar,
     detail::attention_scores_scalar,
     detail::attention_context_scalar,
+    // The expf model needs double-lane FMA and a 32-entry table lookup; no
+    // NEON version has been written, so the scalar libm loops serve.
+    detail::exp_scalar,
+    detail::softmax_scalar,
+    detail::silu_scalar,
 };
 
 }  // namespace

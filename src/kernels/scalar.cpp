@@ -1,13 +1,16 @@
 // Portable scalar backend: the bit-exact reference every SIMD backend is
 // tested against. The loop bodies reproduce the seed's `tensor::norm_ref`,
-// `core::subsample`, `tensor::linear` and attention arithmetic exactly — same
-// accumulation order, same double intermediates, same float rounding points —
-// so HAAN_FORCE_SCALAR=1 runs are bit-identical to the pre-kernel-layer
-// implementation.
+// `core::subsample`, `tensor::linear`, attention, softmax and SiLU arithmetic
+// exactly — same accumulation order, same double intermediates, same float
+// rounding points — so HAAN_FORCE_SCALAR=1 runs are bit-identical to the
+// pre-kernel-layer implementation.
 #include "kernels/backends.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "common/assert.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -174,6 +177,26 @@ void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
   }
 }
 
+void exp_scalar(const float* x, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
+}
+
+void softmax_scalar(float* row, std::size_t n) {
+  float max_v = -std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < n; ++i) max_v = std::max(max_v, row[i]);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    row[i] = std::exp(row[i] - max_v);
+    sum += row[i];
+  }
+  HAAN_ASSERT(sum > 0.0);
+  for (std::size_t i = 0; i < n; ++i) row[i] = static_cast<float>(row[i] / sum);
+}
+
+void silu_scalar(float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) v[i] = v[i] / (1.0f + std::exp(-v[i]));
+}
+
 }  // namespace detail
 
 namespace {
@@ -195,6 +218,9 @@ constexpr KernelTable kScalarTable = {
     detail::linear_scalar,
     detail::attention_scores_scalar,
     detail::attention_context_scalar,
+    detail::exp_scalar,
+    detail::softmax_scalar,
+    detail::silu_scalar,
 };
 
 }  // namespace

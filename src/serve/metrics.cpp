@@ -123,6 +123,7 @@ common::Json ServeMetrics::to_json() const {
   out["kv_bytes_resident"] = kv_bytes_resident;
   out["max_kv_bytes"] = max_kv_bytes;
   out["shed_requests"] = shed_requests;
+  out["rejected_requests"] = rejected_requests;
   out["degraded_requests"] = degraded_requests;
   out["deadline_missed_requests"] = deadline_missed_requests;
   if (!per_priority.empty()) {
@@ -197,6 +198,10 @@ std::string ServeMetrics::to_string() const {
         << decode_packs << ", mixed " << mixed_packs << "\n";
     out << "kv cache         : max " << max_kv_bytes << " bytes resident\n";
   }
+  if (rejected_requests > 0) {
+    out << "rejected         : " << rejected_requests
+        << " requests the model cannot serve\n";
+  }
   if (shed_requests + degraded_requests + deadline_missed_requests > 0) {
     out << "sla outcomes     : shed " << shed_requests << ", degraded "
         << degraded_requests << ", deadline-missed " << deadline_missed_requests
@@ -240,6 +245,10 @@ MetricsCollector::PriorityBucket& MetricsCollector::priority_bucket(
 
 void MetricsCollector::record(const RequestResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (result.rejected) {
+    ++rejected_;  // never queued: no latency, no priority slice
+    return;
+  }
   PriorityBucket& bucket = priority_bucket(result.priority);
   if (result.shed) {
     // Shed requests never ran: they count as SLA outcomes, not latencies
@@ -364,6 +373,7 @@ ServeMetrics MetricsCollector::finalize(double wall_us) const {
   metrics.kv_bytes_resident = kv_bytes_resident_;
   metrics.max_kv_bytes = max_kv_bytes_;
   metrics.shed_requests = shed_;
+  metrics.rejected_requests = rejected_;
   metrics.degraded_requests = degraded_;
   metrics.deadline_missed_requests = deadline_missed_;
   for (const auto& [priority, bucket] : per_priority_) {

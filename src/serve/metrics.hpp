@@ -164,6 +164,11 @@ struct ServeMetrics {
   std::size_t degraded_requests = 0;
   std::size_t deadline_missed_requests = 0;
 
+  /// Requests completed unserved at enqueue because the model cannot serve
+  /// their prompt (RequestResult::rejected). Like shed requests they are not
+  /// in `completed` or the latency histograms.
+  std::size_t rejected_requests = 0;
+
   /// Per-priority-class latency + SLA breakdown (key = Request.priority).
   std::map<int, PrioritySummary> per_priority;
 
@@ -295,6 +300,7 @@ class MetricsCollector {
   common::LogHistogram intertoken_us_;
   std::map<int, PriorityBucket> per_priority_;
   std::size_t shed_ = 0;
+  std::size_t rejected_ = 0;
   std::size_t degraded_ = 0;
   std::size_t deadline_missed_ = 0;
   std::uint64_t batch_count_ = 0;

@@ -94,6 +94,10 @@ struct RequestResult {
   bool degraded = false;      ///< served on the cheap degrade provider
   bool shed = false;          ///< completed UNSERVED by admission control
                               ///< (no forward ran; checksum/hidden empty)
+  bool rejected = false;      ///< completed UNSERVED at enqueue: the prompt
+                              ///< was empty, longer than the model's
+                              ///< max_seq_len, or held a token outside its
+                              ///< vocabulary (no forward ran)
   bool deadline_missed = false;  ///< had a deadline and finished past it
 };
 

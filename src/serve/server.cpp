@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -95,6 +96,31 @@ void trace_kernel_choice(const KernelTuningInfo& info) {
   }
 }
 
+/// Whether the model can serve the prompt at all: non-empty, within its
+/// positional range, every token inside its vocabulary. The session table
+/// and the forward pass treat anything else as a broken precondition.
+bool servable(const Request& request, const model::ModelConfig& model) {
+  if (request.tokens.empty() || request.tokens.size() > model.max_seq_len) {
+    return false;
+  }
+  return std::all_of(request.tokens.begin(), request.tokens.end(),
+                     [&](int token) {
+                       return token >= 0 &&
+                              static_cast<std::size_t>(token) < model.vocab_size;
+                     });
+}
+
+/// The completion record of a request rejected before it was queued.
+RequestResult rejected_result(const Request& request) {
+  RequestResult result;
+  result.id = request.id;
+  result.prompt_len = request.tokens.size();
+  result.priority = request.priority;
+  result.tenant = request.tenant;
+  result.rejected = true;
+  return result;
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config)
@@ -187,12 +213,18 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   }
 
   obs::set_thread_name("feeder");
+  std::vector<RequestResult> rejected;
   for (const Request& request : workload) {
     if (config_.paced) {
       const auto arrival =
           start + std::chrono::microseconds(
                       static_cast<std::int64_t>(request.arrival_us));
       std::this_thread::sleep_until(arrival);
+    }
+    if (!servable(request, config_.model)) {
+      rejected.push_back(rejected_result(request));
+      metrics.record(rejected.back());
+      continue;
     }
     Request admitted = request;
     {
@@ -213,6 +245,15 @@ ServeReport Server::run(const std::vector<Request>& workload) {
 
   ServeReport report;
   report.results = pool.take_results();
+  if (!rejected.empty()) {
+    report.results.insert(report.results.end(),
+                          std::make_move_iterator(rejected.begin()),
+                          std::make_move_iterator(rejected.end()));
+    std::sort(report.results.begin(), report.results.end(),
+              [](const RequestResult& a, const RequestResult& b) {
+                return a.id < b.id;
+              });
+  }
   report.metrics = metrics.finalize(wall_us);
   // The queue owns depth accounting under its own lock: the high watermark
   // (a feeder-side post-push sample can miss the true peak) and the
@@ -247,6 +288,11 @@ ServeReport Server::run_reference(const std::vector<Request>& workload) {
   std::vector<RequestResult> results;
   results.reserve(workload.size());
   for (const Request& request : workload) {
+    if (!servable(request, config_.model)) {
+      results.push_back(rejected_result(request));
+      metrics.record(results.back());
+      continue;
+    }
     const Clock::time_point begin = Clock::now();
     // Re-forward oracle: greedy-decode by running a FULL forward over prompt
     // + tokens-so-far for every generated token. The final `hidden` covers

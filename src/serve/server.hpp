@@ -124,7 +124,11 @@ class Server {
   /// verify oracle to re-forward degraded requests.
   std::unique_ptr<model::NormProvider> make_degrade_provider() const;
 
-  /// Serves the workload to completion through the concurrent runtime.
+  /// Serves the workload to completion through the concurrent runtime. A
+  /// request the model cannot serve (empty prompt, prompt longer than
+  /// max_seq_len, token outside the vocabulary) is never queued: it completes
+  /// unserved with RequestResult::rejected set and counts in
+  /// ServeMetrics::rejected_requests. run_reference rejects the same ones.
   ServeReport run(const std::vector<Request>& workload);
 
   /// Single-threaded in-order execution with one provider; no queue, no

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 #include "kernels/kernels.hpp"
@@ -23,15 +22,8 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
 }
 
 void softmax(std::span<float> row) {
-  float max_v = -std::numeric_limits<float>::infinity();
-  for (const float v : row) max_v = std::max(max_v, v);
-  double sum = 0.0;
-  for (float& v : row) {
-    v = std::exp(v - max_v);
-    sum += v;
-  }
-  HAAN_ASSERT(sum > 0.0);
-  for (float& v : row) v = static_cast<float>(v / sum);
+  HAAN_EXPECTS(!row.empty());
+  kernels::active().softmax(row.data(), row.size());
 }
 
 void softmax_rows(Tensor& t) {
@@ -49,7 +41,7 @@ void gelu_inplace(Tensor& t) {
 }
 
 void silu_inplace(Tensor& t) {
-  for (float& v : t.data()) v = v / (1.0f + std::exp(-v));
+  kernels::active().silu(t.data().data(), t.data().size());
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {

@@ -1,7 +1,7 @@
 // Tensor operations for the transformer simulator: linear, row softmax,
 // activations, elementwise arithmetic, reductions. Reference-grade float
-// implementations, except `linear`, which runs the kernel layer's vectorized
-// exact-order matmul.
+// implementations, except `linear`, `softmax` and `silu_inplace`, which run
+// the kernel layer's vectorized entries (bit-identical on every backend).
 #pragma once
 
 #include <span>
@@ -18,7 +18,8 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias);
 
 /// In-place numerically stable softmax of one row: v = exp(v - max) in float,
 /// summed in double in ascending order, then v = (float)(v / sum). Attention
-/// applies it to each query row's causal prefix of scores.
+/// applies it to each query row's causal prefix of scores. Runs the active
+/// backend's KernelTable::softmax; the row must not be empty.
 void softmax(std::span<float> row);
 
 /// In-place numerically stable softmax over the last axis of a rank-2 tensor.
@@ -27,7 +28,9 @@ void softmax_rows(Tensor& t);
 /// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT).
 void gelu_inplace(Tensor& t);
 
-/// Elementwise SiLU (x * sigmoid(x), as used by LLaMA).
+/// Elementwise SiLU (x * sigmoid(x), as used by LLaMA), computed as
+/// v / (1.0f + std::exp(-v)) in float by the active backend's
+/// KernelTable::silu.
 void silu_inplace(Tensor& t);
 
 /// a += b (shapes must match).

@@ -120,6 +120,38 @@ TEST(Server, WorkerCountDoesNotChangeOutputs) {
   EXPECT_EQ(r1.metrics.norm.isd_predicted, r4.metrics.norm.isd_predicted);
 }
 
+TEST(Server, UnservableRequestsAreRejectedAndTheRestServedBitIdentically) {
+  Server server(tiny_server("haan", 4));
+  const model::ModelConfig& model = server.config().model;
+  const auto clean = generate_workload(small_workload(24, model));
+  auto workload = clean;
+  workload[5].tokens.clear();
+  workload[11].tokens.assign(model.max_seq_len + 1, 1);
+  workload[17].tokens.back() = static_cast<int>(model.vocab_size);
+  const std::set<std::uint64_t> bad = {5, 11, 17};
+
+  const auto concurrent = server.run(workload);
+  const auto reference = server.run_reference(clean);
+
+  ASSERT_EQ(concurrent.results.size(), workload.size());
+  EXPECT_EQ(concurrent.metrics.rejected_requests, bad.size());
+  EXPECT_EQ(concurrent.metrics.completed, workload.size() - bad.size());
+  EXPECT_EQ(server.run_reference(workload).metrics.rejected_requests,
+            bad.size());
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    const RequestResult& result = concurrent.results[i];
+    ASSERT_EQ(result.id, i);
+    EXPECT_EQ(result.rejected, bad.count(i) == 1) << "request " << i;
+    if (result.rejected) {
+      EXPECT_TRUE(result.hidden.empty());
+      continue;
+    }
+    EXPECT_EQ(result.hidden_checksum, reference.results[i].hidden_checksum)
+        << "request " << i;
+    EXPECT_EQ(result.hidden, reference.results[i].hidden) << "request " << i;
+  }
+}
+
 TEST_P(ServerParity, SkipPlanActiveOnDeepModel) {
   // The GPT2-117M surrogate (25 norm layers) has the log-linear ISD tail
   // Algorithm 1 targets; calibration must find an enabled plan and the
