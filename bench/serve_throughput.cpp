@@ -41,7 +41,13 @@
 // multi-node hosts), asserting bit-identical results and deterministic
 // rows-per-call across modes, gating the arena reuse ratio under auto
 // (--min-arena-reuse) and node-local vs interleaved throughput on multi-node
-// hosts (--min-local-vs-interleave).
+// hosts (--min-local-vs-interleave). Each mode's Server serves the workload
+// three times: the gates read the first (cold) run, and the last (warm) run
+// shows what a Server's long-lived arenas save.
+//
+// Run cost: the main run and every NUMA-sweep run report their minor page
+// faults and user/system CPU seconds (getrusage(RUSAGE_SELF) deltas around
+// Server::run, so every thread of the process counts). Reported, not gated.
 //
 // Observability: --trace-out exports the run as Chrome Trace Event JSON
 // (Perfetto-loadable) and cross-checks it against the report (per-thread
@@ -64,6 +70,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/cli.hpp"
 #include "common/json_lite.hpp"
@@ -311,26 +319,82 @@ TraceCheck check_trace(const std::string& json, const serve::ServeReport& report
   return check;
 }
 
+/// What one Server::run cost the whole process, from getrusage(RUSAGE_SELF)
+/// samples taken around it.
+struct RunCost {
+  long minor_faults = 0;
+  double user_s = 0.0;
+  double sys_s = 0.0;
+
+  common::Json to_json() const {
+    common::Json::Object entry;
+    entry["minor_faults"] = static_cast<long long>(minor_faults);
+    entry["user_cpu_s"] = user_s;
+    entry["sys_cpu_s"] = sys_s;
+    return common::Json(entry);
+  }
+
+  std::string to_string() const {
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  "%ld minor faults, %.3f s system CPU, %.3f s user CPU",
+                  minor_faults, sys_s, user_s);
+    return line;
+  }
+};
+
+double cpu_seconds(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+}
+
+/// server.run(workload), with its process-wide cost stored in `cost`.
+serve::ServeReport run_costed(serve::Server& server,
+                              const std::vector<serve::Request>& workload,
+                              RunCost& cost) {
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  serve::ServeReport report = server.run(workload);
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  cost.minor_faults = after.ru_minflt - before.ru_minflt;
+  cost.user_s = cpu_seconds(after.ru_utime) - cpu_seconds(before.ru_utime);
+  cost.sys_s = cpu_seconds(after.ru_stime) - cpu_seconds(before.ru_stime);
+  return report;
+}
+
+/// Runs after the first one in each NUMA-sweep cell. A Server's arenas reach
+/// their high watermark over its first few runs; the last of these is the
+/// cell's warm figure.
+constexpr int kWarmRuns = 2;
+
 /// One cell of the NUMA placement sweep: the same workload served closed-loop
-/// under one placement mode. Placement moves memory and threads, never
-/// values, so every cell must reproduce the kOff baseline bit-for-bit.
+/// under one placement mode, 1 + kWarmRuns times on one Server. Placement
+/// moves memory and threads, never values, so every run must reproduce the
+/// kOff baseline bit-for-bit. The gated figures come from the first (cold)
+/// run.
 struct NumaCell {
   std::string mode;
   double rps = 0.0;
+  double warm_rps = 0.0;  ///< throughput of the last warm run
   double rows_per_call = 0.0;  ///< deterministic: pure function of packing
   double arena_reuse = 0.0;
   std::size_t arena_bytes = 0;
   std::uint64_t cross_node_rows = 0;
-  bool verified = false;  ///< bit-identical to the kOff baseline cell
+  RunCost cold;  ///< the Server's first run
+  RunCost warm;  ///< its last run, on the arenas the earlier ones left
+  bool verified = false;  ///< every run bit-identical to the kOff baseline
 
   common::Json to_json() const {
     common::Json::Object entry;
     entry["mode"] = mode;
     entry["rps"] = rps;
+    entry["warm_rps"] = warm_rps;
     entry["rows_per_call"] = rows_per_call;
     entry["arena_reuse_ratio"] = arena_reuse;
     entry["arena_bytes"] = arena_bytes;
     entry["cross_node_rows"] = static_cast<std::size_t>(cross_node_rows);
+    entry["cold_run"] = cold.to_json();
+    entry["warm_run"] = warm.to_json();
     entry["verified"] = verified;
     return common::Json(entry);
   }
@@ -630,9 +694,11 @@ int main(int argc, char** argv) {
     obs::tracer().reset();
     obs::tracer().set_enabled(true);
   }
-  const auto report = server.run(workload);
+  RunCost run_cost;
+  const auto report = run_costed(server, workload, run_cost);
   obs::tracer().set_enabled(false);
   std::printf("%s", report.metrics.to_string().c_str());
+  std::printf("run cost         : %s\n", run_cost.to_string().c_str());
 
   bool trace_ok = true;
   TraceCheck trace_check;
@@ -1060,41 +1126,54 @@ int main(int argc, char** argv) {
     std::printf(
         "\n=== NUMA placement sweep (closed loop, %zu requests, %s) ===\n",
         workload.size(), topo.describe().c_str());
-    std::printf("%10s %9s %10s %7s %12s %11s %9s\n", "mode", "req/s",
-                "rows/call", "reuse", "arena bytes", "xnode rows", "verified");
-    std::vector<serve::ServeReport> numa_reports;
+    std::printf("%10s %17s %10s %7s %12s %11s %19s %9s\n", "mode",
+                "req/s cold/warm", "rows/call", "reuse", "arena bytes",
+                "xnode rows", "faults cold/warm", "verified");
+    const auto matches = [](const serve::ServeReport& rep,
+                            const serve::ServeReport& base) {
+      // Shed/degraded requests are timing-dependent lanes with no stable
+      // checksum, so skip indices where either run took one.
+      if (rep.results.size() != base.results.size()) return false;
+      for (std::size_t i = 0; i < rep.results.size(); ++i) {
+        const serve::RequestResult& got = rep.results[i];
+        const serve::RequestResult& want = base.results[i];
+        if (got.shed || got.degraded || want.shed || want.degraded) continue;
+        if (got.hidden_checksum != want.hidden_checksum ||
+            got.generated != want.generated) {
+          return false;
+        }
+      }
+      return true;
+    };
+    std::optional<serve::ServeReport> baseline;
     for (const mem::NumaMode mode : modes) {
       mem::set_numa_mode_override(mode);
       serve::Server sweep_server(sweep_config);
-      numa_reports.push_back(sweep_server.run(workload));
-      const serve::ServeReport& rep = numa_reports.back();
-
       NumaCell cell;
+      const serve::ServeReport rep =
+          run_costed(sweep_server, workload, cell.cold);
+      if (!baseline) baseline = rep;
+      cell.verified = matches(rep, *baseline);
+      for (int run = 0; run < kWarmRuns; ++run) {
+        const serve::ServeReport warm =
+            run_costed(sweep_server, workload, cell.warm);
+        cell.verified = cell.verified && matches(warm, *baseline);
+        cell.warm_rps = warm.metrics.throughput_rps;
+      }
+
       cell.mode = mem::to_string(mode);
       cell.rps = rep.metrics.throughput_rps;
       cell.rows_per_call = rep.metrics.rows_per_batched_call();
       cell.arena_reuse = rep.metrics.mem.arena_reuse_ratio();
       cell.arena_bytes = rep.metrics.mem.arena_bytes;
       cell.cross_node_rows = rep.metrics.mem.cross_node_rows;
-      // Placement moves memory and threads, never values: every mode must
-      // reproduce the kOff baseline bit-for-bit. Shed/degraded requests are
-      // timing-dependent lanes with no stable checksum, so skip indices where
-      // either run took one.
-      const serve::ServeReport& base = numa_reports.front();
-      cell.verified = rep.results.size() == base.results.size();
-      for (std::size_t i = 0; cell.verified && i < rep.results.size(); ++i) {
-        const serve::RequestResult& got = rep.results[i];
-        const serve::RequestResult& want = base.results[i];
-        if (got.shed || got.degraded || want.shed || want.degraded) continue;
-        cell.verified = got.hidden_checksum == want.hidden_checksum &&
-                        got.generated == want.generated;
-      }
       numa_gate_ok = numa_gate_ok && cell.verified;
       numa_cells.push_back(cell);
-      std::printf("%10s %9.1f %10.1f %7.3f %12zu %11zu %9s\n",
-                  cell.mode.c_str(), cell.rps, cell.rows_per_call,
+      std::printf("%10s %8.1f/%-8.1f %10.1f %7.3f %12zu %11zu %9ld/%-9ld %9s\n",
+                  cell.mode.c_str(), cell.rps, cell.warm_rps, cell.rows_per_call,
                   cell.arena_reuse, cell.arena_bytes,
                   static_cast<std::size_t>(cell.cross_node_rows),
+                  cell.cold.minor_faults, cell.warm.minor_faults,
                   cell.verified ? "yes" : "MISMATCH");
     }
     // Restore the mode the rest of the bench was launched under.
@@ -1210,6 +1289,7 @@ int main(int argc, char** argv) {
     cfg["kernel"] = kernels::active_name();
     doc["config"] = cfg;
     doc["metrics"] = report.metrics.to_json();
+    doc["run_cost"] = run_cost.to_json();
     common::Json::Object ver;
     ver["checked"] = verify;
     ver["bit_identical"] = verified;

@@ -9,6 +9,10 @@
 #include <unistd.h>
 #endif
 
+#ifdef HAAN_ARENA_POISONING
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "common/assert.hpp"
 #include "mem/topology.hpp"
 
@@ -30,6 +34,25 @@ std::size_t page_size() {
 
 std::size_t round_up(std::size_t bytes, std::size_t unit) {
   return (bytes + unit - 1) / unit * unit;
+}
+
+// ASan shadow bookkeeping; no-ops in uninstrumented builds.
+void poison(void* base, std::size_t bytes) {
+#ifdef HAAN_ARENA_POISONING
+  ASAN_POISON_MEMORY_REGION(base, bytes);
+#else
+  (void)base;
+  (void)bytes;
+#endif
+}
+
+void unpoison(void* base, std::size_t bytes) {
+#ifdef HAAN_ARENA_POISONING
+  ASAN_UNPOISON_MEMORY_REGION(base, bytes);
+#else
+  (void)base;
+  (void)bytes;
+#endif
 }
 
 #if defined(__linux__) && defined(SYS_mbind)
@@ -103,12 +126,16 @@ Arena::Slab Arena::map_slab(std::size_t min_bytes) {
   slab.base = static_cast<std::byte*>(
       ::operator new(size, std::align_val_t{page_size()}));
 #endif
+  poison(slab.base, size);
   stats_.reserved_bytes += size;
   return slab;
 }
 
 void Arena::unmap_slab(Slab& slab) {
   if (slab.base == nullptr) return;
+  // The shadow outlives the mapping: clear it so whatever maps this range
+  // next does not inherit the poison.
+  unpoison(slab.base, slab.size);
 #ifdef __linux__
   munmap(slab.base, slab.size);
 #else
@@ -130,6 +157,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t alignment) {
       stats_.used_bytes += (offset + bytes) - slab.used;
       slab.used = offset + bytes;
       stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.used_bytes);
+      unpoison(slab.base + offset, bytes);
       return slab.base + offset;
     }
   }
@@ -141,6 +169,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t alignment) {
   slab.used = bytes;
   stats_.used_bytes += bytes;
   stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.used_bytes);
+  unpoison(slab.base, bytes);
   return slab.base;
 }
 
@@ -156,8 +185,47 @@ void Arena::reset() {
     slabs_.clear();
     slabs_.push_back(map_slab(target));
   }
-  for (Slab& slab : slabs_) slab.used = 0;
+  for (Slab& slab : slabs_) {
+    poison(slab.base, slab.size);
+    slab.used = 0;
+  }
   stats_.used_bytes = 0;
+}
+
+std::unique_ptr<Arena> ArenaPool::acquire(const ArenaOptions& options) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!idle_.empty()) {
+      std::unique_ptr<Arena> arena = std::move(idle_.back());
+      idle_.pop_back();
+      return arena;
+    }
+    ++created_;
+  }
+  return std::make_unique<Arena>(options);
+}
+
+void ArenaPool::release(std::unique_ptr<Arena> arena) {
+  HAAN_EXPECTS(arena != nullptr && arena->stats().used_bytes == 0);
+  std::lock_guard<std::mutex> lock(mu_);
+  idle_.push_back(std::move(arena));
+}
+
+std::size_t ArenaPool::idle() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return idle_.size();
+}
+
+std::size_t ArenaPool::created() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return created_;
+}
+
+std::size_t ArenaPool::reserved_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t bytes = 0;
+  for (const auto& arena : idle_) bytes += arena->stats().reserved_bytes;
+  return bytes;
 }
 
 }  // namespace haan::mem

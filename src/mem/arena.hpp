@@ -14,13 +14,32 @@
 // (Tensor storage, KvCache layers, RowNormWorkspace) allocate from it
 // directly; do_deallocate is a no-op, which is exactly the right contract for
 // per-pack scratch that dies wholesale at reset().
+//
+// Under AddressSanitizer every slab is poisoned when it is mapped and again at
+// reset(), and allocate() unpoisons exactly the block it hands out, so a read
+// of a previous pack's (or a previous run's) scratch is reported as
+// use-after-poison instead of silently returning stale bytes.
+//
+// ArenaPool recycles whole arenas between owners: a serving Server keeps one
+// for session KV arenas and one for worker scratch arenas, so their mapped,
+// already-touched pages outlive any single run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <memory_resource>
+#include <mutex>
 #include <span>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define HAAN_ARENA_POISONING 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HAAN_ARENA_POISONING 1
+#endif
+#endif
 
 namespace haan::mem {
 
@@ -54,6 +73,24 @@ struct ArenaStats {
                ? 1.0
                : 1.0 - static_cast<double>(slab_allocations) /
                            static_cast<double>(allocations);
+  }
+
+  /// The counters (allocations, slab_allocations, resets) accrued since the
+  /// `before` sample of the same arena. The byte gauges are levels, not
+  /// counts, so they stay zero.
+  ArenaStats since(const ArenaStats& before) const {
+    ArenaStats delta;
+    delta.allocations = allocations - before.allocations;
+    delta.slab_allocations = slab_allocations - before.slab_allocations;
+    delta.resets = resets - before.resets;
+    return delta;
+  }
+
+  /// Adds `other`'s counters (not its byte gauges) into this one.
+  void add_counters(const ArenaStats& other) {
+    allocations += other.allocations;
+    slab_allocations += other.slab_allocations;
+    resets += other.resets;
   }
 };
 
@@ -110,6 +147,37 @@ class Arena final : public std::pmr::memory_resource {
   ArenaOptions options_;
   std::vector<Slab> slabs_;
   ArenaStats stats_;
+};
+
+/// Mutex-guarded LIFO of idle arenas. An owner checks an arena out with
+/// acquire(), resets it when done and hands it back with release(); the
+/// most recently released arena is the next one acquired, so its pages are
+/// the warmest. Arenas keep their consolidated slab while parked, so a
+/// recycled arena serves the same workload without mapping again.
+/// Thread-safe; the arenas themselves stay single-owner.
+class ArenaPool {
+ public:
+  /// Pops the most recently released arena, or builds a new one from
+  /// `options` when none is idle (options are ignored for a recycled arena).
+  std::unique_ptr<Arena> acquire(const ArenaOptions& options);
+
+  /// Parks `arena` for the next acquire(). The caller resets it first, so
+  /// the reset (and any consolidation) lands in the caller's accounting.
+  void release(std::unique_ptr<Arena> arena);
+
+  /// Arenas currently parked.
+  std::size_t idle() const;
+
+  /// Arenas built over the pool's lifetime (parked or checked out).
+  std::size_t created() const;
+
+  /// Σ reserved bytes of the parked arenas.
+  std::size_t reserved_bytes() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<Arena>> idle_;
+  std::size_t created_ = 0;
 };
 
 }  // namespace haan::mem

@@ -161,16 +161,25 @@ void RowPartitionPool::for_rows(std::size_t rows, std::size_t min_rows,
   work_cv_.notify_all();
 
   const auto [begin, count] = chunk_bounds(rows, chunks, 0);
-  {
+  std::exception_ptr error;
+  try {
     // Chunk 0 always runs inline on the calling thread; its span nests inside
     // whatever provider span is open there.
     HAAN_TRACE_SPAN("shard", "model", 0u, static_cast<std::uint32_t>(count));
     fn(0, begin, count);
+  } catch (...) {
+    error = std::current_exception();
   }
 
+  // The other chunks still reference `fn` and the caller's buffers: wait for
+  // them even when chunk 0 threw.
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return pending_ == 0; });
   job_ = nullptr;
+  if (error == nullptr) error = job_error_;
+  job_error_ = nullptr;
+  lock.unlock();
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 void RowPartitionPool::worker_main(std::size_t worker_index) {
@@ -199,15 +208,19 @@ void RowPartitionPool::worker_main(std::size_t worker_index) {
       obs::set_thread_name("rowpool-" + std::to_string(worker_index));
       track_named = true;
     }
-    {
+    std::exception_ptr error;
+    try {
       HAAN_TRACE_SPAN("shard", "model", static_cast<std::uint32_t>(chunk),
                       static_cast<std::uint32_t>(count));
       (*fn)(chunk, begin, count);
+    } catch (...) {
+      error = std::current_exception();
     }
     if (track_node && mem::current_node() != home_node_) {
       g_cross_node_rows.fetch_add(count, std::memory_order_relaxed);
     }
     lock.lock();
+    if (error != nullptr && job_error_ == nullptr) job_error_ = error;
     if (--pending_ == 0) done_cv_.notify_one();
   }
 }

@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -68,7 +69,8 @@ class RowPartitionPool {
   /// contiguous chunks of at least `min_rows` rows each (the last chunk may
   /// be larger); blocks until every chunk finished. Runs inline when the
   /// partition degenerates to one chunk. Chunk 0 always executes on the
-  /// calling thread.
+  /// calling thread. If a chunk throws, the rest still finish and the first
+  /// exception is rethrown to the caller.
   void for_rows(std::size_t rows, std::size_t min_rows, const ChunkFn& fn);
 
   /// Process-wide count of rows whose chunk executed on a different NUMA node
@@ -106,6 +108,7 @@ class RowPartitionPool {
   std::size_t job_rows_ = 0;
   std::size_t job_chunks_ = 0;
   std::size_t pending_ = 0;
+  std::exception_ptr job_error_;  ///< first exception a pool-thread chunk threw
   bool shutdown_ = false;
 };
 

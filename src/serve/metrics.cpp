@@ -124,6 +124,7 @@ common::Json ServeMetrics::to_json() const {
   out["max_kv_bytes"] = max_kv_bytes;
   out["shed_requests"] = shed_requests;
   out["rejected_requests"] = rejected_requests;
+  out["failed_requests"] = failed_requests;
   out["degraded_requests"] = degraded_requests;
   out["deadline_missed_requests"] = deadline_missed_requests;
   if (!per_priority.empty()) {
@@ -202,6 +203,10 @@ std::string ServeMetrics::to_string() const {
     out << "rejected         : " << rejected_requests
         << " requests the model cannot serve\n";
   }
+  if (failed_requests > 0) {
+    out << "failed           : " << failed_requests
+        << " requests whose pack's forward threw\n";
+  }
   if (shed_requests + degraded_requests + deadline_missed_requests > 0) {
     out << "sla outcomes     : shed " << shed_requests << ", degraded "
         << degraded_requests << ", deadline-missed " << deadline_missed_requests
@@ -247,6 +252,10 @@ void MetricsCollector::record(const RequestResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
   if (result.rejected) {
     ++rejected_;  // never queued: no latency, no priority slice
+    return;
+  }
+  if (result.failed) {
+    ++failed_;  // never finished a forward: no latency, no priority slice
     return;
   }
   PriorityBucket& bucket = priority_bucket(result.priority);
@@ -330,10 +339,7 @@ void MetricsCollector::add_norm_counters(const NormCounters& counters) {
 
 void MetricsCollector::add_arena_stats(const mem::ArenaStats& stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  arena_bytes_ += stats.reserved_bytes;
-  arena_allocations_ += stats.allocations;
-  arena_slab_allocations_ += stats.slab_allocations;
-  arena_resets_ += stats.resets;
+  arena_.add_counters(stats);
 }
 
 std::size_t MetricsCollector::completed() const {
@@ -374,6 +380,7 @@ ServeMetrics MetricsCollector::finalize(double wall_us) const {
   metrics.max_kv_bytes = max_kv_bytes_;
   metrics.shed_requests = shed_;
   metrics.rejected_requests = rejected_;
+  metrics.failed_requests = failed_;
   metrics.degraded_requests = degraded_;
   metrics.deadline_missed_requests = deadline_missed_;
   for (const auto& [priority, bucket] : per_priority_) {
@@ -385,10 +392,9 @@ ServeMetrics MetricsCollector::finalize(double wall_us) const {
     metrics.per_priority.emplace(priority, std::move(summary));
   }
   metrics.norm = norm_;
-  metrics.mem.arena_bytes = arena_bytes_;
-  metrics.mem.arena_allocations = arena_allocations_;
-  metrics.mem.arena_slab_allocations = arena_slab_allocations_;
-  metrics.mem.arena_resets = arena_resets_;
+  metrics.mem.arena_allocations = arena_.allocations;
+  metrics.mem.arena_slab_allocations = arena_.slab_allocations;
+  metrics.mem.arena_resets = arena_.resets;
   return metrics;
 }
 

@@ -63,26 +63,33 @@ struct KernelTuningInfo {
   common::Json to_json() const;
 };
 
-/// NUMA/arena placement accounting. Worker scratch-arena stats are folded in
-/// by workers at drain (MetricsCollector::add_arena_stats); the topology
-/// fields, KV arena usage, and the cross-node row delta are stamped by the
-/// server (it owns the SessionTable and the run's start/end counter samples).
-/// arena_* are all zero under HAAN_NUMA=off — the legacy allocator is in
-/// force and no arena exists.
+/// NUMA/arena placement accounting for ONE Server::run. The server's arenas
+/// (session KV and worker scratch) outlive a run, so the arena counters are
+/// per-run deltas: arena_allocations, arena_slab_allocations and
+/// arena_resets count only what this run's workers (folded in at drain via
+/// MetricsCollector::add_arena_stats) and its sessions (added by the server
+/// from the SessionTable) did. A steady-state run on a warm Server maps no
+/// slab at all. arena_bytes is a level, not a delta: the bytes the server's
+/// arena pools hold reserved when the run ends. The topology fields and the
+/// cross-node row delta are stamped by the server. arena_* are all zero
+/// under HAAN_NUMA=off — the legacy allocator is in force and no arena
+/// exists.
 struct MemPlacementInfo {
   std::string numa_mode;  ///< "off" | "auto" | "interleave"
   int nodes = 1;          ///< NUMA nodes the topology discovered
-  std::size_t arena_bytes = 0;  ///< Σ reserved slab bytes, scratch + KV arenas
-  std::uint64_t arena_allocations = 0;
-  std::uint64_t arena_slab_allocations = 0;  ///< allocations that mapped a new slab
-  std::uint64_t arena_resets = 0;
+  /// Σ reserved slab bytes of the server's scratch + KV arenas at run end.
+  std::size_t arena_bytes = 0;
+  std::uint64_t arena_allocations = 0;       ///< this run's allocate() calls
+  std::uint64_t arena_slab_allocations = 0;  ///< ...of which mapped a new slab
+  std::uint64_t arena_resets = 0;            ///< this run's reset() calls
   /// Rows whose row-partition chunk executed off its pool's home node during
   /// the run (0 on single-node hosts or with placement off).
   std::uint64_t cross_node_rows = 0;
 
-  /// Fraction of arena allocations served from already-mapped slabs. The
-  /// --numa-sweep gate requires this >= 0.95 after warmup: steady-state
-  /// serving should not be talking to the system allocator.
+  /// Fraction of this run's arena allocations served from already-mapped
+  /// slabs. The --numa-sweep gate requires this >= 0.95 on a fresh server's
+  /// first run: steady-state serving should not be talking to the system
+  /// allocator.
   double arena_reuse_ratio() const {
     return arena_allocations == 0
                ? 1.0
@@ -168,6 +175,10 @@ struct ServeMetrics {
   /// their prompt (RequestResult::rejected). Like shed requests they are not
   /// in `completed` or the latency histograms.
   std::size_t rejected_requests = 0;
+
+  /// Requests completed unserved because their pack's forward threw
+  /// (RequestResult::failed). Not in `completed` or the latency histograms.
+  std::size_t failed_requests = 0;
 
   /// Per-priority-class latency + SLA breakdown (key = Request.priority).
   std::map<int, PrioritySummary> per_priority;
@@ -260,9 +271,10 @@ class MetricsCollector {
   /// Accumulates one worker's provider counters at drain time.
   void add_norm_counters(const NormCounters& counters);
 
-  /// Accumulates one arena's lifetime stats (called by workers for their
-  /// scratch arenas at drain, and by the server for the session table's KV
-  /// arenas). Sums land in ServeMetrics::mem.
+  /// Accumulates arena counter growth (allocations, slab_allocations,
+  /// resets; byte gauges are ignored): called by workers for their scratch
+  /// arenas at drain, and by the server for the session table's KV arenas.
+  /// Sums land in ServeMetrics::mem.
   void add_arena_stats(const mem::ArenaStats& stats);
 
   /// Number of results recorded so far.
@@ -301,6 +313,7 @@ class MetricsCollector {
   std::map<int, PriorityBucket> per_priority_;
   std::size_t shed_ = 0;
   std::size_t rejected_ = 0;
+  std::size_t failed_ = 0;
   std::size_t degraded_ = 0;
   std::size_t deadline_missed_ = 0;
   std::uint64_t batch_count_ = 0;
@@ -317,10 +330,7 @@ class MetricsCollector {
   std::size_t kv_bytes_resident_ = 0;
   std::size_t max_kv_bytes_ = 0;
   NormCounters norm_;
-  std::size_t arena_bytes_ = 0;
-  std::uint64_t arena_allocations_ = 0;
-  std::uint64_t arena_slab_allocations_ = 0;
-  std::uint64_t arena_resets_ = 0;
+  mem::ArenaStats arena_;  ///< counters only
 };
 
 }  // namespace haan::serve

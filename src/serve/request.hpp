@@ -98,6 +98,8 @@ struct RequestResult {
                               ///< was empty, longer than the model's
                               ///< max_seq_len, or held a token outside its
                               ///< vocabulary (no forward ran)
+  bool failed = false;        ///< completed UNSERVED because its pack's
+                              ///< forward threw (checksum/hidden empty)
   bool deadline_missed = false;  ///< had a deadline and finished past it
 };
 

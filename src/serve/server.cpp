@@ -182,10 +182,11 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   StepSchedulerConfig step_config;
   step_config.batching = config_.scheduler;
   step_config.prefill_chunk = config_.prefill_chunk;
-  SessionTable sessions(config_.model);
+  SessionTable sessions(config_.model, kv_arenas_);
   StepScheduler scheduler(queue, sessions, step_config);
   WorkerPool pool(model_, scheduler, sessions,
-                  [this] { return make_provider(); }, metrics, pool_options);
+                  [this] { return make_provider(); }, metrics,
+                  scratch_arenas_, pool_options);
   // Cross-node rows are a process-global counter (pools are created and
   // destroyed with workers); the run's contribution is the delta.
   const std::uint64_t xnode_rows_base =
@@ -254,6 +255,9 @@ ServeReport Server::run(const std::vector<Request>& workload) {
                 return a.id < b.id;
               });
   }
+  // Worker scratch-arena growth arrived in the collector before join; the
+  // sessions' KV-arena growth lives in the session table.
+  metrics.add_arena_stats(sessions.arena_usage());
   report.metrics = metrics.finalize(wall_us);
   // The queue owns depth accounting under its own lock: the high watermark
   // (a feeder-side post-push sample can miss the true peak) and the
@@ -265,18 +269,15 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   report.metrics.kernel = kernel_tuning_info(config_.model);
   trace_kernel_choice(report.metrics.kernel);
 
-  // Placement accounting: worker scratch-arena stats arrived in the collector
-  // before join; KV arena usage lives in the session table, and the topology
-  // and cross-node delta are stamped here.
+  // Placement accounting: every arena is back in its pool by now, so the
+  // pools' reservation is the server's; the topology and cross-node delta
+  // are stamped here.
   report.metrics.mem.numa_mode = mem::to_string(mem::numa_mode());
   report.metrics.mem.nodes = static_cast<int>(mem::topology().nodes());
   report.metrics.mem.cross_node_rows =
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base;
-  const SessionTable::ArenaUsage usage = sessions.arena_usage();
-  report.metrics.mem.arena_bytes += usage.reserved_bytes;
-  report.metrics.mem.arena_allocations += usage.allocations;
-  report.metrics.mem.arena_slab_allocations += usage.slab_allocations;
-  report.metrics.mem.arena_resets += usage.resets;
+  report.metrics.mem.arena_bytes =
+      kv_arenas_.reserved_bytes() + scratch_arenas_.reserved_bytes();
   return report;
 }
 

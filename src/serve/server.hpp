@@ -14,6 +14,12 @@
 // prefill chunking and norm-thread count, because providers key per-position
 // state by packed row (unique per row, carrying exactly the per-sequence
 // anchor values) and every row kernel is row-wise.
+//
+// Serving memory lives as long as the Server, not one run: under placement
+// the Server owns two arena pools — session KV arenas and worker scratch
+// arenas — that every run borrows from and returns to, so a warm Server maps
+// and first-touches no new pages. The queue, session table, scheduler,
+// workers and metrics are still built per run.
 #pragma once
 
 #include <memory>
@@ -22,6 +28,7 @@
 
 #include "core/calibration.hpp"
 #include "core/provider_factory.hpp"
+#include "mem/arena.hpp"
 #include "model/transformer.hpp"
 #include "serve/metrics.hpp"
 #include "serve/step_scheduler.hpp"
@@ -129,6 +136,16 @@ class Server {
   /// max_seq_len, token outside the vocabulary) is never queued: it completes
   /// unserved with RequestResult::rejected set and counts in
   /// ServeMetrics::rejected_requests. run_reference rejects the same ones.
+  /// A pack whose forward throws completes its requests unserved with
+  /// RequestResult::failed set (ServeMetrics::failed_requests); the run goes
+  /// on.
+  ///
+  /// Overlapping calls on one Server are safe: each run builds its own
+  /// queue, scheduler, session table and workers, and the shared arena pools
+  /// are mutex-guarded, so concurrent runs simply check out distinct arenas.
+  /// Results stay bit-identical. Two per-run metrics are then approximate:
+  /// mem.arena_bytes counts only the arenas parked when the run ends, and
+  /// mem.cross_node_rows includes the other run's rows.
   ServeReport run(const std::vector<Request>& workload);
 
   /// Single-threaded in-order execution with one provider; no queue, no
@@ -151,6 +168,10 @@ class Server {
   ServerConfig config_;
   model::Transformer model_;
   core::ProviderOptions provider_options_;
+  /// Session KV arenas and worker scratch arenas, recycled across runs
+  /// (empty with placement off).
+  mem::ArenaPool kv_arenas_;
+  mem::ArenaPool scratch_arenas_;
 };
 
 }  // namespace haan::serve

@@ -17,10 +17,12 @@ std::size_t Session::next_rows(std::size_t prefill_chunk) const {
   return 1;
 }
 
-SessionTable::SessionTable(const model::ModelConfig& config)
+SessionTable::SessionTable(const model::ModelConfig& config,
+                           mem::ArenaPool& kv_pool)
     : n_blocks_(config.n_blocks),
       d_model_(config.d_model),
-      max_seq_len_(config.max_seq_len) {}
+      max_seq_len_(config.max_seq_len),
+      kv_pool_(kv_pool) {}
 
 Session* SessionTable::create(Request request) {
   HAAN_EXPECTS(!request.tokens.empty());
@@ -36,23 +38,16 @@ Session* SessionTable::create(Request request) {
   const std::size_t reserve_rows =
       request.tokens.size() + session->max_new_tokens;
   if (mem::placement_enabled()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!arena_pool_.empty()) {
-        session->kv_arena = std::move(arena_pool_.back());
-        arena_pool_.pop_back();
-      }
-    }
-    if (!session->kv_arena) {
-      mem::ArenaOptions opts;
-      // K + V per block, plus headroom for allocator rounding.
-      opts.initial_bytes =
-          n_blocks_ * 2 * reserve_rows * d_model_ * sizeof(float) + (64 << 10);
-      // node stays -1: pages are placed by first touch on the worker that
-      // prefills the session, which is where decode steps will read them.
-      opts.interleave = mem::numa_mode() == mem::NumaMode::kInterleave;
-      session->kv_arena = std::make_unique<mem::Arena>(opts);
-    }
+    mem::ArenaOptions opts;
+    // K + V per block, plus headroom for allocator rounding. A recycled arena
+    // ignores this and grows (then consolidates) if the session outsizes it.
+    opts.initial_bytes =
+        n_blocks_ * 2 * reserve_rows * d_model_ * sizeof(float) + (64 << 10);
+    // node stays -1: pages are placed by first touch on the worker that
+    // prefills the session, which is where decode steps will read them.
+    opts.interleave = mem::numa_mode() == mem::NumaMode::kInterleave;
+    session->kv_arena = kv_pool_.acquire(opts);
+    session->kv_arena_base = session->kv_arena->stats();
   }
   session->cache = model::KvCache(n_blocks_, d_model_, session->kv_arena.get(),
                                   reserve_rows);
@@ -68,7 +63,6 @@ Session* SessionTable::create(Request request) {
 
 void SessionTable::release(std::uint64_t id) {
   std::unique_ptr<Session> dead;
-  std::unique_ptr<mem::Arena> arena;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = sessions_.find(id);
@@ -79,13 +73,17 @@ void SessionTable::release(std::uint64_t id) {
   }
   // Destroy the session (and its cache) while the arena is still alive, then
   // reset the arena — consolidating it to one slab at its high watermark —
-  // and park it for the next create().
-  arena = std::move(dead->kv_arena);
+  // and return it to the pool for the next create().
+  std::unique_ptr<mem::Arena> arena = std::move(dead->kv_arena);
+  const mem::ArenaStats base = dead->kv_arena_base;
   dead.reset();
   if (arena) {
     arena->reset();
-    std::lock_guard<std::mutex> lock(mu_);
-    arena_pool_.push_back(std::move(arena));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_usage_.add_counters(arena->stats().since(base));
+    }
+    kv_pool_.release(std::move(arena));
   }
 }
 
@@ -115,21 +113,9 @@ std::size_t SessionTable::max_kv_bytes() const {
   return max_kv_bytes_;
 }
 
-SessionTable::ArenaUsage SessionTable::arena_usage() const {
-  ArenaUsage usage;
-  const auto add = [&usage](const mem::Arena& arena) {
-    const mem::ArenaStats& stats = arena.stats();
-    usage.reserved_bytes += stats.reserved_bytes;
-    usage.allocations += stats.allocations;
-    usage.slab_allocations += stats.slab_allocations;
-    usage.resets += stats.resets;
-  };
+mem::ArenaStats SessionTable::arena_usage() const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, session] : sessions_) {
-    if (session->kv_arena) add(*session->kv_arena);
-  }
-  for (const auto& arena : arena_pool_) add(*arena);
-  return usage;
+  return released_usage_;
 }
 
 }  // namespace haan::serve

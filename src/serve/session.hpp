@@ -27,11 +27,16 @@ struct Session {
   Request request;
 
   /// Backing storage for `cache` under HAAN_NUMA=auto/interleave: a bump
-  /// arena sized for the session's whole K/V footprint, recycled through the
-  /// SessionTable's pool when the session dies. Declared BEFORE `cache` so
-  /// the cache's pmr vectors are destroyed while their resource is alive.
-  /// Null with placement off (cache allocates from the heap as before).
+  /// arena sized for the session's whole K/V footprint, checked out of the
+  /// table's KV pool and returned to it when the session dies. Declared
+  /// BEFORE `cache` so the cache's pmr vectors are destroyed while their
+  /// resource is alive. Null with placement off (cache allocates from the
+  /// heap as before).
   std::unique_ptr<mem::Arena> kv_arena;
+
+  /// kv_arena's stats at checkout: the session's share of the arena
+  /// counters is the growth since this sample.
+  mem::ArenaStats kv_arena_base;
 
   model::KvCache cache;
 
@@ -84,13 +89,16 @@ struct Session {
 class SessionTable {
  public:
   /// `config` supplies KV cache shape and the max_seq_len decode clamp.
-  explicit SessionTable(const model::ModelConfig& config);
+  /// `kv_pool` supplies (and takes back) session KV arenas under placement;
+  /// it must outlive the table.
+  SessionTable(const model::ModelConfig& config, mem::ArenaPool& kv_pool);
 
   /// Admits a request: builds its KV cache, clamps max_new_tokens, stamps
   /// nothing. The returned pointer stays valid until release(id).
   Session* create(Request request);
 
-  /// Removes a finished session, un-charging its KV bytes.
+  /// Removes a finished session, un-charging its KV bytes and returning its
+  /// KV arena (reset) to the pool.
   void release(std::uint64_t id);
 
   std::size_t live() const;
@@ -107,15 +115,11 @@ class SessionTable {
   /// High watermark of kv_bytes_resident() over the table's lifetime.
   std::size_t max_kv_bytes() const;
 
-  /// Aggregate arena accounting across live sessions and the recycle pool
-  /// (all zero with placement off).
-  struct ArenaUsage {
-    std::size_t reserved_bytes = 0;
-    std::uint64_t allocations = 0;
-    std::uint64_t slab_allocations = 0;
-    std::uint64_t resets = 0;
-  };
-  ArenaUsage arena_usage() const;
+  /// KV arena counters (allocations, slab_allocations, resets) accrued by
+  /// the sessions this table has released — every session of a run once it
+  /// drains. Live sessions' arenas are not read: a worker may be writing
+  /// them. All zero with placement off.
+  mem::ArenaStats arena_usage() const;
 
  private:
   const std::size_t n_blocks_;
@@ -123,10 +127,11 @@ class SessionTable {
   const std::size_t max_seq_len_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  /// Arenas of dead sessions, reset and waiting for the next create(). Reuse
-  /// converges each arena to one slab at the largest session footprint seen,
-  /// so steady-state session churn performs zero system allocations for KV.
-  std::vector<std::unique_ptr<mem::Arena>> arena_pool_;
+  /// Arenas of dead sessions wait here for the next create(). Reuse converges
+  /// each arena to one slab at the largest session footprint seen, so
+  /// steady-state session churn performs zero system allocations for KV.
+  mem::ArenaPool& kv_pool_;
+  mem::ArenaStats released_usage_;  ///< counters only
   std::size_t kv_bytes_ = 0;
   std::size_t max_kv_bytes_ = 0;
 };

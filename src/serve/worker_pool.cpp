@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -46,16 +47,45 @@ void pin_worker_to_node(std::size_t worker_index) {
 #endif
 }
 
+/// The completion record of `request` as of `done`, with the fields every
+/// outcome (served, shed, failed) shares; callers fill in the rest.
+RequestResult result_for(const Request& request, std::size_t worker_index,
+                         std::uint64_t sequence, Clock::time_point done) {
+  RequestResult result;
+  result.id = request.id;
+  result.worker = worker_index;
+  result.batch = sequence;
+  result.prompt_len = request.tokens.size();
+  result.priority = request.priority;
+  result.tenant = request.tenant;
+  result.degraded = request.degraded;
+  result.queue_us = elapsed_us(request.enqueued_at, request.dequeued_at);
+  result.total_us = elapsed_us(request.enqueued_at, done);
+  return result;
+}
+
+std::string describe(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 }  // namespace
 
 WorkerPool::WorkerPool(const model::Transformer& model, StepScheduler& scheduler,
                        SessionTable& sessions, ProviderFactory provider_factory,
-                       MetricsCollector& metrics, Options options)
+                       MetricsCollector& metrics, mem::ArenaPool& scratch_pool,
+                       Options options)
     : model_(model),
       scheduler_(scheduler),
       sessions_(sessions),
       provider_factory_(std::move(provider_factory)),
       metrics_(metrics),
+      scratch_pool_(scratch_pool),
       options_(options) {
   HAAN_EXPECTS(options_.n_workers > 0);
   HAAN_EXPECTS(static_cast<bool>(provider_factory_));
@@ -64,7 +94,14 @@ WorkerPool::WorkerPool(const model::Transformer& model, StepScheduler& scheduler
 WorkerPool::~WorkerPool() { join(); }
 
 void WorkerPool::start() {
-  HAAN_EXPECTS(threads_.empty());
+  HAAN_EXPECTS(threads_.empty() && scratch_.empty());
+  if (mem::placement_enabled()) {
+    mem::ArenaOptions opts;
+    opts.interleave = mem::numa_mode() == mem::NumaMode::kInterleave;
+    for (std::size_t w = 0; w < options_.n_workers; ++w) {
+      scratch_.push_back(scratch_pool_.acquire(opts));
+    }
+  }
   threads_.reserve(options_.n_workers);
   for (std::size_t w = 0; w < options_.n_workers; ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -74,6 +111,11 @@ void WorkerPool::start() {
 void WorkerPool::join() {
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
+  }
+  // Reverse worker order, so the LIFO hands worker i the same arena next run.
+  while (!scratch_.empty()) {
+    scratch_pool_.release(std::move(scratch_.back()));
+    scratch_.pop_back();
   }
 }
 
@@ -95,23 +137,32 @@ void WorkerPool::push_result(RequestResult result) {
 void WorkerPool::record_shed(std::size_t worker_index, std::uint64_t sequence,
                              std::vector<Request>& shed) {
   for (Request& request : shed) {
-    const Clock::time_point done = Clock::now();
     obs::flow_end("req", "serve", request.id);
-    RequestResult result;
-    result.id = request.id;
-    result.worker = worker_index;
-    result.batch = sequence;
-    result.prompt_len = request.tokens.size();
-    result.priority = request.priority;
-    result.tenant = request.tenant;
-    result.degraded = request.degraded;
+    RequestResult result =
+        result_for(request, worker_index, sequence, Clock::now());
     result.shed = true;
     result.deadline_missed = true;  // shed fires only past the slack bound
-    result.queue_us = elapsed_us(request.enqueued_at, request.dequeued_at);
-    result.total_us = elapsed_us(request.enqueued_at, done);
     push_result(std::move(result));
   }
   shed.clear();
+}
+
+void WorkerPool::fail_pack(std::size_t worker_index, StepPack& pack,
+                           const std::exception_ptr& error) {
+  HAAN_LOG_WARN_C("serve") << "worker " << worker_index << ": pack "
+                           << pack.sequence << " failed (" << describe(error)
+                           << "); " << pack.entries.size()
+                           << " request(s) completed unserved";
+  for (const StepEntry& entry : pack.entries) {
+    Session& session = *entry.session;
+    obs::flow_end("req", "serve", session.request.id);
+    RequestResult result =
+        result_for(session.request, worker_index, pack.sequence, Clock::now());
+    result.batch_size = pack.entries.size();
+    result.failed = true;
+    push_result(std::move(result));
+    scheduler_.finish(&session);
+  }
 }
 
 void WorkerPool::worker_main(std::size_t worker_index) {
@@ -126,12 +177,10 @@ void WorkerPool::worker_main(std::size_t worker_index) {
   // and reset() recycles the whole lot between packs. Null with placement
   // off — Tensors fall through to the default heap resource, byte-for-byte
   // the legacy behavior.
-  std::unique_ptr<mem::Arena> scratch;
-  if (mem::placement_enabled()) {
-    mem::ArenaOptions opts;
-    opts.interleave = mem::numa_mode() == mem::NumaMode::kInterleave;
-    scratch = std::make_unique<mem::Arena>(opts);
-  }
+  mem::Arena* scratch =
+      scratch_.empty() ? nullptr : scratch_[worker_index].get();
+  const mem::ArenaStats scratch_base =
+      scratch != nullptr ? scratch->stats() : mem::ArenaStats{};
   const std::unique_ptr<model::NormProvider> provider = provider_factory_();
   HAAN_ASSERT(provider != nullptr);
   // The degrade lane's provider is built lazily: runs that never degrade
@@ -157,11 +206,16 @@ void WorkerPool::worker_main(std::size_t worker_index) {
     // degrade provider must not put its long-lived state in pack scratch.
     model::NormProvider& lane = lane_provider(pack->degraded);
     if (scratch) scratch->reset();
-    mem::ScratchScope scope(scratch.get());
+    mem::ScratchScope scope(scratch);
     execute_step_pack(worker_index, *pack, lane, span_pool);
   }
 
-  if (scratch) metrics_.add_arena_stats(scratch->stats());
+  if (scratch != nullptr) {
+    // Leave the arena reset (and consolidated) for its next run, and count
+    // only what this run added to its lifetime counters.
+    scratch->reset();
+    metrics_.add_arena_stats(scratch->stats().since(scratch_base));
+  }
 
   // End-of-stream: fold this worker's HAAN counters (both lanes) into the
   // shared metrics.
@@ -217,12 +271,15 @@ void WorkerPool::execute_step_pack(std::size_t worker_index, StepPack& pack,
 
   const Clock::time_point compute_start = Clock::now();
   tensor::Tensor hidden;
-  {
+  try {
     HAAN_TRACE_SPAN("forward", "serve", phase,
                     static_cast<std::uint32_t>(layout.total_rows()),
                     static_cast<std::uint32_t>(layout.sequences()));
     hidden = model_.forward_hidden_batch(sequences, layout, provider,
                                          &span_pool, caches);
+  } catch (...) {
+    fail_pack(worker_index, pack, std::current_exception());
+    return;
   }
   const Clock::time_point done = Clock::now();
   const double compute_us = elapsed_us(compute_start, done);
@@ -276,23 +333,14 @@ void WorkerPool::execute_step_pack(std::size_t worker_index, StepPack& pack,
       HAAN_TRACE_SPAN("complete", "serve",
                       static_cast<std::uint32_t>(session.request.id));
       obs::flow_end("req", "serve", session.request.id);
-      RequestResult result;
-      result.id = session.request.id;
-      result.worker = worker_index;
-      result.batch = pack.sequence;
+      RequestResult result =
+          result_for(session.request, worker_index, pack.sequence, done);
       result.batch_size = n;
-      result.prompt_len = session.prompt_len();
       result.hidden_checksum = session.hidden_hash;
       result.generated = std::move(session.generated);
       result.ttft_us = session.ttft_us;
       result.hidden = std::move(session.hidden);
-      result.queue_us =
-          elapsed_us(session.request.enqueued_at, session.request.dequeued_at);
       result.compute_us = session.compute_us;
-      result.total_us = elapsed_us(session.request.enqueued_at, done);
-      result.priority = session.request.priority;
-      result.tenant = session.request.tenant;
-      result.degraded = session.request.degraded;
       result.deadline_missed = session.request.deadline_us > 0.0 &&
                                result.total_us > session.request.deadline_us;
       push_result(std::move(result));

@@ -8,14 +8,20 @@
 // pack, because every provider resets its per-sequence state in
 // begin_sequence(), packed rows carry per-row predictor state, and each
 // session's KV cache carries its attention state across steps.
+//
+// Each pack is an exception boundary: a forward that throws (say, a failing
+// provider) completes that pack's sessions unserved (RequestResult::failed)
+// and the worker keeps serving the rest.
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "mem/arena.hpp"
 #include "model/norm_provider.hpp"
 #include "model/transformer.hpp"
 #include "serve/metrics.hpp"
@@ -49,23 +55,31 @@ class WorkerPool {
   /// Workers are created by start(); the pool must outlive its threads.
   /// Workers pull step packs, execute each as one packed incremental
   /// forward, then requeue or retire every session aboard. `sessions` must be
-  /// the table `scheduler` admits into; `model`, `scheduler`, `sessions` and
-  /// `metrics` must outlive the pool.
+  /// the table `scheduler` admits into. Under placement each worker's
+  /// per-pack scratch arena is checked out of `scratch_pool` by start() and
+  /// returned by join(). `model`, `scheduler`, `sessions`, `metrics` and
+  /// `scratch_pool` must outlive the pool.
   WorkerPool(const model::Transformer& model, StepScheduler& scheduler,
              SessionTable& sessions, ProviderFactory provider_factory,
-             MetricsCollector& metrics, Options options);
+             MetricsCollector& metrics, mem::ArenaPool& scratch_pool,
+             Options options);
 
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Launches the worker threads.
+  /// Checks out one scratch arena per worker (under placement) and launches
+  /// the worker threads. Arenas are taken in worker order and join() returns
+  /// them in reverse, so with the pool's LIFO order worker i gets the same
+  /// arena on every run of a fixed-size pool — its pages stay where that
+  /// worker first touched them.
   void start();
 
   /// Blocks until every worker has exited (the scheduler's queue was closed
-  /// and drained). Each worker's provider counters are folded into the
-  /// metrics collector as it exits.
+  /// and drained), then returns the scratch arenas to the pool. Each
+  /// worker's provider counters and its scratch arena's counter growth are
+  /// folded into the metrics collector as it exits.
   void join();
 
   /// Moves out all accumulated results, sorted by request id. Call after
@@ -91,13 +105,22 @@ class WorkerPool {
   void record_shed(std::size_t worker_index, std::uint64_t sequence,
                    std::vector<Request>& shed);
 
+  /// Completes every session of a pack whose forward threw as an unserved
+  /// result (failed=true) and retires it. The sessions are finished, not
+  /// requeued: their KV caches hold rows of the aborted step.
+  void fail_pack(std::size_t worker_index, StepPack& pack,
+                 const std::exception_ptr& error);
+
   const model::Transformer& model_;
   StepScheduler& scheduler_;
   SessionTable& sessions_;
   ProviderFactory provider_factory_;
   MetricsCollector& metrics_;
+  mem::ArenaPool& scratch_pool_;
   Options options_;
 
+  /// Scratch arena per worker, indexed by worker; empty with placement off.
+  std::vector<std::unique_ptr<mem::Arena>> scratch_;
   std::vector<std::thread> threads_;
   std::mutex results_mu_;
   std::vector<RequestResult> results_;

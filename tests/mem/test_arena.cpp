@@ -2,17 +2,23 @@
 // (reuse-after-reset bit-identity of the data path, watermark growth and slab
 // consolidation, reuse_ratio convergence), the pmr memory_resource contract
 // consumed by Tensor/KvCache/RowNormWorkspace, node/interleave binding as a
-// crash-free hint, and the thread-local ScratchScope routing with
-// HAAN_NUMA=off falling back to the legacy heap path.
+// crash-free hint, the thread-local ScratchScope routing with
+// HAAN_NUMA=off falling back to the legacy heap path, the ArenaPool that
+// recycles whole arenas, and (ASan builds) poisoning of reset scratch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "mem/arena.hpp"
 #include "mem/scratch.hpp"
 #include "mem/topology.hpp"
+
+#ifdef HAAN_ARENA_POISONING
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace haan::mem {
 namespace {
@@ -80,6 +86,84 @@ TEST(Arena, WatermarkGrowthConsolidatesAndReuseConverges) {
   EXPECT_EQ(steady.used_bytes, 0u);  // just reset
   EXPECT_EQ(steady.allocations, 33u * 8u);
 }
+
+TEST(Arena, StatsSinceCountsOnlyGrowth) {
+  Arena arena(ArenaOptions{std::size_t{1} << 12});
+  arena.allocate(std::size_t{1} << 14);
+  arena.reset();
+  const ArenaStats before = arena.stats();
+  arena.allocate(64);
+  arena.allocate(64);
+  arena.reset();
+  const ArenaStats delta = arena.stats().since(before);
+  EXPECT_EQ(delta.allocations, 2u);
+  EXPECT_EQ(delta.slab_allocations, 0u);  // the consolidated slab fits
+  EXPECT_EQ(delta.resets, 1u);
+  EXPECT_EQ(delta.reserved_bytes, 0u);  // levels are not deltas
+
+  ArenaStats sum;
+  sum.add_counters(delta);
+  sum.add_counters(delta);
+  EXPECT_EQ(sum.allocations, 4u);
+  EXPECT_EQ(sum.resets, 2u);
+}
+
+TEST(ArenaPool, RecyclesLastReleasedArenaWithItsSlab) {
+  ArenaPool pool;
+  std::unique_ptr<Arena> a = pool.acquire(ArenaOptions{std::size_t{1} << 16});
+  std::unique_ptr<Arena> b = pool.acquire(ArenaOptions{std::size_t{1} << 16});
+  EXPECT_EQ(pool.created(), 2u);
+  EXPECT_EQ(pool.idle(), 0u);
+  void* a_block = a->allocate(std::size_t{1} << 18);  // maps a 256 KiB slab
+  const Arena* a_raw = a.get();
+  const Arena* b_raw = b.get();
+  a->reset();
+  b->reset();
+  const std::size_t a_reserved = a->stats().reserved_bytes;
+  pool.release(std::move(b));
+  pool.release(std::move(a));
+  EXPECT_EQ(pool.idle(), 2u);
+  EXPECT_EQ(pool.reserved_bytes(), a_reserved + b_raw->stats().reserved_bytes);
+
+  // LIFO: the most recently released arena comes back first, consolidated,
+  // so the same workload lands on the same bytes without mapping again.
+  std::unique_ptr<Arena> again = pool.acquire(ArenaOptions{});
+  EXPECT_EQ(again.get(), a_raw);
+  const std::uint64_t slabs = again->stats().slab_allocations;
+  EXPECT_EQ(again->allocate(std::size_t{1} << 18), a_block);
+  EXPECT_EQ(again->stats().slab_allocations, slabs);
+  EXPECT_EQ(pool.acquire(ArenaOptions{}).get(), b_raw);
+  EXPECT_EQ(pool.created(), 2u);
+  EXPECT_EQ(pool.idle(), 0u);
+  EXPECT_EQ(pool.reserved_bytes(), 0u);
+}
+
+#ifdef HAAN_ARENA_POISONING
+TEST(ArenaDeathTest, ReadAfterResetIsReportedUnderAsan) {
+  // Reset poisons the slab: a read of the previous cycle's scratch is a
+  // use-after-poison report, not a silent stale value.
+  EXPECT_DEATH(
+      {
+        Arena arena;
+        std::span<float> block = arena.allocate_span<float>(256);
+        block[7] = 1.0f;
+        arena.reset();
+        volatile float stale = block[7];
+        (void)stale;
+      },
+      "use-after-poison");
+}
+
+TEST(Arena, AllocateUnpoisonsOnlyTheBlock) {
+  Arena arena;
+  std::span<char> block = arena.allocate_span<char>(40);
+  EXPECT_FALSE(__asan_address_is_poisoned(block.data()));
+  EXPECT_FALSE(__asan_address_is_poisoned(block.data() + 39));
+  EXPECT_TRUE(__asan_address_is_poisoned(block.data() + 4096));
+  arena.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(block.data()));
+}
+#endif
 
 TEST(Arena, NodeAndInterleaveBindingAreCrashFreeHints) {
   // mbind failures (sandbox, single node, bogus node id) are ignored by

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace haan::model {
@@ -69,6 +70,30 @@ TEST(RowPartitionPool, ReusableAcrossManyDispatches) {
     });
   }
   EXPECT_EQ(total.load(), 200u * 64u);
+}
+
+TEST(RowPartitionPool, ChunkExceptionReachesCallerAfterEveryChunkFinished) {
+  // Whichever chunk throws (inline chunk 0 or a pool thread's), the other
+  // chunks still run to completion before for_rows rethrows, and the pool
+  // keeps serving afterwards.
+  RowPartitionPool pool(4);
+  for (const std::size_t bad_chunk : {0u, 2u}) {
+    std::atomic<std::size_t> rows_done{0};
+    EXPECT_THROW(
+        pool.for_rows(64, 1,
+                      [&](std::size_t chunk, std::size_t, std::size_t nr) {
+                        if (chunk == bad_chunk) throw std::runtime_error("chunk");
+                        rows_done.fetch_add(nr);
+                      }),
+        std::runtime_error)
+        << "chunk " << bad_chunk;
+    EXPECT_EQ(rows_done.load(), 48u) << "chunk " << bad_chunk;
+  }
+  std::atomic<std::size_t> total{0};
+  pool.for_rows(64, 1, [&](std::size_t, std::size_t, std::size_t nr) {
+    total.fetch_add(nr);
+  });
+  EXPECT_EQ(total.load(), 64u);
 }
 
 TEST(RowPartitionPool, SmallBlocksRunInlineAsOneChunk) {

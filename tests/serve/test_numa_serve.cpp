@@ -3,8 +3,9 @@
 // provider x prefill chunking x thread count must produce bit-identical
 // results under HAAN_NUMA=off, auto and interleave — and match the
 // single-threaded reference oracle. Also covers the arena stats surfaced in
-// ServeMetrics (zero under off, live under auto) and the logical-bytes KV
-// accounting that keeps residency metrics comparable across modes.
+// ServeMetrics (zero under off, live under auto, per-run deltas on a reused
+// Server) and the logical-bytes KV accounting that keeps residency metrics
+// comparable across modes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -195,6 +196,35 @@ TEST(NumaServe, ArenaStatsZeroUnderOffAndLiveUnderAuto) {
     EXPECT_NE(json.find("arena_reuse_ratio"), std::string::npos);
     EXPECT_NE(json.find("cross_node_rows"), std::string::npos);
   }
+}
+
+TEST(NumaServe, RepeatRunsOnOneServerReuseItsArenas) {
+  // The Server's arenas outlive run(): once warm, a run maps no new slab,
+  // its arena counters are this run's alone, and its outputs match the
+  // first run's bit for bit. One session per pack keeps the arena footprint
+  // a pure function of the workload, so "warm" is reached by the second run.
+  NumaModeGuard guard(mem::NumaMode::kAuto);
+  auto config = numa_server("haan", 1);
+  config.scheduler.max_batch = 1;
+  const auto workload =
+      ragged_workload(12, config.model.vocab_size, /*max_new=*/3);
+  Server server(config);
+  const ServeReport first = server.run(workload);
+  const ServeReport second = server.run(workload);
+  const ServeReport third = server.run(workload);
+
+  EXPECT_GT(first.metrics.mem.arena_slab_allocations, 0u);
+  EXPECT_EQ(third.metrics.mem.arena_slab_allocations, 0u);
+  EXPECT_DOUBLE_EQ(third.metrics.mem.arena_reuse_ratio(), 1.0);
+  // Deltas, not lifetime totals: every run does the same work.
+  EXPECT_EQ(third.metrics.mem.arena_allocations,
+            second.metrics.mem.arena_allocations);
+  EXPECT_EQ(third.metrics.mem.arena_resets, second.metrics.mem.arena_resets);
+  EXPECT_GT(third.metrics.mem.arena_resets, 0u);
+  // The reservation is held, not re-mapped.
+  EXPECT_GT(third.metrics.mem.arena_bytes, 0u);
+  EXPECT_EQ(third.metrics.mem.arena_bytes, second.metrics.mem.arena_bytes);
+  expect_bit_identical(third, first);
 }
 
 TEST(NumaServe, KvCacheLogicalBytesIgnoreArenaCapacity) {

@@ -297,7 +297,8 @@ std::vector<std::uint64_t> retire(StepScheduler& scheduler, const StepPack& pack
 
 TEST(PolicyStepScheduler, BinnedFormsBinPurePacks) {
   RequestQueue queue(16);
-  SessionTable sessions(model::tiny_test_model());
+  mem::ArenaPool kv_pool;
+  SessionTable sessions(model::tiny_test_model(), kv_pool);
   // Alternating short/long prompts: FIFO would form ragged packs; binned
   // groups each pack from one length bin.
   for (std::uint64_t id = 0; id < 8; ++id) {
@@ -323,7 +324,8 @@ TEST(PolicyStepScheduler, BinnedFormsBinPurePacks) {
 
 TEST(PolicyStepScheduler, EdfServesUrgentRequestsFirst) {
   RequestQueue queue(16);
-  SessionTable sessions(model::tiny_test_model());
+  mem::ArenaPool kv_pool;
+  SessionTable sessions(model::tiny_test_model(), kv_pool);
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 4; ++id) {
     Request request = make_request(id, 8, now);
@@ -343,7 +345,8 @@ TEST(PolicyStepScheduler, EdfServesUrgentRequestsFirst) {
 
 TEST(PolicyStepScheduler, RowBudgetClosesPacks) {
   RequestQueue queue(16);
-  SessionTable sessions(model::tiny_test_model());
+  mem::ArenaPool kv_pool;
+  SessionTable sessions(model::tiny_test_model(), kv_pool);
   for (std::uint64_t id = 0; id < 5; ++id) ASSERT_TRUE(queue.push(make_request(id, 4)));
   queue.close();
 
@@ -364,7 +367,8 @@ TEST(PolicyStepScheduler, RowBudgetClosesPacks) {
 
 TEST(PolicyStepScheduler, ShedRequestsRideOutInPackShed) {
   RequestQueue queue(16);
-  SessionTable sessions(model::tiny_test_model());
+  mem::ArenaPool kv_pool;
+  SessionTable sessions(model::tiny_test_model(), kv_pool);
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 2; ++id) {
     Request missed = make_request(id, 8, now - std::chrono::milliseconds(10));
@@ -391,7 +395,8 @@ TEST(PolicyStepScheduler, ShedRequestsRideOutInPackShed) {
 
 TEST(PolicyStepScheduler, DegradedAndNormalRequestsNeverShareAPack) {
   RequestQueue queue(16);
-  SessionTable sessions(model::tiny_test_model());
+  mem::ArenaPool kv_pool;
+  SessionTable sessions(model::tiny_test_model(), kv_pool);
   const auto now = Clock::now();
   for (std::uint64_t id = 0; id < 2; ++id) {
     Request tight = make_request(id, 8, now);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 namespace haan::serve {
 namespace {
@@ -180,6 +181,32 @@ TEST_P(ServerParity, SkipPlanActiveOnDeepModel) {
 INSTANTIATE_TEST_SUITE_P(PrefillChunk, ServerParity,
                          ::testing::Values(std::size_t{0}, std::size_t{1},
                                            std::size_t{2}));
+
+TEST(Server, OverlappingRunsOnOneServerStayBitIdentical) {
+  // run() is documented safe to overlap: each run has its own queue,
+  // scheduler, sessions and workers, and the shared arena pools hand
+  // concurrent runs distinct arenas.
+  Server server(tiny_server("haan", 2));
+  const auto workload =
+      generate_workload(small_workload(24, server.config().model));
+  const auto reference = server.run_reference(workload);
+
+  ServeReport reports[2];
+  std::thread other([&] { reports[1] = server.run(workload); });
+  reports[0] = server.run(workload);
+  other.join();
+
+  for (const ServeReport& report : reports) {
+    ASSERT_EQ(report.results.size(), reference.results.size());
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
+      EXPECT_EQ(report.results[i].hidden_checksum,
+                reference.results[i].hidden_checksum)
+          << "request " << i;
+      EXPECT_EQ(report.results[i].hidden, reference.results[i].hidden)
+          << "request " << i;
+    }
+  }
+}
 
 TEST(Server, ExactProviderReportsZeroNormCounters) {
   Server server(tiny_server("exact", 2));
