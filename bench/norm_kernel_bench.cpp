@@ -4,9 +4,10 @@
 // pre-kernel-layer baseline. The JSON report is the anchor recorded in
 // bench/kernel_baseline.json; --min-speedup gates CI on the fused vectorized
 // residual_add_rmsnorm at d=4096 staying ahead of the seed path. The report
-// also carries linear GMAC/s and softmax / SiLU ns/element per backend; the
-// run fails if any backend's linear, softmax or SiLU output differs from the
-// scalar reference by a single bit.
+// also carries linear GMAC/s, softmax / SiLU ns/element and causal attention
+// ns/query row per backend; the run fails if any backend's linear, softmax,
+// SiLU or causal attention output differs from the scalar reference by a
+// single bit.
 //
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <chrono>
@@ -484,6 +485,61 @@ int main(int argc, char** argv) {
     exp_results.push_back(entry);
   }
 
+  // --- Causal attention: one head's causal_attention call at the two
+  // perfbench shapes — a prefill_offline prompt block (d_head 16, 144 rows
+  // from position 0) and a chat_decode step (d_head 24, one row at position
+  // 64) — in ns per query row per backend. Gated on identity only. ---------
+  struct AttentionShape {
+    std::size_t d_head, rows, start;
+  };
+  const AttentionShape attention_shapes[] = {{16, 144, 0}, {24, 1, 64}};
+  common::Json::Array attention_results;
+  bool attention_identical = true;
+  std::printf("--- causal_attention, ns per query row per backend ---\n");
+  for (const AttentionShape& shape : attention_shapes) {
+    const std::size_t keys = shape.start + shape.rows;
+    std::vector<float> q(shape.rows * shape.d_head);
+    std::vector<float> k(keys * shape.d_head), v(keys * shape.d_head);
+    common::Rng rng(keys * shape.d_head);
+    rng.fill_gaussian(q, 0.0, 1.0);
+    rng.fill_gaussian(k, 0.0, 1.0);
+    rng.fill_gaussian(v, 0.0, 1.0);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(shape.d_head));
+    std::vector<float> out(q.size()), reference;
+    common::Json::Object ns_per_row;
+    std::printf("d_head=%3zu rows=%3zu start=%3zu ", shape.d_head, shape.rows,
+                shape.start);
+    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
+      const auto run = [&] {
+        table->causal_attention(q.data(), shape.rows, k.data(), v.data(),
+                                shape.d_head, shape.d_head, shape.start, scale,
+                                out.data());
+        sink(out[0]);
+      };
+      run();
+      if (reference.empty()) {
+        reference = out;
+      } else if (std::memcmp(reference.data(), out.data(),
+                             out.size() * sizeof(float)) != 0) {
+        std::fprintf(stderr, "FAIL: %s causal_attention differs from %s at "
+                     "d_head=%zu rows=%zu start=%zu\n", table->name,
+                     kernels::supported_kernels().front()->name, shape.d_head,
+                     shape.rows, shape.start);
+        attention_identical = false;
+      }
+      const double ns = time_ns_per_element(run, shape.rows, target_ms);
+      ns_per_row[table->name] = ns;
+      std::printf(" %s %8.1f", table->name, ns);
+    }
+    std::printf(" ns/row\n");
+    common::Json::Object entry;
+    entry["d_head"] = shape.d_head;
+    entry["rows"] = shape.rows;
+    entry["start_position"] = shape.start;
+    entry["ns_per_row"] = ns_per_row;
+    attention_results.push_back(entry);
+  }
+
   common::Json::Object doc;
   doc["bench"] = "norm_kernel_bench";
   doc["active_kernel"] = kernels::active_name();
@@ -503,6 +559,8 @@ int main(int argc, char** argv) {
   doc["linear_bit_identical"] = linear_identical;
   doc["exp_kernels"] = exp_results;
   doc["exp_kernels_bit_identical"] = exp_identical;
+  doc["attention_kernels"] = attention_results;
+  doc["attention_kernels_bit_identical"] = attention_identical;
 
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
@@ -528,6 +586,6 @@ int main(int argc, char** argv) {
                  rowblock_speedup_4096x64, min_rowblock_speedup);
     return 1;
   }
-  if (!linear_identical || !exp_identical) return 1;
+  if (!linear_identical || !exp_identical || !attention_identical) return 1;
   return 0;
 }

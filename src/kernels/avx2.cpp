@@ -14,8 +14,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -313,7 +315,8 @@ void quantize_dequantize_rows_avx2(float* x, std::size_t rows, std::size_t d,
 }
 
 // --- Matmul kernels (exact-order contract, see kernels.hpp) ---------------
-// Lanes run across outputs (linear) or keys (attention_scores); every lane is
+// Lanes run across outputs (linear), keys or query rows (causal attention,
+// below the exp kernels, whose softmax it runs); every lane is
 // one output's own double accumulator stepping through the reduction index in
 // ascending order, so the FMA chain rounds exactly like the scalar loop.
 
@@ -434,51 +437,6 @@ void linear_avx2(const float* x, std::size_t n, std::size_t in, const float* w,
   }
 }
 
-void attention_scores_avx2(const float* q, std::size_t d_head, const float* kt,
-                           std::size_t ld, std::size_t ctx, float scale,
-                           float* scores) {
-  constexpr std::size_t kLanes = 4;  // 4 x 4 keys in flight per query row
-  const __m128 scale_v = _mm_set1_ps(scale);
-  for (std::size_t j = 0; j < ctx; j += 4 * kLanes) {
-    __m128i m[kLanes];
-    __m256d acc[kLanes];
-#pragma GCC unroll 8
-    for (std::size_t s = 0; s < kLanes; ++s) {
-      const std::size_t start = j + 4 * s;
-      m[s] = _mm256_castsi256_si128(lane_mask8(start < ctx ? ctx - start : 0));
-      acc[s] = _mm256_setzero_pd();
-    }
-    for (std::size_t c = 0; c < d_head; ++c) {
-      const __m256d qc = _mm256_set1_pd(static_cast<double>(q[c]));
-      const float* row = kt + c * ld + j;
-#pragma GCC unroll 8
-      for (std::size_t s = 0; s < kLanes; ++s) {
-        const __m256d k = _mm256_cvtps_pd(_mm_maskload_ps(row + 4 * s, m[s]));
-        acc[s] = _mm256_fmadd_pd(qc, k, acc[s]);
-      }
-    }
-#pragma GCC unroll 8
-    for (std::size_t s = 0; s < kLanes; ++s) {
-      _mm_maskstore_ps(scores + j + 4 * s, m[s],
-                       _mm_mul_ps(scale_v, _mm256_cvtpd_ps(acc[s])));
-    }
-  }
-}
-
-void attention_context_avx2(const float* p, std::size_t ctx, const float* v,
-                            std::size_t ld, std::size_t d_head, float* out) {
-  for (std::size_t c = 0; c < d_head; c += 8) {
-    const __m256i m = lane_mask8(d_head - c);
-    __m256 acc = _mm256_maskload_ps(out + c, m);
-    for (std::size_t j = 0; j < ctx; ++j) {
-      if (p[j] == 0.0f) continue;
-      const __m256 vj = _mm256_maskload_ps(v + j * ld + c, m);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(p[j]), vj));
-    }
-    _mm256_maskstore_ps(out + c, m, acc);
-  }
-}
-
 // --- Exp kernels -----------------------------------------------------------
 // Four double lanes per expf_model4 call, each lane one step of the scalar
 // expf model (kernels/expf_model.hpp), so every lane rounds exactly like
@@ -595,6 +553,333 @@ void silu_avx2(float* v, std::size_t n) {
   }
 }
 
+// --- Causal attention (exact-order contract, see kernels.hpp) --------------
+// The AVX-512 backend's two shapes at half the width: a tile of kTileRows
+// query rows puts one row in each lane, every lane keeping its row's exact
+// order, and a tile with few live rows (decode steps) runs the per-row
+// kernels, lanes across keys or columns.
+
+/// One query row's scores against keys stored transposed (kt is d_head x ld,
+/// key j in column j): scores[j] = scale * (float)(Σ_c q[c] * kt[c*ld + j]),
+/// lanes across keys.
+void attention_scores_row(const float* q, std::size_t d_head, const float* kt,
+                          std::size_t ld, std::size_t ctx, float scale,
+                          float* scores) {
+  constexpr std::size_t kLanes = 4;  // 4 x 4 keys in flight per query row
+  const __m128 scale_v = _mm_set1_ps(scale);
+  for (std::size_t j = 0; j < ctx; j += 4 * kLanes) {
+    __m128i m[kLanes];
+    __m256d acc[kLanes];
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      const std::size_t start = j + 4 * s;
+      m[s] = _mm256_castsi256_si128(lane_mask8(start < ctx ? ctx - start : 0));
+      acc[s] = _mm256_setzero_pd();
+    }
+    for (std::size_t c = 0; c < d_head; ++c) {
+      const __m256d qc = _mm256_set1_pd(static_cast<double>(q[c]));
+      const float* row = kt + c * ld + j;
+#pragma GCC unroll 8
+      for (std::size_t s = 0; s < kLanes; ++s) {
+        const __m256d k = _mm256_cvtps_pd(_mm_maskload_ps(row + 4 * s, m[s]));
+        acc[s] = _mm256_fmadd_pd(qc, k, acc[s]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      _mm_maskstore_ps(scores + j + 4 * s, m[s],
+                       _mm_mul_ps(scale_v, _mm256_cvtpd_ps(acc[s])));
+    }
+  }
+}
+
+/// One attention row's P·V: out[c] = +0.0f, then out[c] += p[j] * v[j*ld + c]
+/// over j ascending, skipping p[j] == 0.0f; lanes across c.
+void attention_context_row(const float* p, std::size_t ctx, const float* v,
+                           std::size_t ld, std::size_t d_head, float* out) {
+  for (std::size_t c = 0; c < d_head; c += 8) {
+    const __m256i m = lane_mask8(d_head - c);
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t j = 0; j < ctx; ++j) {
+      if (p[j] == 0.0f) continue;
+      const __m256 vj = _mm256_maskload_ps(v + j * ld + c, m);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(p[j]), vj));
+    }
+    _mm256_maskstore_ps(out + c, m, acc);
+  }
+}
+
+/// Query rows per tile: one row per float lane.
+constexpr std::size_t kTileRows = 8;
+/// Tiles with fewer live rows run the per-row kernels. A tile costs about the
+/// same whatever its live-row count; measured on an AVX-512 host running this
+/// table (d_head 16 and 24, 1 to 176 keys), the per-row kernels are faster
+/// below this count.
+constexpr std::size_t kMinTileRows = 4;
+/// Keys whose score chains run side by side in one tile step: 8 FMA chains.
+constexpr std::size_t kScoreKeys = 4;
+
+/// Per-thread scratch of causal_attention_avx2, grown on demand.
+struct AttentionScratch {
+  std::vector<double> kd;     // K in double, key j at kd[j*d_head]
+  std::vector<double> qt;     // a tile's Q transposed: qt[c*8 + lane]
+  std::vector<float> w;       // a tile's scores, then weights: w[j*8 + lane]
+  std::vector<float> kt;      // K transposed for the per-row kernels
+  std::vector<float> scores;  // one row's scores for the per-row kernels
+};
+
+/// The lanes of a tile whose first row sits at first_pos that attend key j:
+/// lane i attends j when j <= first_pos + i.
+inline __m256i causal_lanes(std::size_t j, std::size_t first_pos,
+                            __m256i live) {
+  return j <= first_pos
+             ? live
+             : _mm256_andnot_si256(lane_mask8(j - first_pos), live);
+}
+
+inline __m256 blend(__m256 a, __m256 b, __m256i mask) {
+  return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(mask));
+}
+
+/// Scores of keys [j, j + KB) for every lane of a tile, folded into the
+/// lane-wise running max.
+template <std::size_t KB>
+inline void tile_scores(const double* qt, const double* kd, std::size_t d_head,
+                        std::size_t j, __m256 scale, std::size_t first_pos,
+                        __m256i live, float* w, __m256& max_v) {
+  __m256d lo[KB];
+  __m256d hi[KB];
+#pragma GCC unroll 4
+  for (std::size_t b = 0; b < KB; ++b) {
+    lo[b] = _mm256_setzero_pd();
+    hi[b] = _mm256_setzero_pd();
+  }
+  const double* key = kd + j * d_head;
+  for (std::size_t c = 0; c < d_head; ++c) {
+    const __m256d q_lo = _mm256_loadu_pd(qt + c * kTileRows);
+    const __m256d q_hi = _mm256_loadu_pd(qt + c * kTileRows + 4);
+#pragma GCC unroll 4
+    for (std::size_t b = 0; b < KB; ++b) {
+      const __m256d kc = _mm256_broadcast_sd(key + b * d_head + c);
+      lo[b] = _mm256_fmadd_pd(q_lo, kc, lo[b]);
+      hi[b] = _mm256_fmadd_pd(q_hi, kc, hi[b]);
+    }
+  }
+  // max_ps(s, max) = s > max ? s : max, the operands of std::max(max, s):
+  // a NaN score never replaces the running max, and ties keep the old one.
+#pragma GCC unroll 4
+  for (std::size_t b = 0; b < KB; ++b) {
+    const __m256 s = _mm256_mul_ps(
+        scale, _mm256_set_m128(_mm256_cvtpd_ps(hi[b]), _mm256_cvtpd_ps(lo[b])));
+    _mm256_storeu_ps(w + (j + b) * kTileRows, s);
+    max_v = blend(max_v, _mm256_max_ps(s, max_v),
+                  causal_lanes(j + b, first_pos, live));
+  }
+}
+
+/// (float)(e / sum) on 4 lanes with 0 <= e <= 1 <= sum (softmax weights),
+/// bit for bit, given inv = 1 / sum. q = e * inv is within 2.5 double ulps of
+/// the rounded quotient e / sum, so when every double within 8 ulps of q
+/// rounds to the same float, that float is (float)(e / sum): float rounding
+/// is monotone. Otherwise — about once in 10^7 lanes — the lane divides.
+inline __m128 softmax_weight4(__m256d e, __m256d sum, __m256d inv) {
+  const __m256i bits = _mm256_castpd_si256(_mm256_mul_pd(e, inv));
+  const __m256i step = _mm256_set1_epi64x(8);
+  // q >= 0, so its bit pattern is monotone in q; q = 0 stays at 0 below.
+  const __m128 below = _mm256_cvtpd_ps(_mm256_castsi256_pd(_mm256_andnot_si256(
+      _mm256_cmpgt_epi64(step, bits), _mm256_sub_epi64(bits, step))));
+  const __m128 above =
+      _mm256_cvtpd_ps(_mm256_castsi256_pd(_mm256_add_epi64(bits, step)));
+  const __m128i ambiguous = _mm_xor_si128(
+      _mm_cmpeq_epi32(_mm_castps_si128(below), _mm_castps_si128(above)),
+      _mm_set1_epi32(-1));
+  if (_mm_testz_si128(ambiguous, ambiguous)) return below;
+  return _mm_blendv_ps(below, _mm256_cvtpd_ps(_mm256_div_pd(e, sum)),
+                       _mm_castsi128_ps(ambiguous));
+}
+
+/// P·V of output columns [0, NC) of a tile: acc[c] lane i is row i's column
+/// c, each key added under its causal lanes whose weight is not 0.0f
+/// (_CMP_NEQ_UQ keeps NaN weights, like the scalar `p == 0` skip).
+template <std::size_t NC>
+void tile_context(const float* w, std::size_t keys, const float* v,
+                  std::size_t ld, std::size_t first_pos, __m256i live,
+                  float* out) {
+  __m256 acc[kTileRows];
+#pragma GCC unroll 8
+  for (std::size_t c = 0; c < kTileRows; ++c) acc[c] = _mm256_setzero_ps();
+  for (std::size_t j = 0; j < keys; ++j) {
+    const __m256 p = _mm256_loadu_ps(w + j * kTileRows);
+    const __m256i m = _mm256_and_si256(
+        causal_lanes(j, first_pos, live),
+        _mm256_castps_si256(
+            _mm256_cmp_ps(p, _mm256_setzero_ps(), _CMP_NEQ_UQ)));
+    const float* vj = v + j * ld;
+#pragma GCC unroll 8
+    for (std::size_t c = 0; c < NC; ++c) {
+      acc[c] = blend(acc[c],
+                     _mm256_add_ps(acc[c], _mm256_mul_ps(
+                                               p, _mm256_broadcast_ss(vj + c))),
+                     m);
+    }
+  }
+  transpose8x8(acc);  // acc[i] = row i's columns
+  const __m256i cols = lane_mask8(NC);
+  const int rows = _mm256_movemask_ps(_mm256_castsi256_ps(live));
+  for (std::size_t i = 0; i < kTileRows; ++i) {
+    if ((rows >> i) & 1) _mm256_maskstore_ps(out + i * ld, cols, acc[i]);
+  }
+}
+
+template <std::size_t... N>
+constexpr auto make_tile_context_table(std::index_sequence<N...>) {
+  return std::array{&tile_context<N + 1>...};
+}
+
+/// tile_context<NC> for NC = 1..8, indexed by NC - 1.
+constexpr auto kTileContext =
+    make_tile_context_table(std::make_index_sequence<kTileRows>{});
+
+/// One tile: `live` rows from q (row stride ld), the first at first_pos,
+/// against the double keys kd.
+void attention_tile(const float* q, std::size_t live, const double* kd,
+                    const float* v, std::size_t ld, std::size_t d_head,
+                    std::size_t first_pos, float scale, AttentionScratch& ws,
+                    float* out) {
+  const std::size_t keys = first_pos + live;
+  const __m256i live_mask = lane_mask8(live);
+  ws.w.resize(keys * kTileRows);
+  float* w = ws.w.data();
+  // Q transposed to lanes, in double: qt[c*8 + i] = q[i*ld + c].
+  double* qt = ws.qt.data();
+  for (std::size_t c0 = 0; c0 < d_head; c0 += 8) {
+    const __m256i cols = lane_mask8(d_head - c0);
+    __m256 r[8];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < 8; ++i) {
+      r[i] = i < live ? _mm256_maskload_ps(q + i * ld + c0, cols)
+                      : _mm256_setzero_ps();
+    }
+    transpose8x8(r);
+    const std::size_t width = std::min<std::size_t>(8, d_head - c0);
+    for (std::size_t c = 0; c < width; ++c) {
+      _mm256_storeu_pd(qt + (c0 + c) * kTileRows,
+                       _mm256_cvtps_pd(_mm256_castps256_ps128(r[c])));
+      _mm256_storeu_pd(qt + (c0 + c) * kTileRows + 4,
+                       _mm256_cvtps_pd(_mm256_extractf128_ps(r[c], 1)));
+    }
+  }
+
+  // Scores and the lane-wise max.
+  const __m256 scale_v = _mm256_set1_ps(scale);
+  __m256 max_v = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  std::size_t j = 0;
+  for (; j + kScoreKeys <= keys; j += kScoreKeys) {
+    tile_scores<kScoreKeys>(qt, kd, d_head, j, scale_v, first_pos, live_mask,
+                            w, max_v);
+  }
+  for (; j < keys; ++j) {
+    tile_scores<1>(qt, kd, d_head, j, scale_v, first_pos, live_mask, w, max_v);
+  }
+
+  // e = exp(s - max) with the lanes past a row's context zeroed (so they
+  // never reach libm), and one ascending double sum per lane. A zeroed lane
+  // adds +0.0, which leaves a sum that started at +0.0 unchanged.
+  __m256d sum_lo = _mm256_setzero_pd();
+  __m256d sum_hi = _mm256_setzero_pd();
+  for (j = 0; j < keys; ++j) {
+    const __m256i m = causal_lanes(j, first_pos, live_mask);
+    const __m256 x = _mm256_and_ps(
+        _mm256_sub_ps(_mm256_loadu_ps(w + j * kTileRows), max_v),
+        _mm256_castsi256_ps(m));
+    const __m256 e = _mm256_and_ps(expf8(x, m), _mm256_castsi256_ps(m));
+    _mm256_storeu_ps(w + j * kTileRows, e);
+    sum_lo = _mm256_add_pd(sum_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(e)));
+    sum_hi = _mm256_add_pd(sum_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
+  }
+  const int positive =
+      _mm256_movemask_pd(_mm256_cmp_pd(sum_lo, _mm256_setzero_pd(), _CMP_GT_OQ)) |
+      (_mm256_movemask_pd(_mm256_cmp_pd(sum_hi, _mm256_setzero_pd(), _CMP_GT_OQ))
+       << 4);
+  const int live_bits = _mm256_movemask_ps(_mm256_castsi256_ps(live_mask));
+  HAAN_ASSERT((positive & live_bits) == live_bits);
+
+  // p = (float)(e / sum), lane-wise. Lanes past `live` divide by 1.
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256 sums = _mm256_castsi256_ps(live_mask);
+  sum_lo = _mm256_blendv_pd(one, sum_lo,
+                            _mm256_cvtps_pd(_mm256_castps256_ps128(sums)));
+  sum_hi = _mm256_blendv_pd(one, sum_hi,
+                            _mm256_cvtps_pd(_mm256_extractf128_ps(sums, 1)));
+  const __m256d inv_lo = _mm256_div_pd(one, sum_lo);
+  const __m256d inv_hi = _mm256_div_pd(one, sum_hi);
+  for (j = 0; j < keys; ++j) {
+    const __m256 e = _mm256_loadu_ps(w + j * kTileRows);
+    const __m128 p_lo = softmax_weight4(
+        _mm256_cvtps_pd(_mm256_castps256_ps128(e)), sum_lo, inv_lo);
+    const __m128 p_hi = softmax_weight4(
+        _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)), sum_hi, inv_hi);
+    _mm256_storeu_ps(w + j * kTileRows, _mm256_set_m128(p_hi, p_lo));
+  }
+
+  for (std::size_t c0 = 0; c0 < d_head; c0 += 8) {
+    const std::size_t width = std::min<std::size_t>(8, d_head - c0);
+    kTileContext[width - 1](w, keys, v + c0, ld, first_pos, live_mask,
+                            out + c0);
+  }
+}
+
+/// Rows [0, rows) through the per-row kernels.
+void attention_rows(const float* q, std::size_t rows, const float* k,
+                    const float* v, std::size_t ld, std::size_t d_head,
+                    std::size_t start_position, float scale,
+                    AttentionScratch& ws, float* out) {
+  const std::size_t keys = start_position + rows;
+  ws.kt.resize(d_head * keys);
+  ws.scores.resize(keys);
+  for (std::size_t j = 0; j < keys; ++j) {
+    for (std::size_t c = 0; c < d_head; ++c) {
+      ws.kt[c * keys + j] = k[j * ld + c];
+    }
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t ctx = start_position + i + 1;
+    attention_scores_row(q + i * ld, d_head, ws.kt.data(), keys, ctx, scale,
+                         ws.scores.data());
+    softmax_avx2(ws.scores.data(), ctx);
+    attention_context_row(ws.scores.data(), ctx, v, ld, d_head, out + i * ld);
+  }
+}
+
+void causal_attention_avx2(const float* q, std::size_t rows, const float* k,
+                           const float* v, std::size_t ld, std::size_t d_head,
+                           std::size_t start_position, float scale,
+                           float* out) {
+  thread_local AttentionScratch ws;
+  // The partial tile goes first, where its rows' contexts are shortest.
+  const std::size_t head = rows % kTileRows;
+  std::size_t i0 = 0;
+  if (head != 0 && head < kMinTileRows) {
+    attention_rows(q, head, k, v, ld, d_head, start_position, scale, ws, out);
+    i0 = head;
+  }
+  if (i0 == rows) return;
+  const std::size_t keys = start_position + rows;
+  ws.kd.resize(keys * d_head);
+  for (std::size_t j = 0; j < keys; ++j) {
+    for (std::size_t c = 0; c < d_head; ++c) {
+      ws.kd[j * d_head + c] = k[j * ld + c];
+    }
+  }
+  ws.qt.resize(d_head * kTileRows);
+  while (i0 < rows) {
+    const std::size_t live = i0 == 0 && head != 0 ? head : kTileRows;
+    attention_tile(q + i0 * ld, live, ws.kd.data(), v, ld, d_head,
+                   start_position + i0, scale, ws, out + i0 * ld);
+    i0 += live;
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",
     stats_avx2,
@@ -610,8 +895,7 @@ constexpr KernelTable kAvx2Table = {
     normalize_affine_rows_avx2,
     quantize_dequantize_rows_avx2,
     linear_avx2,
-    attention_scores_avx2,
-    attention_context_avx2,
+    causal_attention_avx2,
     exp_avx2,
     softmax_avx2,
     silu_avx2,

@@ -21,8 +21,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -371,7 +373,8 @@ void quantize_dequantize_rows_avx512(float* x, std::size_t rows, std::size_t d,
 }
 
 // --- Matmul kernels (exact-order contract, see kernels.hpp) ---------------
-// Lanes run across outputs (linear) or keys (attention_scores); every lane is
+// Lanes run across outputs (linear), keys or query rows (causal attention,
+// below the exp kernels, whose softmax it runs); every lane is
 // one output's own double accumulator stepping through the reduction index in
 // ascending order, so the FMA chain rounds exactly like the scalar loop.
 
@@ -389,8 +392,10 @@ inline __mmask16 column_mask16(std::size_t count) {
 }
 
 /// In-register transpose of a 16x16 float block: on return r[p] holds
-/// column p (element k = old r[k][p]).
-inline void transpose16x16(__m512 r[16]) {
+/// column p (element k = old r[k][p]). Forced inline, like
+/// stage_columns_avx512: an out-of-line call passes r through memory and
+/// made the one-row linear (decode steps) ~10% slower.
+[[gnu::always_inline]] inline void transpose16x16(__m512 r[16]) {
   __m512 t[16];
 #pragma GCC unroll 8
   for (int i = 0; i < 8; ++i) {
@@ -431,8 +436,8 @@ inline void transpose16x16(__m512 r[16]) {
 /// transposed double panel, panel[p*32 + k] = w[k*in + p], one 16x16 block
 /// at a time; the panel holds round_up(in, 16) columns. Rows past `width`
 /// and columns past `in` stage +0.0 and never reach a stored output.
-void stage_columns_avx512(const float* w, std::size_t in, std::size_t width,
-                          double* panel) {
+[[gnu::always_inline]] inline void stage_columns_avx512(
+    const float* w, std::size_t in, std::size_t width, double* panel) {
   for (std::size_t k0 = 0; k0 < kLinearCols; k0 += 16) {
     for (std::size_t p0 = 0; p0 < in; p0 += 16) {
       const __mmask16 pm = column_mask16(in - p0);
@@ -524,53 +529,6 @@ void linear_avx512(const float* x, std::size_t n, std::size_t in,
       linear_tile_avx512<1>(x + i * in, in, panel.data(), b, m_lo, m_hi, out,
                             y + i * out + o0);
     }
-  }
-}
-
-void attention_scores_avx512(const float* q, std::size_t d_head,
-                             const float* kt, std::size_t ld, std::size_t ctx,
-                             float scale, float* scores) {
-  constexpr std::size_t kLanes = 4;  // 4 x 8 keys in flight per query row
-  const __m256 scale_v = _mm256_set1_ps(scale);
-  for (std::size_t j = 0; j < ctx; j += 8 * kLanes) {
-    __mmask8 m[kLanes];
-    __m512d acc[kLanes];
-#pragma GCC unroll 8
-    for (std::size_t s = 0; s < kLanes; ++s) {
-      const std::size_t start = j + 8 * s;
-      const std::size_t keys = start < ctx ? ctx - start : 0;
-      m[s] = static_cast<__mmask8>(column_mask16(keys));  // low 8 lanes
-      acc[s] = _mm512_setzero_pd();
-    }
-    for (std::size_t c = 0; c < d_head; ++c) {
-      const __m512d qc = _mm512_set1_pd(static_cast<double>(q[c]));
-      const float* row = kt + c * ld + j;
-#pragma GCC unroll 8
-      for (std::size_t s = 0; s < kLanes; ++s) {
-        const __m512d k =
-            _mm512_cvtps_pd(_mm256_maskz_loadu_ps(m[s], row + 8 * s));
-        acc[s] = _mm512_fmadd_pd(qc, k, acc[s]);
-      }
-    }
-#pragma GCC unroll 8
-    for (std::size_t s = 0; s < kLanes; ++s) {
-      _mm256_mask_storeu_ps(scores + j + 8 * s, m[s],
-                            _mm256_mul_ps(scale_v, _mm512_cvtpd_ps(acc[s])));
-    }
-  }
-}
-
-void attention_context_avx512(const float* p, std::size_t ctx, const float* v,
-                              std::size_t ld, std::size_t d_head, float* out) {
-  for (std::size_t c = 0; c < d_head; c += 16) {
-    const __mmask16 m = column_mask16(d_head - c);
-    __m512 acc = _mm512_maskz_loadu_ps(m, out + c);
-    for (std::size_t j = 0; j < ctx; ++j) {
-      if (p[j] == 0.0f) continue;
-      const __m512 vj = _mm512_maskz_loadu_ps(m, v + j * ld + c);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(p[j]), vj));
-    }
-    _mm512_mask_storeu_ps(out + c, m, acc);
   }
 }
 
@@ -685,6 +643,321 @@ void silu_avx512(float* v, std::size_t n) {
   }
 }
 
+// --- Causal attention (exact-order contract, see kernels.hpp) --------------
+// Two shapes of the same per-row arithmetic. A tile of kTileRows query rows
+// puts one row in each lane: every lane keeps its row's exact order (the
+// c-ascending score FMA chain, the ascending max, double sum and P·V sum),
+// and the rows run side by side, so one row's sequential chains overlap with
+// fifteen others instead of bounding the latency. A tile with few live rows
+// (decode steps) runs the per-row kernels, lanes across keys or columns.
+
+/// Query rows per tile: one row per float lane.
+constexpr std::size_t kTileRows = 16;
+/// Tiles with fewer live rows run the per-row kernels. A tile costs about the
+/// same whatever its live-row count; measured on an AVX-512 host (d_head 16
+/// and 24, 1 to 176 keys), the per-row kernels are faster below this count.
+constexpr std::size_t kMinTileRows = 4;
+/// Keys whose score chains run side by side in one tile step: 8 FMA chains.
+constexpr std::size_t kScoreKeys = 4;
+
+/// One query row's scores against keys stored transposed (kt is d_head x ld,
+/// key j in column j): scores[j] = scale * (float)(Σ_c q[c] * kt[c*ld + j]),
+/// lanes across keys.
+void attention_scores_row(const float* q, std::size_t d_head, const float* kt,
+                          std::size_t ld, std::size_t ctx, float scale,
+                          float* scores) {
+  constexpr std::size_t kLanes = 4;  // 4 x 8 keys in flight per query row
+  const __m256 scale_v = _mm256_set1_ps(scale);
+  for (std::size_t j = 0; j < ctx; j += 8 * kLanes) {
+    __mmask8 m[kLanes];
+    __m512d acc[kLanes];
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      const std::size_t start = j + 8 * s;
+      const std::size_t keys = start < ctx ? ctx - start : 0;
+      m[s] = static_cast<__mmask8>(column_mask16(keys));  // low 8 lanes
+      acc[s] = _mm512_setzero_pd();
+    }
+    for (std::size_t c = 0; c < d_head; ++c) {
+      const __m512d qc = _mm512_set1_pd(static_cast<double>(q[c]));
+      const float* row = kt + c * ld + j;
+#pragma GCC unroll 8
+      for (std::size_t s = 0; s < kLanes; ++s) {
+        const __m512d k =
+            _mm512_cvtps_pd(_mm256_maskz_loadu_ps(m[s], row + 8 * s));
+        acc[s] = _mm512_fmadd_pd(qc, k, acc[s]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      _mm256_mask_storeu_ps(scores + j + 8 * s, m[s],
+                            _mm256_mul_ps(scale_v, _mm512_cvtpd_ps(acc[s])));
+    }
+  }
+}
+
+/// One attention row's P·V: out[c] = +0.0f, then out[c] += p[j] * v[j*ld + c]
+/// over j ascending, skipping p[j] == 0.0f; lanes across c.
+void attention_context_row(const float* p, std::size_t ctx, const float* v,
+                           std::size_t ld, std::size_t d_head, float* out) {
+  for (std::size_t c = 0; c < d_head; c += 16) {
+    const __mmask16 m = column_mask16(d_head - c);
+    __m512 acc = _mm512_setzero_ps();
+    for (std::size_t j = 0; j < ctx; ++j) {
+      if (p[j] == 0.0f) continue;
+      const __m512 vj = _mm512_maskz_loadu_ps(m, v + j * ld + c);
+      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(p[j]), vj));
+    }
+    _mm512_mask_storeu_ps(out + c, m, acc);
+  }
+}
+
+/// Per-thread scratch of causal_attention_avx512, grown on demand.
+struct AttentionScratch {
+  std::vector<double> kd;     // K in double, key j at kd[j*d_head]
+  std::vector<double> qt;     // a tile's Q transposed: qt[c*16 + lane]
+  std::vector<float> w;       // a tile's scores, then weights: w[j*16 + lane]
+  std::vector<float> kt;      // K transposed for the per-row kernels
+  std::vector<float> scores;  // one row's scores for the per-row kernels
+};
+
+/// The lanes of a tile whose first row sits at first_pos that attend key j:
+/// lane i attends j when j <= first_pos + i.
+inline __mmask16 causal_lanes(std::size_t j, std::size_t first_pos,
+                              __mmask16 live) {
+  return j <= first_pos
+             ? live
+             : static_cast<__mmask16>(live & (0xFFFFu << (j - first_pos)));
+}
+
+/// Scores of keys [j, j + KB) for every lane of a tile, folded into the
+/// lane-wise running max.
+template <std::size_t KB>
+inline void tile_scores(const double* qt, const double* kd, std::size_t d_head,
+                        std::size_t j, __m512 scale, std::size_t first_pos,
+                        __mmask16 live, float* w, __m512& max_v) {
+  __m512d lo[KB];
+  __m512d hi[KB];
+#pragma GCC unroll 4
+  for (std::size_t b = 0; b < KB; ++b) {
+    lo[b] = _mm512_setzero_pd();
+    hi[b] = _mm512_setzero_pd();
+  }
+  const double* key = kd + j * d_head;
+  for (std::size_t c = 0; c < d_head; ++c) {
+    const __m512d q_lo = _mm512_loadu_pd(qt + c * kTileRows);
+    const __m512d q_hi = _mm512_loadu_pd(qt + c * kTileRows + 8);
+#pragma GCC unroll 4
+    for (std::size_t b = 0; b < KB; ++b) {
+      const __m512d kc = _mm512_set1_pd(key[b * d_head + c]);
+      lo[b] = _mm512_fmadd_pd(q_lo, kc, lo[b]);
+      hi[b] = _mm512_fmadd_pd(q_hi, kc, hi[b]);
+    }
+  }
+  // max_ps(s, max) = s > max ? s : max, the operands of std::max(max, s):
+  // a NaN score never replaces the running max, and ties keep the old one.
+#pragma GCC unroll 4
+  for (std::size_t b = 0; b < KB; ++b) {
+    const __m512 s = _mm512_mul_ps(
+        scale, _mm512_insertf32x8(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo[b])),
+                                  _mm512_cvtpd_ps(hi[b]), 1));
+    _mm512_storeu_ps(w + (j + b) * kTileRows, s);
+    max_v = _mm512_mask_max_ps(max_v, causal_lanes(j + b, first_pos, live), s,
+                               max_v);
+  }
+}
+
+/// (float)(e / sum) on 8 lanes with 0 <= e <= 1 <= sum (softmax weights),
+/// bit for bit, given inv = 1 / sum. q = e * inv is within 2.5 double ulps of
+/// the rounded quotient e / sum, so when every double within 8 ulps of q
+/// rounds to the same float, that float is (float)(e / sum): float rounding
+/// is monotone. Otherwise — about once in 10^7 lanes — the lane divides.
+inline __m256 softmax_weight8(__m512d e, __m512d sum, __m512d inv) {
+  const __m512i bits = _mm512_castpd_si512(_mm512_mul_pd(e, inv));
+  const __m512i step = _mm512_set1_epi64(8);
+  // q >= 0, so its bit pattern is monotone in q; q = 0 stays at 0 below.
+  const __m256 below = _mm512_cvtpd_ps(_mm512_castsi512_pd(
+      _mm512_max_epi64(_mm512_sub_epi64(bits, step), _mm512_setzero_si512())));
+  const __m256 above = _mm512_cvtpd_ps(
+      _mm512_castsi512_pd(_mm512_add_epi64(bits, step)));
+  const __mmask8 ambiguous = _mm256_cmpneq_epi32_mask(
+      _mm256_castps_si256(below), _mm256_castps_si256(above));
+  if (ambiguous == 0) return below;
+  return _mm512_mask_cvtpd_ps(below, ambiguous, _mm512_div_pd(e, sum));
+}
+
+/// P·V of output columns [0, NC) of a tile: acc[c] lane i is row i's column
+/// c, each key added under its causal lanes whose weight is not 0.0f
+/// (_CMP_NEQ_UQ keeps NaN weights, like the scalar `p == 0` skip).
+template <std::size_t NC>
+void tile_context(const float* w, std::size_t keys, const float* v,
+                  std::size_t ld, std::size_t first_pos, __mmask16 live,
+                  float* out) {
+  __m512 acc[kTileRows];
+#pragma GCC unroll 16
+  for (std::size_t c = 0; c < kTileRows; ++c) acc[c] = _mm512_setzero_ps();
+  for (std::size_t j = 0; j < keys; ++j) {
+    const __m512 p = _mm512_loadu_ps(w + j * kTileRows);
+    const __mmask16 m = _mm512_mask_cmp_ps_mask(
+        causal_lanes(j, first_pos, live), p, _mm512_setzero_ps(),
+        _CMP_NEQ_UQ);
+    const float* vj = v + j * ld;
+#pragma GCC unroll 16
+    for (std::size_t c = 0; c < NC; ++c) {
+      acc[c] = _mm512_mask_add_ps(acc[c], m, acc[c],
+                                  _mm512_mul_ps(p, _mm512_set1_ps(vj[c])));
+    }
+  }
+  transpose16x16(acc);  // acc[i] = row i's columns
+  const __mmask16 cols = column_mask16(NC);
+  for (std::size_t i = 0; i < kTileRows; ++i) {
+    if ((live >> i) & 1) _mm512_mask_storeu_ps(out + i * ld, cols, acc[i]);
+  }
+}
+
+template <std::size_t... N>
+constexpr auto make_tile_context_table(std::index_sequence<N...>) {
+  return std::array{&tile_context<N + 1>...};
+}
+
+/// tile_context<NC> for NC = 1..16, indexed by NC - 1.
+constexpr auto kTileContext =
+    make_tile_context_table(std::make_index_sequence<kTileRows>{});
+
+/// One tile: `live` rows from q (row stride ld), the first at first_pos,
+/// against the double keys kd.
+void attention_tile(const float* q, std::size_t live, const double* kd,
+                    const float* v, std::size_t ld, std::size_t d_head,
+                    std::size_t first_pos, float scale, AttentionScratch& ws,
+                    float* out) {
+  const std::size_t keys = first_pos + live;
+  const __mmask16 live_mask = column_mask16(live);
+  ws.w.resize(keys * kTileRows);
+  float* w = ws.w.data();
+  // Q transposed to lanes, in double: qt[c*16 + i] = q[i*ld + c].
+  double* qt = ws.qt.data();
+  for (std::size_t c0 = 0; c0 < d_head; c0 += 16) {
+    const __mmask16 cols = column_mask16(d_head - c0);
+    __m512 r[16];
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < 16; ++i) {
+      r[i] = i < live ? _mm512_maskz_loadu_ps(cols, q + i * ld + c0)
+                      : _mm512_setzero_ps();
+    }
+    transpose16x16(r);
+    const std::size_t width = std::min<std::size_t>(16, d_head - c0);
+    for (std::size_t c = 0; c < width; ++c) {
+      _mm512_storeu_pd(qt + (c0 + c) * kTileRows, cvt_lo_pd(r[c]));
+      _mm512_storeu_pd(qt + (c0 + c) * kTileRows + 8, cvt_hi_pd(r[c]));
+    }
+  }
+
+  // Scores and the lane-wise max.
+  const __m512 scale_v = _mm512_set1_ps(scale);
+  __m512 max_v = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  std::size_t j = 0;
+  for (; j + kScoreKeys <= keys; j += kScoreKeys) {
+    tile_scores<kScoreKeys>(qt, kd, d_head, j, scale_v, first_pos, live_mask,
+                            w, max_v);
+  }
+  for (; j < keys; ++j) {
+    tile_scores<1>(qt, kd, d_head, j, scale_v, first_pos, live_mask, w, max_v);
+  }
+
+  // e = exp(s - max) with the lanes past a row's context zeroed (so they
+  // never reach libm), and one ascending double sum per lane.
+  __m512d sum_lo = _mm512_setzero_pd();
+  __m512d sum_hi = _mm512_setzero_pd();
+  for (j = 0; j < keys; ++j) {
+    const __mmask16 m = causal_lanes(j, first_pos, live_mask);
+    const __m512 x =
+        _mm512_maskz_sub_ps(m, _mm512_loadu_ps(w + j * kTileRows), max_v);
+    const __m512 e = _mm512_maskz_mov_ps(m, expf16(x, m));
+    _mm512_storeu_ps(w + j * kTileRows, e);
+    sum_lo = _mm512_mask_add_pd(sum_lo, static_cast<__mmask8>(m), sum_lo,
+                                cvt_lo_pd(e));
+    sum_hi = _mm512_mask_add_pd(sum_hi, static_cast<__mmask8>(m >> 8), sum_hi,
+                                cvt_hi_pd(e));
+  }
+  const auto positive =
+      static_cast<__mmask16>(
+          _mm512_cmp_pd_mask(sum_lo, _mm512_setzero_pd(), _CMP_GT_OQ) |
+          (_mm512_cmp_pd_mask(sum_hi, _mm512_setzero_pd(), _CMP_GT_OQ) << 8));
+  HAAN_ASSERT((positive & live_mask) == live_mask);
+
+  // p = (float)(e / sum), lane-wise. Lanes past `live` divide by 1.
+  const __m512d one = _mm512_set1_pd(1.0);
+  sum_lo = _mm512_mask_mov_pd(one, static_cast<__mmask8>(live_mask), sum_lo);
+  sum_hi = _mm512_mask_mov_pd(one, static_cast<__mmask8>(live_mask >> 8),
+                              sum_hi);
+  const __m512d inv_lo = _mm512_div_pd(one, sum_lo);
+  const __m512d inv_hi = _mm512_div_pd(one, sum_hi);
+  for (j = 0; j < keys; ++j) {
+    const __m512 e = _mm512_loadu_ps(w + j * kTileRows);
+    const __m256 p_lo = softmax_weight8(cvt_lo_pd(e), sum_lo, inv_lo);
+    const __m256 p_hi = softmax_weight8(cvt_hi_pd(e), sum_hi, inv_hi);
+    _mm512_storeu_ps(w + j * kTileRows,
+                     _mm512_insertf32x8(_mm512_castps256_ps512(p_lo), p_hi, 1));
+  }
+
+  for (std::size_t c0 = 0; c0 < d_head; c0 += 16) {
+    const std::size_t width = std::min<std::size_t>(16, d_head - c0);
+    kTileContext[width - 1](w, keys, v + c0, ld, first_pos, live_mask,
+                            out + c0);
+  }
+}
+
+/// Rows [0, rows) through the per-row kernels.
+void attention_rows(const float* q, std::size_t rows, const float* k,
+                    const float* v, std::size_t ld, std::size_t d_head,
+                    std::size_t start_position, float scale,
+                    AttentionScratch& ws, float* out) {
+  const std::size_t keys = start_position + rows;
+  ws.kt.resize(d_head * keys);
+  ws.scores.resize(keys);
+  for (std::size_t j = 0; j < keys; ++j) {
+    for (std::size_t c = 0; c < d_head; ++c) {
+      ws.kt[c * keys + j] = k[j * ld + c];
+    }
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t ctx = start_position + i + 1;
+    attention_scores_row(q + i * ld, d_head, ws.kt.data(), keys, ctx, scale,
+                         ws.scores.data());
+    softmax_avx512(ws.scores.data(), ctx);
+    attention_context_row(ws.scores.data(), ctx, v, ld, d_head, out + i * ld);
+  }
+}
+
+void causal_attention_avx512(const float* q, std::size_t rows, const float* k,
+                             const float* v, std::size_t ld,
+                             std::size_t d_head, std::size_t start_position,
+                             float scale, float* out) {
+  thread_local AttentionScratch ws;
+  // The partial tile goes first, where its rows' contexts are shortest.
+  const std::size_t head = rows % kTileRows;
+  std::size_t i0 = 0;
+  if (head != 0 && head < kMinTileRows) {
+    attention_rows(q, head, k, v, ld, d_head, start_position, scale, ws, out);
+    i0 = head;
+  }
+  if (i0 == rows) return;
+  const std::size_t keys = start_position + rows;
+  ws.kd.resize(keys * d_head);
+  for (std::size_t j = 0; j < keys; ++j) {
+    for (std::size_t c = 0; c < d_head; ++c) {
+      ws.kd[j * d_head + c] = k[j * ld + c];
+    }
+  }
+  ws.qt.resize(d_head * kTileRows);
+  while (i0 < rows) {
+    const std::size_t live = i0 == 0 && head != 0 ? head : kTileRows;
+    attention_tile(q + i0 * ld, live, ws.kd.data(), v, ld, d_head,
+                   start_position + i0, scale, ws, out + i0 * ld);
+    i0 += live;
+  }
+}
+
 constexpr KernelTable kAvx512Table = {
     "avx512",
     stats_avx512,
@@ -700,8 +973,7 @@ constexpr KernelTable kAvx512Table = {
     normalize_affine_rows_avx512,
     quantize_dequantize_rows_avx512,
     linear_avx512,
-    attention_scores_avx512,
-    attention_context_avx512,
+    causal_attention_avx512,
     exp_avx512,
     softmax_avx512,
     silu_avx512,

@@ -24,18 +24,25 @@ const KernelTable* avx512_table();
 void linear_scalar(const float* x, std::size_t n, std::size_t in,
                    const float* w, std::size_t out, const float* bias,
                    float* y);
-void attention_scores_scalar(const float* q, std::size_t d_head,
-                             const float* kt, std::size_t ld, std::size_t ctx,
-                             float scale, float* scores);
-void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
-                              std::size_t ld, std::size_t d_head, float* out);
 
-/// The scalar backend's exp entries (the seed loops): the NEON table's own,
-/// and what the dispatcher swaps into a SIMD table whose expf model disagrees
-/// with this process's libm.
+/// The scalar backend's exp entries and causal attention (the seed loops):
+/// the NEON table's own, and what with_checked_exp swaps into a SIMD table
+/// whose expf model disagrees with this process's libm.
 void exp_scalar(const float* x, std::size_t n, float* out);
 void softmax_scalar(float* row, std::size_t n);
 void silu_scalar(float* v, std::size_t n);
+void causal_attention_scalar(const float* q, std::size_t rows, const float* k,
+                             const float* v, std::size_t ld,
+                             std::size_t d_head, std::size_t start_position,
+                             float scale, float* out);
+
+/// `table` itself when it is null or its exp matches this process's libm bit
+/// for bit on a fixed set of probe inputs (kernels.cpp); otherwise
+/// `patched`, a copy of it carrying the scalar exp, softmax, silu and
+/// causal_attention (every entry that runs the SIMD expf model). Logs a
+/// warning when it patches.
+const KernelTable* with_checked_exp(const KernelTable* table,
+                                    KernelTable& patched);
 
 /// The NEON (AArch64) table. Null when this build does not target AArch64.
 const KernelTable* neon_table();

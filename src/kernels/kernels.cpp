@@ -82,34 +82,41 @@ bool exp_matches_libm(const KernelTable& table) {
   return true;
 }
 
-/// `table` itself when its exp matches libm on the probes; otherwise `patched`,
-/// a copy carrying the scalar exp / softmax / silu loops.
+}  // namespace
+
+namespace detail {
+
 const KernelTable* with_checked_exp(const KernelTable* table,
                                     KernelTable& patched) {
   if (table == nullptr || exp_matches_libm(*table)) return table;
   HAAN_LOG_WARN_C("kernels")
       << table->name << ": the SIMD expf model disagrees with this libm's "
-      << "expf; exp, softmax and silu run the scalar loops";
+      << "expf; exp, softmax, silu and causal_attention run the scalar loops";
   patched = *table;
-  patched.exp = detail::exp_scalar;
-  patched.softmax = detail::softmax_scalar;
-  patched.silu = detail::silu_scalar;
+  patched.exp = exp_scalar;
+  patched.softmax = softmax_scalar;
+  patched.silu = silu_scalar;
+  patched.causal_attention = causal_attention_scalar;
   return &patched;
 }
+
+}  // namespace detail
+
+namespace {
 
 /// The AVX-512 table when both the build and the CPU can run it (the TU
 /// compiles to a null stub when the compiler lacks the ISA flags), checked
 /// once against libm's expf.
 const KernelTable* runnable_avx512_table() {
   static KernelTable patched{};
-  static const KernelTable* const table = with_checked_exp(
+  static const KernelTable* const table = detail::with_checked_exp(
       cpu_supports_avx512() ? detail::avx512_table() : nullptr, patched);
   return table;
 }
 
 const KernelTable* runnable_avx2_table() {
   static KernelTable patched{};
-  static const KernelTable* const table = with_checked_exp(
+  static const KernelTable* const table = detail::with_checked_exp(
       cpu_supports_avx2() ? detail::avx2_table() : nullptr, patched);
   return table;
 }

@@ -1,5 +1,5 @@
 // Runtime-dispatched kernels: the vectorized hot loops behind every norm in
-// the repo, plus the forward pass's matmul, attention-score, softmax and SiLU
+// the repo, plus the forward pass's matmul, causal attention, softmax and SiLU
 // loops. One KernelTable per backend (portable scalar, AVX2, AVX-512, NEON);
 // dispatch picks the widest backend the CPU supports once at first use, with
 // `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
@@ -47,7 +47,7 @@ struct SumStats {
 ///     FP32/INT8/BF16: bit-identical for every input including NaN. FP16:
 ///     bit-identical for all non-NaN inputs; NaN stays NaN but the payload
 ///     bits may differ (both backends produce a quiet NaN).
-///   linear / attention_scores / attention_context
+///   linear / causal_attention
 ///     Bit-identical (exact-order contract, see the entries below).
 ///   exp / softmax / silu
 ///     Bit-identical for every input, inf and NaN included. SIMD lanes run a
@@ -55,7 +55,8 @@ struct SumStats {
 ///     lanes with |x| >= 88, inf or NaN call std::exp. The dispatcher checks
 ///     the model against this process's libm on probe inputs once, when it
 ///     resolves the tables; on any mismatch (another libm, or glibc's non-FMA
-///     variant) the SIMD tables carry the scalar exp / softmax / silu.
+///     variant) the SIMD tables carry the scalar exp / softmax / silu and
+///     causal_attention (whose softmax calls the model directly).
 struct KernelTable {
   /// Backend family: "scalar", "avx2", "avx512" or "neon".
   const char* name;
@@ -132,14 +133,14 @@ struct KernelTable {
 
   // --- Matmul kernels ---------------------------------------------------
   // Exact-order contract: bit-identical on every backend, for any row count
-  // and tile position. In linear and attention_scores each output value owns
-  // one double accumulator that starts at its bias (or +0.0) and adds the
-  // float x float products in ascending reduction index, then rounds once to
-  // float. A float x float product is exact in double, so an FMA rounds
-  // exactly like the separate multiply and add of the scalar loop. SIMD lanes
-  // therefore run across rows, outputs or keys, never across the reduction
-  // index. attention_context keeps the seed's float arithmetic, also in
-  // ascending order. NaN and Inf propagate to the same positions (NaN
+  // and tile position. In linear and in causal_attention's scores each output
+  // value owns one double accumulator that starts at its bias (or +0.0) and
+  // adds the float x float products in ascending reduction index, then rounds
+  // once to float. A float x float product is exact in double, so an FMA
+  // rounds exactly like the separate multiply and add of the scalar loop.
+  // SIMD lanes therefore run across rows, outputs or keys, never across the
+  // reduction index. causal_attention's softmax and P·V keep the seed's
+  // per-row order too. NaN and Inf propagate to the same positions (NaN
   // payloads may differ).
 
   /// y[i*out + o] = (float)(bias[o] + Σ_p x[i*in + p] * w[o*in + p]) for
@@ -148,19 +149,29 @@ struct KernelTable {
   void (*linear)(const float* x, std::size_t n, std::size_t in,
                  const float* w, std::size_t out, const float* bias, float* y);
 
-  /// scores[j] = scale * (float)(Σ_c q[c] * kt[c*ld + j]) for j < ctx: one
-  /// query row against ctx keys stored transposed (kt is d_head x ld,
-  /// ld >= ctx), the reduction over c ascending from +0.0.
-  void (*attention_scores)(const float* q, std::size_t d_head, const float* kt,
-                           std::size_t ld, std::size_t ctx, float scale,
-                           float* scores);
-
-  /// out[c] += p[j] * v[j*ld + c] for c < d_head, over j ascending in
-  /// [0, ctx), skipping keys whose weight p[j] is exactly 0.0f: the P·V
-  /// product of one attention row, in float, each step a multiply then an
-  /// add (never fused). Lanes run across c.
-  void (*attention_context)(const float* p, std::size_t ctx, const float* v,
-                            std::size_t ld, std::size_t d_head, float* out);
+  /// Causal attention of one head over `rows` query rows. Query row i (at
+  /// q + i*ld) sits at position start_position + i and attends keys
+  /// j in [0, ctx_i), ctx_i = start_position + i + 1, of the row-major K / V
+  /// (key j at k + j*ld / v + j*ld); its d_head outputs go to out + i*ld.
+  /// q, k, v and out share the row stride ld >= d_head, so one head of a
+  /// (rows x d_model) block is addressed by offsetting every pointer. Per row,
+  /// in this order and no other:
+  ///   s[j]  = scale * (float)(Σ_c q[c] * k[j][c])  (double, c ascending
+  ///           from +0.0)
+  ///   max   = std::max(max, s[j]) folded over j ascending from -inf
+  ///   e[j]  = std::exp(s[j] - max)                  (float)
+  ///   sum   = Σ_j e[j] in double, j ascending from +0.0; asserted > 0, so
+  ///           a NaN or +Inf score aborts
+  ///   p[j]  = (float)(e[j] / sum)
+  ///   out[c] = +0.0f, then out[c] += p[j] * v[j][c] over j ascending,
+  ///           skipping keys with p[j] == 0.0f (NaN weights are kept); float
+  ///           multiply then add, never fused.
+  /// Every output depends only on its row's own prefix, never on how many
+  /// rows share the call or which tile a row lands in. out must not alias
+  /// q, k or v.
+  void (*causal_attention)(const float* q, std::size_t rows, const float* k,
+                           const float* v, std::size_t ld, std::size_t d_head,
+                           std::size_t start_position, float scale, float* out);
 
   // --- Exp kernels ------------------------------------------------------
   // The scalar entries are the seed loops of tensor::softmax / silu_inplace;

@@ -293,8 +293,7 @@ constexpr KernelTable kNeonTable = {
     // No NEON matmul kernel has been measured yet; the scalar seed loops
     // serve, bit-identical to every other backend by the exact-order contract.
     detail::linear_scalar,
-    detail::attention_scores_scalar,
-    detail::attention_context_scalar,
+    detail::causal_attention_scalar,
     // The expf model needs double-lane FMA and a 32-entry table lookup; no
     // NEON version has been written, so the scalar libm loops serve.
     detail::exp_scalar,

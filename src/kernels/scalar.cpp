@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -134,26 +135,8 @@ void quantize_dequantize_rows_scalar(float* x, std::size_t rows, std::size_t d,
   }
 }
 
-}  // namespace
-
-namespace detail {
-
-void linear_scalar(const float* x, std::size_t n, std::size_t in,
-                   const float* w, std::size_t out, const float* bias,
-                   float* y) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* x_row = x + i * in;
-    float* y_row = y + i * out;
-    for (std::size_t o = 0; o < out; ++o) {
-      const float* w_row = w + o * in;
-      double acc = bias == nullptr ? 0.0 : bias[o];
-      for (std::size_t p = 0; p < in; ++p) {
-        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
-      }
-      y_row[o] = static_cast<float>(acc);
-    }
-  }
-}
+// Per-row attention steps of causal_attention: one query row's scores against
+// the head's transposed keys (kt is d_head x ld), and that row's P·V.
 
 void attention_scores_scalar(const float* q, std::size_t d_head,
                              const float* kt, std::size_t ld, std::size_t ctx,
@@ -177,6 +160,27 @@ void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
   }
 }
 
+}  // namespace
+
+namespace detail {
+
+void linear_scalar(const float* x, std::size_t n, std::size_t in,
+                   const float* w, std::size_t out, const float* bias,
+                   float* y) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* x_row = x + i * in;
+    float* y_row = y + i * out;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* w_row = w + o * in;
+      double acc = bias == nullptr ? 0.0 : bias[o];
+      for (std::size_t p = 0; p < in; ++p) {
+        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
+      }
+      y_row[o] = static_cast<float>(acc);
+    }
+  }
+}
+
 void exp_scalar(const float* x, std::size_t n, float* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
 }
@@ -191,6 +195,31 @@ void softmax_scalar(float* row, std::size_t n) {
   }
   HAAN_ASSERT(sum > 0.0);
   for (std::size_t i = 0; i < n; ++i) row[i] = static_cast<float>(row[i] / sum);
+}
+
+void causal_attention_scalar(const float* q, std::size_t rows, const float* k,
+                             const float* v, std::size_t ld,
+                             std::size_t d_head, std::size_t start_position,
+                             float scale, float* out) {
+  const std::size_t keys = start_position + rows;
+  // Per-thread buffers reused across calls: K transposed (d_head x keys) and
+  // one query row's scores.
+  thread_local std::vector<float> kt;
+  thread_local std::vector<float> scores;
+  kt.resize(d_head * keys);
+  scores.resize(keys);
+  for (std::size_t j = 0; j < keys; ++j) {
+    for (std::size_t c = 0; c < d_head; ++c) kt[c * keys + j] = k[j * ld + c];
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t ctx = start_position + i + 1;
+    float* out_row = out + i * ld;
+    attention_scores_scalar(q + i * ld, d_head, kt.data(), keys, ctx, scale,
+                            scores.data());
+    softmax_scalar(scores.data(), ctx);
+    std::fill(out_row, out_row + d_head, 0.0f);
+    attention_context_scalar(scores.data(), ctx, v, ld, d_head, out_row);
+  }
 }
 
 void silu_scalar(float* v, std::size_t n) {
@@ -216,8 +245,7 @@ constexpr KernelTable kScalarTable = {
     normalize_affine_rows_scalar,
     quantize_dequantize_rows_scalar,
     detail::linear_scalar,
-    detail::attention_scores_scalar,
-    detail::attention_context_scalar,
+    detail::causal_attention_scalar,
     detail::exp_scalar,
     detail::softmax_scalar,
     detail::silu_scalar,

@@ -1,7 +1,6 @@
 #include "model/attention.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "kernels/kernels.hpp"
@@ -14,9 +13,8 @@ namespace {
 /// Causal attention core shared by the one-shot and cached paths: query row i
 /// of `q` sits at absolute position start_position + i and attends over the
 /// key/value rows [0, start_position + i] of `k` / `v` (row-major, d_model
-/// wide). Per head, K is transposed once so each query row's scores are one
-/// key-lane kernel call; the row's softmax and its P·V accumulation (one
-/// kernel call, ascending j, exact zeros skipped) follow. Every value depends
+/// wide). One kernel call per head runs the scores, the softmax and the P·V
+/// of every row in the kernel table's exact order, so every value depends
 /// only on the row's own prefix, never on how many rows share the call.
 tensor::Tensor causal_context(const tensor::Tensor& q, std::span<const float> k,
                               std::span<const float> v,
@@ -30,28 +28,11 @@ tensor::Tensor causal_context(const tensor::Tensor& q, std::span<const float> k,
   const kernels::KernelTable& table = kernels::active();
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
   tensor::Tensor context(tensor::Shape{rows, d_model});
-  // Per-thread buffers reused across calls: K_h transposed (d_head x keys)
-  // and one query row's scores.
-  thread_local std::vector<float> kt;
-  thread_local std::vector<float> scores;
-  kt.resize(d_head * keys);
-  scores.resize(keys);
-
   for (std::size_t h = 0; h < n_heads; ++h) {
     const std::size_t off = h * d_head;
-    for (std::size_t j = 0; j < keys; ++j) {
-      for (std::size_t c = 0; c < d_head; ++c) {
-        kt[c * keys + j] = k[j * d_model + off + c];
-      }
-    }
-    for (std::size_t i = 0; i < rows; ++i) {
-      const std::size_t ctx = start_position + i + 1;
-      table.attention_scores(q.row(i).data() + off, d_head, kt.data(), keys,
-                             ctx, scale, scores.data());
-      tensor::softmax(std::span<float>(scores).first(ctx));
-      table.attention_context(scores.data(), ctx, v.data() + off, d_model,
-                              d_head, context.row(i).data() + off);
-    }
+    table.causal_attention(q.data().data() + off, rows, k.data() + off,
+                           v.data() + off, d_model, d_head, start_position,
+                           scale, context.data().data() + off);
   }
   return context;
 }

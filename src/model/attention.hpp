@@ -19,10 +19,10 @@ tensor::Tensor multi_head_attention(const tensor::Tensor& x, const BlockWeights&
 ///
 /// Bit-identity contract: for any split of a sequence into steps, the outputs
 /// equal the corresponding rows of multi_head_attention() over the whole
-/// sequence. Both paths run the same per-row causal routine (exact-order
-/// score kernel, stable softmax, ascending-j context accumulation that skips
-/// exact zeros), and cached K/V rows are the same float bits the one-shot
-/// path recomputes.
+/// sequence. Both paths run the kernel table's causal_attention, whose every
+/// row depends only on its own prefix (exact-order scores, stable softmax,
+/// ascending-j context accumulation that skips exact zeros), and cached K/V
+/// rows are the same float bits the one-shot path recomputes.
 ///
 /// Requires cache.rows(block_index) == start_position (caller feeds steps in
 /// order; KvCache::commit() advances the committed position per step).

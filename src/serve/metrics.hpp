@@ -180,6 +180,12 @@ struct ServeMetrics {
   /// (RequestResult::failed). Not in `completed` or the latency histograms.
   std::size_t failed_requests = 0;
 
+  /// Every request a run was offered lands in exactly one of these counters;
+  /// Server::run and run_reference ensure the sum equals the offered count.
+  std::size_t accounted_requests() const {
+    return completed + shed_requests + rejected_requests + failed_requests;
+  }
+
   /// Per-priority-class latency + SLA breakdown (key = Request.priority).
   std::map<int, PrioritySummary> per_priority;
 

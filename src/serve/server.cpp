@@ -278,6 +278,7 @@ ServeReport Server::run(const std::vector<Request>& workload) {
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base;
   report.metrics.mem.arena_bytes =
       kv_arenas_.reserved_bytes() + scratch_arenas_.reserved_bytes();
+  HAAN_ENSURES(report.metrics.accounted_requests() == workload.size());
   return report;
 }
 
@@ -341,6 +342,7 @@ ServeReport Server::run_reference(const std::vector<Request>& workload) {
   report.metrics.kernel = kernel_tuning_info(config_.model);
   report.metrics.mem.numa_mode = mem::to_string(mem::numa_mode());
   report.metrics.mem.nodes = static_cast<int>(mem::topology().nodes());
+  HAAN_ENSURES(report.metrics.accounted_requests() == workload.size());
   return report;
 }
 

@@ -1,9 +1,9 @@
-// Exact-order contract of the matmul kernels (kernels.hpp): every runnable
-// kernel table's linear, attention_scores and attention_context must be
-// bit-identical (memcmp) to an inline replica of the seed loops, for every
-// shape, and a row computed alone must equal the same row inside a large
-// call. Shapes cover single rows, register-tile remainders, output-block
-// tails and reduction lengths that are not a multiple of any vector width.
+// Exact-order contract of the linear kernel (kernels.hpp): every runnable
+// kernel table's linear must be bit-identical (memcmp) to an inline replica
+// of the seed loop, for every shape, and a row computed alone must equal the
+// same row inside a large call. Shapes cover single rows, register-tile
+// remainders, output-block tails and reduction lengths that are not a
+// multiple of any vector width.
 // Non-finite inputs must produce NaN at the same positions and bit-identical
 // values (Inf included) everywhere else.
 #include <gtest/gtest.h>
@@ -47,33 +47,6 @@ std::vector<float> seed_linear(const std::vector<float>& x, std::size_t n,
     }
   }
   return y;
-}
-
-/// The seed attention score loop: scale * (float)tensor::dot(q, k_j), with
-/// the keys stored transposed (kt is d_head x ld).
-std::vector<float> seed_scores(const std::vector<float>& q,
-                               const std::vector<float>& kt, std::size_t ld,
-                               std::size_t ctx, float scale) {
-  const std::size_t d_head = q.size();
-  std::vector<float> scores(ctx);
-  for (std::size_t j = 0; j < ctx; ++j) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < d_head; ++c) {
-      acc += static_cast<double>(q[c]) * static_cast<double>(kt[c * ld + j]);
-    }
-    scores[j] = scale * static_cast<float>(acc);
-  }
-  return scores;
-}
-
-/// The seed P·V loop: ascending j, exact-zero weights skipped, float
-/// multiply then add.
-void seed_context(const std::vector<float>& p, const std::vector<float>& v,
-                  std::size_t ld, std::size_t d_head, std::vector<float>& out) {
-  for (std::size_t j = 0; j < p.size(); ++j) {
-    if (p[j] == 0.0f) continue;
-    for (std::size_t c = 0; c < d_head; ++c) out[c] += p[j] * v[j * ld + c];
-  }
 }
 
 bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
@@ -219,142 +192,6 @@ TEST(LinearParity, NonFiniteInputsPropagateToTheSamePositions) {
   for (const KernelTable* table : supported_kernels()) {
     std::vector<float> got(n * out);
     table->linear(x.data(), n, in, w.data(), out, nullptr, got.data());
-    expect_same_nonfinite(got, want, table->name);
-  }
-}
-
-std::vector<std::size_t> score_contexts() {
-  std::vector<std::size_t> ctxs;
-  for (std::size_t c = 1; c <= 17; ++c) ctxs.push_back(c);
-  ctxs.push_back(144);
-  ctxs.push_back(192);
-  return ctxs;
-}
-
-TEST(AttentionScoreParity, EveryTableMatchesTheSeedLoopBitForBit) {
-  for (const std::size_t d_head : {1u, 7u, 16u, 24u}) {
-    for (const std::size_t ctx : score_contexts()) {
-      const std::size_t ld = ctx + 3;  // transposed buffers may be wider
-      const auto q = random_values(d_head, d_head);
-      const auto kt = random_values(d_head * ld, ctx * 7 + d_head);
-      const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-      const auto want = seed_scores(q, kt, ld, ctx, scale);
-      for (const KernelTable* table : supported_kernels()) {
-        std::vector<float> got(ctx);
-        table->attention_scores(q.data(), d_head, kt.data(), ld, ctx, scale,
-                                got.data());
-        ASSERT_TRUE(same_bits(got, want))
-            << table->name << " d_head=" << d_head << " ctx=" << ctx;
-      }
-    }
-  }
-}
-
-TEST(AttentionScoreParity, CancellingSumsKeepTheAscendingOrder) {
-  for (const std::size_t d_head : {16u, 24u}) {
-    for (const std::size_t ctx : score_contexts()) {
-      auto q = random_values(d_head, d_head + 1);
-      // kt viewed as ctx rows of d_head: key j is row j of the transpose.
-      auto k = random_values(ctx * d_head, ctx + 2);
-      make_cancelling(q, 1, k, ctx, d_head);
-      std::vector<float> kt(d_head * ctx);
-      for (std::size_t j = 0; j < ctx; ++j) {
-        for (std::size_t c = 0; c < d_head; ++c) {
-          kt[c * ctx + j] = k[j * d_head + c];
-        }
-      }
-      const auto want = seed_scores(q, kt, ctx, ctx, 0.25f);
-      for (const KernelTable* table : supported_kernels()) {
-        std::vector<float> got(ctx);
-        table->attention_scores(q.data(), d_head, kt.data(), ctx, ctx, 0.25f,
-                                got.data());
-        ASSERT_TRUE(same_bits(got, want))
-            << table->name << " d_head=" << d_head << " ctx=" << ctx;
-      }
-    }
-  }
-}
-
-TEST(AttentionScoreParity, AShortPrefixEqualsTheSameKeysInsideALongCall) {
-  constexpr std::size_t kKeys = 192, kHead = 24;
-  const auto q = random_values(kHead, 3);
-  const auto kt = random_values(kHead * kKeys, 4);
-  for (const KernelTable* table : supported_kernels()) {
-    std::vector<float> full(kKeys);
-    table->attention_scores(q.data(), kHead, kt.data(), kKeys, kKeys, 0.25f,
-                            full.data());
-    for (const std::size_t ctx : score_contexts()) {
-      std::vector<float> prefix(ctx);
-      table->attention_scores(q.data(), kHead, kt.data(), kKeys, ctx, 0.25f,
-                              prefix.data());
-      ASSERT_EQ(std::memcmp(prefix.data(), full.data(), ctx * sizeof(float)), 0)
-          << table->name << " ctx=" << ctx;
-    }
-  }
-}
-
-TEST(AttentionScoreParity, NonFiniteKeysPropagateToTheSamePositions) {
-  constexpr std::size_t kHead = 16, kKeys = 41;
-  auto q = random_values(kHead, 5);
-  auto kt = random_values(kHead * kKeys, 6);
-  const float inf = std::numeric_limits<float>::infinity();
-  kt[0 * kKeys + 3] = inf;
-  kt[1 * kKeys + 3] = -inf;  // Inf - Inf -> NaN at key 3
-  kt[2 * kKeys + 17] = inf;
-  kt[4 * kKeys + 30] = std::numeric_limits<float>::quiet_NaN();
-  q[6] = 3.0e38f;
-  kt[6 * kKeys + 40] = 3.0e38f;  // overflows to Inf when rounded to float
-  const auto want = seed_scores(q, kt, kKeys, kKeys, 0.25f);
-  for (const KernelTable* table : supported_kernels()) {
-    std::vector<float> got(kKeys);
-    table->attention_scores(q.data(), kHead, kt.data(), kKeys, kKeys, 0.25f,
-                            got.data());
-    expect_same_nonfinite(got, want, table->name);
-  }
-}
-
-TEST(AttentionContextParity, EveryTableMatchesTheSeedLoopBitForBit) {
-  for (const std::size_t d_head : {1u, 7u, 16u, 24u, 33u}) {
-    for (const std::size_t ctx : score_contexts()) {
-      const std::size_t ld = d_head * 4 + 1;  // one head inside wider rows
-      auto p = random_values(ctx, ctx + 1);
-      // Exact zeros (underflowed softmax weights) are skipped, not added:
-      // -0.0 outputs would otherwise turn into +0.0.
-      for (std::size_t j = 0; j < ctx; j += 3) p[j] = 0.0f;
-      const auto v = random_values(ctx * ld, ctx * 13 + d_head);
-      std::vector<float> want(d_head, 0.0f);
-      want[0] = -0.0f;
-      seed_context(p, v, ld, d_head, want);
-      for (const KernelTable* table : supported_kernels()) {
-        std::vector<float> got(d_head, 0.0f);
-        got[0] = -0.0f;
-        table->attention_context(p.data(), ctx, v.data(), ld, d_head,
-                                 got.data());
-        ASSERT_TRUE(same_bits(got, want))
-            << table->name << " d_head=" << d_head << " ctx=" << ctx;
-      }
-    }
-  }
-}
-
-TEST(AttentionContextParity, NonFiniteValuesPropagateToTheSamePositions) {
-  constexpr std::size_t kHead = 24, kKeys = 19;
-  auto p = random_values(kKeys, 8);
-  auto v = random_values(kKeys * kHead, 9);
-  const float inf = std::numeric_limits<float>::infinity();
-  p[2] = 0.0f;
-  v[2 * kHead + 0] = std::numeric_limits<float>::quiet_NaN();  // skipped key
-  p[4] = 0.5f;
-  p[5] = 0.25f;
-  v[4 * kHead + 1] = inf;
-  v[5 * kHead + 1] = -inf;  // Inf - Inf -> NaN
-  v[7 * kHead + 20] = -inf;
-  std::vector<float> want(kHead, 0.0f);
-  seed_context(p, v, kHead, kHead, want);
-  for (const KernelTable* table : supported_kernels()) {
-    std::vector<float> got(kHead, 0.0f);
-    table->attention_context(p.data(), kKeys, v.data(), kHead, kHead,
-                             got.data());
     expect_same_nonfinite(got, want, table->name);
   }
 }

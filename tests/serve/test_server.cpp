@@ -137,6 +137,7 @@ TEST(Server, UnservableRequestsAreRejectedAndTheRestServedBitIdentically) {
   ASSERT_EQ(concurrent.results.size(), workload.size());
   EXPECT_EQ(concurrent.metrics.rejected_requests, bad.size());
   EXPECT_EQ(concurrent.metrics.completed, workload.size() - bad.size());
+  EXPECT_EQ(concurrent.metrics.accounted_requests(), workload.size());
   EXPECT_EQ(server.run_reference(workload).metrics.rejected_requests,
             bad.size());
   for (std::size_t i = 0; i < workload.size(); ++i) {

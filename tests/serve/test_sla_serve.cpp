@@ -139,6 +139,7 @@ TEST(SlaServe, OverloadShedsDeadlineTrafficAndReportsIt) {
   EXPECT_EQ(report.metrics.shed_requests, shed);
   EXPECT_EQ(report.metrics.completed, served);  // completed counts SERVED only
   EXPECT_EQ(report.metrics.deadline_missed_requests, shed);
+  EXPECT_EQ(report.metrics.accounted_requests(), workload.size());
 }
 
 TEST(SlaServe, DegradedRequestsMatchDegradeProviderReference) {

@@ -156,6 +156,7 @@ TEST(WorkerPool, ThrowingPackFailsOnlyItsRequestsAndReturnsEveryArena) {
   const ServeMetrics summary = metrics.finalize(1.0);
   EXPECT_EQ(summary.failed_requests, 1u);
   EXPECT_EQ(summary.completed, workload.size() - 1);
+  EXPECT_EQ(summary.accounted_requests(), workload.size());
 
   // Every arena the run checked out is parked again, the failed session's
   // KV arena included.
