@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "kernels/attention_rows.hpp"
 #include "kernels/expf_model.hpp"
 
 namespace haan::kernels {
@@ -557,7 +558,8 @@ void silu_avx2(float* v, std::size_t n) {
 // The AVX-512 backend's two shapes at half the width: a tile of kTileRows
 // query rows puts one row in each lane, every lane keeping its row's exact
 // order, and a tile with few live rows (decode steps) runs the per-row
-// kernels, lanes across keys or columns.
+// kernels, lanes across keys or columns. The tiles' gain was measured with
+// this table forced on an AVX-512 host (README), not on an AVX2-only CPU.
 
 /// One query row's scores against keys stored transposed (kt is d_head x ld,
 /// key j in column j): scores[j] = scale * (float)(Σ_c q[c] * kt[c*ld + j]),
@@ -614,7 +616,7 @@ constexpr std::size_t kTileRows = 8;
 /// Tiles with fewer live rows run the per-row kernels. A tile costs about the
 /// same whatever its live-row count; measured on an AVX-512 host running this
 /// table (d_head 16 and 24, 1 to 176 keys), the per-row kernels are faster
-/// below this count.
+/// below this count. Not yet measured on an AVX2-only CPU.
 constexpr std::size_t kMinTileRows = 4;
 /// Keys whose score chains run side by side in one tile step: 8 FMA chains.
 constexpr std::size_t kScoreKeys = 4;
@@ -682,6 +684,8 @@ inline void tile_scores(const double* qt, const double* kd, std::size_t d_head,
 /// the rounded quotient e / sum, so when every double within 8 ulps of q
 /// rounds to the same float, that float is (float)(e / sum): float rounding
 /// is monotone. Otherwise — about once in 10^7 lanes — the lane divides.
+/// Dividing every lane instead cost 7% of prefill_offline throughput in the
+/// AVX-512 table; not measured for this one.
 inline __m128 softmax_weight4(__m256d e, __m256d sum, __m256d inv) {
   const __m256i bits = _mm256_castpd_si256(_mm256_mul_pd(e, inv));
   const __m256i step = _mm256_set1_epi64x(8);
@@ -829,28 +833,6 @@ void attention_tile(const float* q, std::size_t live, const double* kd,
   }
 }
 
-/// Rows [0, rows) through the per-row kernels.
-void attention_rows(const float* q, std::size_t rows, const float* k,
-                    const float* v, std::size_t ld, std::size_t d_head,
-                    std::size_t start_position, float scale,
-                    AttentionScratch& ws, float* out) {
-  const std::size_t keys = start_position + rows;
-  ws.kt.resize(d_head * keys);
-  ws.scores.resize(keys);
-  for (std::size_t j = 0; j < keys; ++j) {
-    for (std::size_t c = 0; c < d_head; ++c) {
-      ws.kt[c * keys + j] = k[j * ld + c];
-    }
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::size_t ctx = start_position + i + 1;
-    attention_scores_row(q + i * ld, d_head, ws.kt.data(), keys, ctx, scale,
-                         ws.scores.data());
-    softmax_avx2(ws.scores.data(), ctx);
-    attention_context_row(ws.scores.data(), ctx, v, ld, d_head, out + i * ld);
-  }
-}
-
 void causal_attention_avx2(const float* q, std::size_t rows, const float* k,
                            const float* v, std::size_t ld, std::size_t d_head,
                            std::size_t start_position, float scale,
@@ -860,7 +842,10 @@ void causal_attention_avx2(const float* q, std::size_t rows, const float* k,
   const std::size_t head = rows % kTileRows;
   std::size_t i0 = 0;
   if (head != 0 && head < kMinTileRows) {
-    attention_rows(q, head, k, v, ld, d_head, start_position, scale, ws, out);
+    detail::attention_rows<attention_scores_row, softmax_avx2,
+                           attention_context_row>(
+        q, head, k, v, ld, d_head, start_position, scale, ws.kt, ws.scores,
+        out);
     i0 = head;
   }
   if (i0 == rows) return;

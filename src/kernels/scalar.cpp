@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "kernels/attention_rows.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -152,6 +153,7 @@ void attention_scores_scalar(const float* q, std::size_t d_head,
 
 void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
                               std::size_t ld, std::size_t d_head, float* out) {
+  std::fill(out, out + d_head, 0.0f);
   for (std::size_t j = 0; j < ctx; ++j) {
     const float pj = p[j];
     if (pj == 0.0f) continue;
@@ -201,25 +203,14 @@ void causal_attention_scalar(const float* q, std::size_t rows, const float* k,
                              const float* v, std::size_t ld,
                              std::size_t d_head, std::size_t start_position,
                              float scale, float* out) {
-  const std::size_t keys = start_position + rows;
-  // Per-thread buffers reused across calls: K transposed (d_head x keys) and
-  // one query row's scores.
+  // Per-thread buffers reused across calls: K transposed and one query row's
+  // scores.
   thread_local std::vector<float> kt;
   thread_local std::vector<float> scores;
-  kt.resize(d_head * keys);
-  scores.resize(keys);
-  for (std::size_t j = 0; j < keys; ++j) {
-    for (std::size_t c = 0; c < d_head; ++c) kt[c * keys + j] = k[j * ld + c];
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::size_t ctx = start_position + i + 1;
-    float* out_row = out + i * ld;
-    attention_scores_scalar(q + i * ld, d_head, kt.data(), keys, ctx, scale,
-                            scores.data());
-    softmax_scalar(scores.data(), ctx);
-    std::fill(out_row, out_row + d_head, 0.0f);
-    attention_context_scalar(scores.data(), ctx, v, ld, d_head, out_row);
-  }
+  attention_rows<attention_scores_scalar, softmax_scalar,
+                 attention_context_scalar>(q, rows, k, v, ld, d_head,
+                                           start_position, scale, kt, scores,
+                                           out);
 }
 
 void silu_scalar(float* v, std::size_t n) {

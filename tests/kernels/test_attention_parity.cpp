@@ -5,10 +5,11 @@
 // width, start position and row count, including the row counts that leave
 // partial tiles and the few-row tiles that run per-row kernels. A row
 // computed alone must equal the same row inside a long call. Non-finite
-// values must land in the same positions, scores far below the row max must
-// take the same zero-weight skips, a NaN or +Inf score must abort every
-// table, and a table patched for a libm mismatch must carry the scalar
-// attention.
+// values must land in the same positions, scores far below the row max or
+// overflowing to -Inf must take the same zero-weight skips, a NaN or +Inf
+// score (an infinite key, or a finite product past the float range) must
+// abort every table, and a table patched for a libm mismatch must carry the
+// scalar attention.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,7 +118,8 @@ struct WeightCounts {
 
 /// The seed's per-row causal attention over the case: out is (rows x ld),
 /// the head's columns computed and every other column kSentinel.
-std::vector<float> seed_attention(const Case& c, WeightCounts* counts = nullptr) {
+std::vector<float> seed_attention(const Case& c,
+                                  WeightCounts* counts = nullptr) {
   std::vector<float> out(c.rows * c.ld, kSentinel);
   const std::vector<float> v_head(c.v.begin() + c.off, c.v.end());
   for (std::size_t i = 0; i < c.rows; ++i) {
@@ -186,8 +188,13 @@ std::string describe(const KernelTable& table, const Case& c) {
          " rows=" + std::to_string(c.rows) + " ld=" + std::to_string(c.ld);
 }
 
+/// Head widths that fill whole tile columns (multiples of 8 and 16) and
+/// widths that leave a partial column chunk, including one narrower than a
+/// vector.
+constexpr std::size_t kHeadWidths[] = {1, 7, 8, 16, 24, 33, 61, 64, 256};
+
 TEST(CausalAttentionParity, EveryTableMatchesTheSeedLoopBitForBit) {
-  for (const std::size_t d_head : {8u, 16u, 24u, 64u, 256u}) {
+  for (const std::size_t d_head : kHeadWidths) {
     for (const std::size_t start : {0u, 1u, 15u, 16u, 17u, 100u}) {
       for (const std::size_t rows : row_counts()) {
         const Case c(d_head, start, rows, d_head, 0,
@@ -202,7 +209,8 @@ TEST(CausalAttentionParity, EveryTableMatchesTheSeedLoopBitForBit) {
 }
 
 TEST(CausalAttentionParity, AHeadInsideAWiderRowLeavesItsNeighboursAlone) {
-  for (const std::size_t d_head : {8u, 16u, 24u, 64u}) {
+  for (const std::size_t d_head : kHeadWidths) {
+    if (d_head > 64) continue;
     // Four heads plus one stray column; the head under test is the third.
     const std::size_t ld = 4 * d_head + 1;
     for (const std::size_t rows : {1u, 3u, 16u, 17u, 40u}) {
@@ -319,20 +327,27 @@ TEST(CausalAttentionParity, NonFiniteValuesPropagateToTheSamePositions) {
 TEST(CausalAttentionParity, InfiniteKeysGiveZeroWeightsThatAreSkipped) {
   // q's column 2 is positive, so a -Inf (or, through a negative q column,
   // +Inf) key element makes that key's score -Inf for every row: its weight
-  // is exactly 0 and the NaN in its value row must never be read.
+  // is exactly 0 and the NaN in its value row must never be read. Key 2
+  // scores -Inf from finite values: q's column 4 is 1e30 and every key's is
+  // 0 except key 2's, -1e30, whose product -1e60 is a finite double that
+  // rounds to -Inf as a float.
   for (const std::size_t rows : {1u, 7u, 16u, 33u}) {
     Case c(16, 5, rows, 16, 0, rows + 23);
     for (std::size_t i = 0; i < rows; ++i) {
       c.q_at(i, 2) = 0.5f + std::fabs(c.q_at(i, 2));
       c.q_at(i, 9) = -0.5f - std::fabs(c.q_at(i, 9));
+      c.q_at(i, 4) = 1.0e30f;
     }
+    for (std::size_t j = 0; j < c.keys(); ++j) c.k_at(j, 4) = 0.0f;
     c.k_at(1, 2) = -kInf;
+    c.k_at(2, 4) = -1.0e30f;
     c.k_at(3, 9) = kInf;
     c.v_at(1, 4) = kNaN;
+    c.v_at(2, 1) = kNaN;
     c.v_at(3, 11) = kNaN;
     WeightCounts counts;
     const auto want = seed_attention(c, &counts);
-    ASSERT_GE(counts.zero, 2 * rows);
+    ASSERT_GE(counts.zero, 3 * rows);
     ASSERT_TRUE(std::none_of(want.begin(), want.end(),
                              [](float x) { return std::isnan(x); }));
     for (const KernelTable* table : supported_kernels()) {
@@ -436,6 +451,12 @@ TEST(CausalAttentionParityDeathTest, ANaNOrInfiniteScoreAbortsEveryTable) {
       }
       inf_score.k_at(1, 3) = kInf;
       EXPECT_DEATH(run(*table, inf_score), "assertion failed")
+          << table->name << " rows=" << rows;
+      // A finite q·k (1e60) that rounds to +Inf as a float score.
+      Case overflow(16, 2, rows, 16, 0, 79);
+      for (std::size_t i = 0; i < rows; ++i) overflow.q_at(i, 4) = 1.0e30f;
+      overflow.k_at(1, 4) = 1.0e30f;
+      EXPECT_DEATH(run(*table, overflow), "assertion failed")
           << table->name << " rows=" << rows;
     }
   }
