@@ -35,18 +35,8 @@
 // served (--overload-max-p99-us bounds its p99). Every sweep cell is
 // verified bit-for-bit against the reference oracle.
 //
-// Placement: --numa picks off | auto | interleave (empty defers to
-// HAAN_NUMA); with --numa-sweep=true the same workload replays closed-loop
-// under every placement mode in one process (off, auto, plus interleave on
-// multi-node hosts), asserting bit-identical results and deterministic
-// rows-per-call across modes, gating the arena reuse ratio under auto
-// (--min-arena-reuse) and node-local vs interleaved throughput on multi-node
-// hosts (--min-local-vs-interleave). Each mode's Server serves the workload
-// three times: the gates read the first (cold) run, and the last (warm) run
-// shows what a Server's long-lived arenas save.
-//
-// Run cost: the main run and every NUMA-sweep run report their minor page
-// faults and user/system CPU seconds (getrusage(RUSAGE_SELF) deltas around
+// Run cost: the main run reports its minor page faults and user/system CPU
+// seconds (getrusage(RUSAGE_SELF) deltas around
 // Server::run, so every thread of the process counts). Reported, not gated.
 //
 // Observability: --trace-out exports the run as Chrome Trace Event JSON
@@ -362,44 +352,6 @@ serve::ServeReport run_costed(serve::Server& server,
   return report;
 }
 
-/// Runs after the first one in each NUMA-sweep cell. A Server's arenas reach
-/// their high watermark over its first few runs; the last of these is the
-/// cell's warm figure.
-constexpr int kWarmRuns = 2;
-
-/// One cell of the NUMA placement sweep: the same workload served closed-loop
-/// under one placement mode, 1 + kWarmRuns times on one Server. Placement
-/// moves memory and threads, never values, so every run must reproduce the
-/// kOff baseline bit-for-bit. The gated figures come from the first (cold)
-/// run.
-struct NumaCell {
-  std::string mode;
-  double rps = 0.0;
-  double warm_rps = 0.0;  ///< throughput of the last warm run
-  double rows_per_call = 0.0;  ///< deterministic: pure function of packing
-  double arena_reuse = 0.0;
-  std::size_t arena_bytes = 0;
-  std::uint64_t cross_node_rows = 0;
-  RunCost cold;  ///< the Server's first run
-  RunCost warm;  ///< its last run, on the arenas the earlier ones left
-  bool verified = false;  ///< every run bit-identical to the kOff baseline
-
-  common::Json to_json() const {
-    common::Json::Object entry;
-    entry["mode"] = mode;
-    entry["rps"] = rps;
-    entry["warm_rps"] = warm_rps;
-    entry["rows_per_call"] = rows_per_call;
-    entry["arena_reuse_ratio"] = arena_reuse;
-    entry["arena_bytes"] = arena_bytes;
-    entry["cross_node_rows"] = static_cast<std::size_t>(cross_node_rows);
-    entry["cold_run"] = cold.to_json();
-    entry["warm_run"] = warm.to_json();
-    entry["verified"] = verified;
-    return common::Json(entry);
-  }
-};
-
 /// Minimum closed-loop wall time over `runs` repetitions (noise floor for the
 /// tracing-overhead gate). Reuses `plan` so calibration isn't re-run.
 double min_closed_loop_wall_us(serve::ServerConfig config,
@@ -502,21 +454,6 @@ int main(int argc, char** argv) {
                "code)");
   cli.add_flag("norm-threads", "0",
                "row-partition threads per worker (0 = auto, 1 = serial)");
-  cli.add_flag("numa", "",
-               "memory/thread placement: off | auto | interleave (empty = "
-               "defer to HAAN_NUMA, default auto)");
-  cli.add_flag("numa-sweep", "false",
-               "replay the workload closed-loop under every placement mode in "
-               "one process (off, auto, + interleave on multi-node hosts): "
-               "bit-identity and deterministic rows-per-call across modes "
-               "gate the exit code");
-  cli.add_flag("min-arena-reuse", "0.95",
-               "with --numa-sweep, fail unless the arena reuse ratio under "
-               "auto placement reaches this after warmup (0 disables)");
-  cli.add_flag("min-local-vs-interleave", "0.95",
-               "with --numa-sweep on multi-node hosts, fail unless node-local "
-               "(auto) throughput reaches this fraction of interleaved "
-               "throughput (0 disables)");
   cli.add_flag("verify", "true",
                "compare against a single-threaded reference, bit-for-bit");
   cli.add_flag("compare-requests", "240", "requests per sweep cell");
@@ -600,13 +537,6 @@ int main(int argc, char** argv) {
   config.prefill_chunk =
       static_cast<std::size_t>(cli.get_int("prefill-chunk"));
   config.norm_threads = static_cast<std::size_t>(cli.get_int("norm-threads"));
-  config.numa = cli.get("numa");
-  if (!config.numa.empty() && !mem::parse_numa_mode(config.numa)) {
-    std::fprintf(stderr,
-                 "unknown --numa '%s' (expected off | auto | interleave)\n",
-                 config.numa.c_str());
-    return 1;
-  }
   config.stats_interval_ms =
       static_cast<std::size_t>(cli.get_int("stats-interval"));
   config.stats_json_path = cli.get("stats-json");
@@ -680,8 +610,7 @@ int main(int argc, char** argv) {
   if (config.norm != "exact") {
     std::printf("skip plan : %s\n", server.plan().to_string().c_str());
   }
-  std::printf("topology  : %s, numa=%s%s\n", mem::topology().describe().c_str(),
-              mem::to_string(mem::numa_mode()),
+  std::printf("topology  : %s%s\n", mem::topology().describe().c_str(),
               mem::topology().discovered() ? "" : " (sysfs fallback)");
 
   const auto workload = serve::generate_workload(workload_config);
@@ -1103,119 +1032,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- NUMA placement sweep -----------------------------------------------
-  const bool numa_sweep = cli.get_bool("numa-sweep");
-  const double min_arena_reuse = cli.get_double("min-arena-reuse");
-  const double min_local_vs_interleave = cli.get_double("min-local-vs-interleave");
-  std::vector<NumaCell> numa_cells;
-  bool numa_gate_ok = true;
-  if (numa_sweep) {
-    const mem::Topology& topo = mem::topology();
-    std::vector<mem::NumaMode> modes = {mem::NumaMode::kOff,
-                                        mem::NumaMode::kAuto};
-    if (topo.nodes() > 1) modes.push_back(mem::NumaMode::kInterleave);
-
-    serve::ServerConfig sweep_config = config;
-    sweep_config.numa.clear();  // the per-cell override below picks the mode
-    sweep_config.calibrate = false;
-    sweep_config.preset_plan = server.plan();
-    sweep_config.stats_interval_ms = 0;
-    sweep_config.paced = false;
-    sweep_config.keep_hidden = false;
-
-    std::printf(
-        "\n=== NUMA placement sweep (closed loop, %zu requests, %s) ===\n",
-        workload.size(), topo.describe().c_str());
-    std::printf("%10s %17s %10s %7s %12s %11s %19s %9s\n", "mode",
-                "req/s cold/warm", "rows/call", "reuse", "arena bytes",
-                "xnode rows", "faults cold/warm", "verified");
-    const auto matches = [](const serve::ServeReport& rep,
-                            const serve::ServeReport& base) {
-      // Shed/degraded requests are timing-dependent lanes with no stable
-      // checksum, so skip indices where either run took one.
-      if (rep.results.size() != base.results.size()) return false;
-      for (std::size_t i = 0; i < rep.results.size(); ++i) {
-        const serve::RequestResult& got = rep.results[i];
-        const serve::RequestResult& want = base.results[i];
-        if (got.shed || got.degraded || want.shed || want.degraded) continue;
-        if (got.hidden_checksum != want.hidden_checksum ||
-            got.generated != want.generated) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::optional<serve::ServeReport> baseline;
-    for (const mem::NumaMode mode : modes) {
-      mem::set_numa_mode_override(mode);
-      serve::Server sweep_server(sweep_config);
-      NumaCell cell;
-      const serve::ServeReport rep =
-          run_costed(sweep_server, workload, cell.cold);
-      if (!baseline) baseline = rep;
-      cell.verified = matches(rep, *baseline);
-      for (int run = 0; run < kWarmRuns; ++run) {
-        const serve::ServeReport warm =
-            run_costed(sweep_server, workload, cell.warm);
-        cell.verified = cell.verified && matches(warm, *baseline);
-        cell.warm_rps = warm.metrics.throughput_rps;
-      }
-
-      cell.mode = mem::to_string(mode);
-      cell.rps = rep.metrics.throughput_rps;
-      cell.rows_per_call = rep.metrics.rows_per_batched_call();
-      cell.arena_reuse = rep.metrics.mem.arena_reuse_ratio();
-      cell.arena_bytes = rep.metrics.mem.arena_bytes;
-      cell.cross_node_rows = rep.metrics.mem.cross_node_rows;
-      numa_gate_ok = numa_gate_ok && cell.verified;
-      numa_cells.push_back(cell);
-      std::printf("%10s %8.1f/%-8.1f %10.1f %7.3f %12zu %11zu %9ld/%-9ld %9s\n",
-                  cell.mode.c_str(), cell.rps, cell.warm_rps, cell.rows_per_call,
-                  cell.arena_reuse, cell.arena_bytes,
-                  static_cast<std::size_t>(cell.cross_node_rows),
-                  cell.cold.minor_faults, cell.warm.minor_faults,
-                  cell.verified ? "yes" : "MISMATCH");
-    }
-    // Restore the mode the rest of the bench was launched under.
-    if (!config.numa.empty()) {
-      mem::set_numa_mode_override(*mem::parse_numa_mode(config.numa));
-    } else {
-      mem::clear_numa_mode_override();
-    }
-
-    // Packing is a pure function of the workload, so the mean rows per
-    // batched norm call must not move when placement changes.
-    const double base_rows = numa_cells.front().rows_per_call;
-    bool rows_ok = true;
-    for (const NumaCell& cell : numa_cells) {
-      rows_ok = rows_ok && cell.rows_per_call == base_rows;
-    }
-    numa_gate_ok = numa_gate_ok && rows_ok;
-    std::printf("rows/call gate   : %s (deterministic packing across modes)\n",
-                rows_ok ? "PASS" : "FAIL");
-    if (min_arena_reuse > 0.0) {
-      const NumaCell& auto_cell = numa_cells[1];
-      const bool ok = auto_cell.arena_reuse >= min_arena_reuse;
-      numa_gate_ok = numa_gate_ok && ok;
-      std::printf(
-          "arena reuse gate : %s (auto reuse %.3f, >= %.3f required)\n",
-          ok ? "PASS" : "FAIL", auto_cell.arena_reuse, min_arena_reuse);
-    }
-    if (topo.nodes() > 1 && min_local_vs_interleave > 0.0) {
-      const NumaCell& auto_cell = numa_cells[1];
-      const NumaCell& interleave_cell = numa_cells[2];
-      const bool ok = interleave_cell.rps <= 0.0 ||
-                      auto_cell.rps >=
-                          interleave_cell.rps * min_local_vs_interleave;
-      numa_gate_ok = numa_gate_ok && ok;
-      std::printf(
-          "node-local gate  : %s (auto %.1f req/s vs interleave %.1f req/s, "
-          ">= %.2fx required)\n",
-          ok ? "PASS" : "FAIL", auto_cell.rps, interleave_cell.rps,
-          min_local_vs_interleave);
-    }
-  }
-
   // --- Tracing overhead gate ---------------------------------------------
   const double max_trace_overhead = cli.get_double("max-trace-overhead");
   bool overhead_ok = true;
@@ -1280,8 +1096,6 @@ int main(int argc, char** argv) {
     cfg["decode_tokens"] = workload_config.decode_tokens;
     cfg["max_decode"] = workload_config.max_decode;
     cfg["norm_threads"] = config.norm_threads;
-    cfg["numa"] = config.numa;
-    cfg["numa_mode"] = mem::to_string(mem::numa_mode());
     cfg["numa_nodes"] = mem::topology().nodes();
     cfg["topology"] = mem::topology().describe();
     cfg["seed"] = static_cast<std::size_t>(workload_config.seed);
@@ -1365,18 +1179,6 @@ int main(int argc, char** argv) {
       mix["gate_ok"] = decode_gate_ok;
       doc["decode_sweep"] = mix;
     }
-    if (numa_sweep) {
-      common::Json::Array sweep;
-      for (const NumaCell& cell : numa_cells) sweep.push_back(cell.to_json());
-      common::Json::Object numa;
-      numa["cells"] = sweep;
-      numa["topology"] = mem::topology().describe();
-      numa["nodes"] = mem::topology().nodes();
-      numa["min_arena_reuse"] = min_arena_reuse;
-      numa["min_local_vs_interleave"] = min_local_vs_interleave;
-      numa["gate_ok"] = numa_gate_ok;
-      doc["numa_sweep"] = numa;
-    }
     if (!trace_out.empty()) {
       common::Json::Object trace;
       trace["path"] = trace_out;
@@ -1406,7 +1208,7 @@ int main(int argc, char** argv) {
     std::printf("json report      : %s\n", json_path.c_str());
   }
   return verified && amortization_ok && decode_gate_ok && policy_gate_ok &&
-                 numa_gate_ok && p99_ok && trace_ok && overhead_ok
+                 p99_ok && trace_ok && overhead_ok
              ? 0
              : 1;
 }

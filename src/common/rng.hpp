@@ -39,8 +39,7 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double gaussian(double mean, double stddev);
 
-  /// Fills `out` with i.i.d. N(mean, stddev^2) floats. Spans let callers fill
-  /// any contiguous storage (std::vector, pmr arena-backed buffers) alike.
+  /// Fills `out` with i.i.d. N(mean, stddev^2) floats.
   void fill_gaussian(std::span<float> out, double mean, double stddev);
 
   /// Derives an independent child stream; the parent advances by one draw.

@@ -7,7 +7,6 @@
 #include "common/assert.hpp"
 #include "core/subsample.hpp"
 #include "kernels/kernels.hpp"
-#include "mem/topology.hpp"
 #include "numerics/fast_math.hpp"
 #include "tensor/norm_ref.hpp"
 
@@ -16,21 +15,7 @@ namespace haan::core {
 HaanNormProvider::HaanNormProvider(HaanConfig config, std::size_t norm_threads)
     : config_(config),
       predictor_(config.plan, config.predictor_fp16),
-      pool_(norm_threads),
-      scratch_arena_(mem::placement_enabled()
-                         ? std::make_unique<mem::Arena>(mem::ArenaOptions{
-                               /*initial_bytes=*/std::size_t{1} << 18})
-                         : nullptr),
-      buffer_(scratch_resource()),
-      row_stats_(scratch_resource()),
-      row_mean_(scratch_resource()),
-      row_isd_(scratch_resource()),
-      row_scale_(scratch_resource()) {}
-
-std::pmr::memory_resource* HaanNormProvider::scratch_resource() const {
-  return scratch_arena_ ? scratch_arena_.get()
-                        : std::pmr::get_default_resource();
-}
+      pool_(norm_threads) {}
 
 void HaanNormProvider::begin_sequence() { predictor_.begin_sequence(); }
 

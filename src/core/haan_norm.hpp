@@ -5,13 +5,10 @@
 // accelerator datapath; `haan::accel` adds cycle timing on top.
 #pragma once
 
-#include <memory>
-#include <memory_resource>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/isd_predictor.hpp"
-#include "mem/arena.hpp"
 #include "model/norm_provider.hpp"
 
 namespace haan::core {
@@ -84,9 +81,6 @@ class HaanNormProvider final : public model::NormProvider {
   double last_isd_used() const { return last_isd_; }
 
  private:
-  /// scratch_arena_ when placement is on, the default heap resource otherwise.
-  std::pmr::memory_resource* scratch_resource() const;
-
   double compute_isd(double second_moment) const;
 
   /// Statistics + normalization over the already-filled (pre-quantization)
@@ -111,19 +105,14 @@ class HaanNormProvider final : public model::NormProvider {
   IsdPredictor predictor_;
   model::RowPartitionPool pool_;  ///< worker-local row parallelism
   Counters counters_;
-  /// Backs every scratch vector below under HAAN_NUMA=auto/interleave: all of
-  /// them are resized only on the owning worker thread (pool chunks write
-  /// into pre-sized slots), so the arena stays single-owner. Declared before
-  /// the vectors it backs. Null with placement off (vectors use the heap).
-  std::unique_ptr<mem::Arena> scratch_arena_;
-  std::pmr::vector<float> buffer_;
+  std::vector<float> buffer_;
   double last_isd_ = 0.0;
 
   // Row-block scratch, reused across layers (no hot-path allocation).
-  std::pmr::vector<kernels::SumStats> row_stats_;
-  std::pmr::vector<double> row_mean_;
-  std::pmr::vector<double> row_isd_;
-  std::pmr::vector<float> row_scale_;
+  std::vector<kernels::SumStats> row_stats_;
+  std::vector<double> row_mean_;
+  std::vector<double> row_isd_;
+  std::vector<float> row_scale_;
 };
 
 }  // namespace haan::core

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -258,19 +257,13 @@ void residual_add_layernorm(std::span<float> h, std::span<const float> residual,
 // ---------------------------------------------------------------------------
 
 /// Reusable scratch for the row-block fused norms; hold one per thread and
-/// pass it to every call so no allocation happens on the hot path. Construct
-/// with a memory resource (e.g. a provider's node-local mem::Arena) to place
-/// the scratch explicitly; default-constructed workspaces use the heap, whose
-/// pages land on the first-touching thread's node anyway when that thread is
-/// pinned.
+/// pass it to every call so no allocation happens on the hot path. Its pages
+/// land on the first-touching thread's node, which is the owner's node when
+/// that thread is pinned.
 struct RowNormWorkspace {
-  RowNormWorkspace() = default;
-  explicit RowNormWorkspace(std::pmr::memory_resource* resource)
-      : stats(resource), mean(resource), isd(resource) {}
-
-  std::pmr::vector<SumStats> stats;
-  std::pmr::vector<double> mean;
-  std::pmr::vector<double> isd;
+  std::vector<SumStats> stats;
+  std::vector<double> mean;
+  std::vector<double> isd;
 };
 
 /// Row-block fused residual-add + RMSNorm over a contiguous (rows x d) block:

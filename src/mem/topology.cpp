@@ -1,12 +1,9 @@
 #include "mem/topology.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -22,8 +19,6 @@ namespace haan::mem {
 
 namespace {
 
-constexpr int kModeUnset = -1;
-
 /// CPU ids at or above this cannot be placed in a cpu_set_t, so a cpulist
 /// segment reaching them is unusable for pinning.
 #ifdef CPU_SETSIZE
@@ -31,9 +26,6 @@ constexpr int kCpuIdLimit = CPU_SETSIZE;
 #else
 constexpr int kCpuIdLimit = 1024;
 #endif
-
-// Override encoded as int so a single atomic covers "unset" and every mode.
-std::atomic<int> g_mode_override{kModeUnset};
 
 std::vector<int> online_cpus_fallback() {
 #ifdef __linux__
@@ -49,44 +41,6 @@ std::vector<int> online_cpus_fallback() {
 }
 
 }  // namespace
-
-const char* to_string(NumaMode mode) {
-  switch (mode) {
-    case NumaMode::kOff:
-      return "off";
-    case NumaMode::kAuto:
-      return "auto";
-    case NumaMode::kInterleave:
-      return "interleave";
-  }
-  return "off";
-}
-
-std::optional<NumaMode> parse_numa_mode(std::string_view text) {
-  if (text == "off" || text == "0") return NumaMode::kOff;
-  if (text == "auto" || text == "1") return NumaMode::kAuto;
-  if (text == "interleave") return NumaMode::kInterleave;
-  return std::nullopt;
-}
-
-NumaMode numa_mode() {
-  const int forced = g_mode_override.load(std::memory_order_relaxed);
-  if (forced != kModeUnset) return static_cast<NumaMode>(forced);
-  if (const char* env = std::getenv("HAAN_NUMA")) {
-    if (const auto parsed = parse_numa_mode(env)) return *parsed;
-  }
-  return NumaMode::kAuto;
-}
-
-bool placement_enabled() { return numa_mode() != NumaMode::kOff; }
-
-void set_numa_mode_override(NumaMode mode) {
-  g_mode_override.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-void clear_numa_mode_override() {
-  g_mode_override.store(kModeUnset, std::memory_order_relaxed);
-}
 
 std::vector<int> parse_cpu_list(std::string_view text) {
   std::vector<int> cpus;

@@ -1,52 +1,19 @@
-// NUMA topology discovery and placement policy for the serving runtime.
+// NUMA topology discovery for the serving runtime's thread pinning.
 // Nodes and their CPU lists are read from sysfs (/sys/devices/system/node)
 // with no libnuma dependency; hosts without that tree (non-Linux, containers
 // with a masked sysfs, single-socket machines exposing no node directories)
-// degrade to a single synthetic node covering every online CPU. Placement is
-// policy-gated by HAAN_NUMA (auto | off | interleave) plus a programmatic
-// override so benches can sweep modes inside one process. Topology and mode
-// only ever steer WHERE memory lives and which CPU a thread prefers — they
-// never change computed values (the repo's bit-identity guarantee).
+// degrade to a single synthetic node covering every online CPU. On a
+// multi-node host, serving workers and row-pool threads are pinned
+// node-local; topology only ever steers which CPU a thread prefers — it never
+// changes computed values (the repo's bit-identity guarantee).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace haan::mem {
-
-/// Memory/thread placement policy.
-///   kOff        — legacy behavior: default allocator, no arena scopes, no
-///                 topology-driven pinning (explicit HAAN_NORM_AFFINITY still
-///                 honored, routed through the topology for node bounds).
-///   kAuto       — arenas on; on multi-node hosts workers bind node-local
-///                 (round-robin across nodes) and slabs mbind to the home node.
-///   kInterleave — arenas on; slabs mbind interleaved across all nodes
-///                 (the bandwidth-spreading baseline --numa-sweep compares
-///                 node-local placement against).
-enum class NumaMode { kOff, kAuto, kInterleave };
-
-/// "off" | "auto" | "interleave".
-const char* to_string(NumaMode mode);
-
-/// Parses "off"/"0", "auto"/"1", "interleave"; nullopt on anything else.
-std::optional<NumaMode> parse_numa_mode(std::string_view text);
-
-/// Effective mode: the programmatic override if set, else HAAN_NUMA from the
-/// environment (read afresh each call), else kAuto.
-NumaMode numa_mode();
-
-/// Arenas + placement active (numa_mode() != kOff).
-bool placement_enabled();
-
-/// Forces `mode` for the process regardless of HAAN_NUMA (benches sweep
-/// off/auto/interleave in one process; tests pin a mode without env races).
-void set_numa_mode_override(NumaMode mode);
-
-/// Restores environment-driven mode resolution.
-void clear_numa_mode_override();
 
 /// One NUMA node: its sysfs id and the online CPUs it owns.
 struct NumaNode {
@@ -104,8 +71,7 @@ std::vector<int> parse_cpu_list(std::string_view text);
 int current_cpu();
 
 /// Node index of the calling thread's CPU; 0 when it cannot be determined
-/// (callers use it to pick an arena/pinning home, where node 0 is a safe
-/// default).
+/// (callers use it to pick a pinning home, where node 0 is a safe default).
 int current_node();
 
 }  // namespace haan::mem

@@ -5,19 +5,13 @@
 namespace haan::model {
 
 KvCache::KvCache(std::size_t n_blocks, std::size_t d_model,
-                 std::pmr::memory_resource* resource, std::size_t reserve_rows)
-    : d_model_(d_model) {
+                 std::size_t reserve_rows)
+    : layers_(n_blocks), d_model_(d_model) {
   HAAN_EXPECTS(d_model > 0);
-  std::pmr::memory_resource* mr =
-      resource != nullptr ? resource : std::pmr::get_default_resource();
-  layers_.reserve(n_blocks);
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    LayerKV& layer = layers_.emplace_back(
-        LayerKV{std::pmr::vector<float>(mr), std::pmr::vector<float>(mr)});
-    if (reserve_rows > 0) {
-      layer.k.reserve(reserve_rows * d_model_);
-      layer.v.reserve(reserve_rows * d_model_);
-    }
+  if (reserve_rows == 0) return;
+  for (LayerKV& layer : layers_) {
+    layer.k.reserve(reserve_rows * d_model_);
+    layer.v.reserve(reserve_rows * d_model_);
   }
 }
 

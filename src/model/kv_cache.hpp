@@ -7,16 +7,12 @@
 // one-shot forward would have recomputed — the foundation of the runtime's
 // bit-identity guarantee for incremental decoding.
 //
-// Storage is pmr: the serve-side SessionTable hands each session's cache a
-// recycled mem::Arena and a row reservation covering the session's whole
-// lifetime, so decode-step appends never touch the system allocator and the
-// arena's pages stay wherever the first appending (pinned) worker touched
-// them. With no resource (HAAN_NUMA=off, tests, the reference oracle) the
-// cache allocates from the default heap exactly as before.
+// The serve-side SessionTable builds each session's cache with a row
+// reservation covering the session's whole lifetime, so every layer allocates
+// exactly once and decode-step appends never reallocate.
 #pragma once
 
 #include <cstddef>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -27,12 +23,10 @@ class KvCache {
  public:
   KvCache() = default;
 
-  /// Sized for `n_blocks` attention layers of width `d_model`. When
-  /// `resource` is non-null all K/V storage draws from it; `reserve_rows`
-  /// pre-reserves capacity for that many rows per block so appends up to the
-  /// reservation never reallocate.
+  /// Sized for `n_blocks` attention layers of width `d_model`.
+  /// `reserve_rows` pre-reserves capacity for that many rows per block so
+  /// appends up to the reservation never reallocate.
   KvCache(std::size_t n_blocks, std::size_t d_model,
-          std::pmr::memory_resource* resource = nullptr,
           std::size_t reserve_rows = 0);
 
   bool valid() const { return d_model_ > 0; }
@@ -59,20 +53,18 @@ class KvCache {
   /// exactly `rows` rows since the previous commit.
   void commit(std::size_t rows);
 
-  /// Bytes RESERVED for K/V storage (vector capacity — with an arena behind
-  /// it, the allocation actually held). Reports cache pressure; for
-  /// cross-baseline comparisons use logical_bytes().
+  /// Bytes RESERVED for K/V storage (vector capacity). Reports cache
+  /// pressure; for cross-baseline comparisons use logical_bytes().
   std::size_t memory_bytes() const;
 
-  /// Bytes of K/V rows actually stored (size, not capacity) — identical for
-  /// arena-backed and heap-backed caches holding the same sequence, so serve
-  /// residency metrics stay comparable across HAAN_NUMA modes.
+  /// Bytes of K/V rows actually stored (size, not capacity) — independent of
+  /// any reservation, so serve residency metrics compare across baselines.
   std::size_t logical_bytes() const;
 
  private:
   struct LayerKV {
-    std::pmr::vector<float> k;
-    std::pmr::vector<float> v;
+    std::vector<float> k;
+    std::vector<float> v;
   };
   std::vector<LayerKV> layers_;
   std::size_t d_model_ = 0;

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "kernels/kernels.hpp"
-#include "mem/topology.hpp"
 #include "tensor/norm_ref.hpp"
 
 namespace haan::model {
@@ -70,13 +69,7 @@ void NormProvider::residual_add_normalize_rows(
 
 ExactNormProvider::ExactNormProvider(double eps, std::size_t norm_threads)
     : eps_(eps),
-      pool_(norm_threads),
-      scratch_arena_(mem::placement_enabled()
-                         ? std::make_unique<mem::Arena>(mem::ArenaOptions{
-                               /*initial_bytes=*/std::size_t{1} << 16})
-                         : nullptr),
-      workspace_(scratch_arena_ ? scratch_arena_.get()
-                                : std::pmr::get_default_resource()) {}
+      pool_(norm_threads) {}
 
 void ExactNormProvider::normalize(std::size_t /*layer_index*/, std::size_t /*position*/,
                                   NormKind kind, std::span<const float> z,

@@ -4,12 +4,10 @@
 // quantization) lives in `haan::core` and plugs into the same interface.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "kernels/kernels.hpp"
-#include "mem/arena.hpp"
 #include "model/config.hpp"
 #include "model/row_partition.hpp"
 
@@ -133,16 +131,11 @@ class ExactNormProvider final : public NormProvider {
  private:
   double eps_;
   RowPartitionPool pool_;  ///< worker-local row parallelism (lazy threads)
-  /// Backs workspace_ under HAAN_NUMA=auto/interleave. The provider is
-  /// worker-local and workspace_ is only resized on the owning thread, so the
-  /// arena stays single-owner. Declared before workspace_ so the workspace's
-  /// pmr vectors die while their resource is alive. Null with placement off.
-  std::unique_ptr<mem::Arena> scratch_arena_;
   kernels::RowNormWorkspace workspace_;  ///< chunk-0 scratch, reused
   /// One workspace per extra pool chunk so concurrent chunks never share
-  /// scratch; sized on first partitioned call. Deliberately heap-backed: the
-  /// fused kernels resize these INSIDE pool chunks on pool threads, and the
-  /// (pinned) pool thread's first touch places them node-local anyway.
+  /// scratch; sized on first partitioned call. The fused kernels resize these
+  /// INSIDE pool chunks on pool threads, so a (pinned) pool thread's first
+  /// touch places them node-local.
   std::vector<kernels::RowNormWorkspace> chunk_workspaces_;
 };
 

@@ -39,7 +39,7 @@ void pin_to_cpu(std::size_t worker_index, int cpu) {
 /// Pins the calling pool worker. Explicit HAAN_NORM_AFFINITY wins and walks
 /// the base CPU's OWN node round-robin (never crossing a socket — the
 /// pre-topology behavior walked all online CPUs linearly and split pools
-/// across nodes). Otherwise HAAN_NUMA=auto on a multi-node host pins workers
+/// across nodes). Otherwise, on a multi-node host, workers are pinned
 /// round-robin within the pool owner's home node. Failures are logged and
 /// ignored — affinity is a locality hint, not a correctness requirement.
 void pin_worker(std::size_t worker_index, int base, int home_node) {
@@ -55,8 +55,7 @@ void pin_worker(std::size_t worker_index, int base, int home_node) {
     pin_to_cpu(worker_index, cpus[(base_slot + 1 + worker_index) % cpus.size()]);
     return;
   }
-  if (mem::numa_mode() == mem::NumaMode::kAuto && topo.nodes() > 1 &&
-      home_node >= 0) {
+  if (topo.nodes() > 1 && home_node >= 0) {
     // Slot 0 is morally the caller (which runs chunk 0 and is placed by the
     // serving runtime), so workers start at slot worker_index + 1.
     pin_to_cpu(worker_index,
@@ -132,7 +131,7 @@ void RowPartitionPool::start_threads() {
   // The owner's node at thread-start is the pool's home: serve workers pin
   // themselves (or are placed by the OS) before their provider's first
   // partitioned call, so this is the node whose memory the chunks will read.
-  if (mem::placement_enabled() && mem::topology().nodes() > 1) {
+  if (mem::topology().nodes() > 1) {
     home_node_ = mem::current_node();
   }
   workers_.reserve(threads_ - 1);
@@ -185,9 +184,8 @@ void RowPartitionPool::for_rows(std::size_t rows, std::size_t min_rows,
 void RowPartitionPool::worker_main(std::size_t worker_index) {
   pin_worker(worker_index, affinity_base(), home_node_);
   // Cross-node accounting is only meaningful (and only worth a sched_getcpu
-  // per chunk) when placement is on and the host actually has several nodes.
-  const bool track_node =
-      home_node_ >= 0 && mem::placement_enabled() && mem::topology().nodes() > 1;
+  // per chunk) when the host actually has several nodes.
+  const bool track_node = home_node_ >= 0 && mem::topology().nodes() > 1;
   std::uint64_t seen = 0;
   // Track naming is deferred until tracing is actually on: pool threads start
   // lazily and usually before any tracer session begins.

@@ -56,7 +56,7 @@ class RowPartitionPool {
   /// mem::topology() and never leaves the base CPU's node. Returns -1 when
   /// unset/invalid or on non-Linux builds, where pinning is a no-op.
   ///
-  /// Without the env var, HAAN_NUMA=auto on a multi-node host pins workers
+  /// Without the env var, a multi-node host pins workers
   /// round-robin within the node the pool's OWNER was on when threads
   /// started, keeping every chunk's stats/normalize pass node-local to the
   /// block the caller first touched. Pinning changes scheduling only, never
@@ -74,8 +74,7 @@ class RowPartitionPool {
   void for_rows(std::size_t rows, std::size_t min_rows, const ChunkFn& fn);
 
   /// Process-wide count of rows whose chunk executed on a different NUMA node
-  /// than the pool owner's home node (0 on single-node hosts or with
-  /// placement off). Observability only — sampled by ServeMetrics.
+  /// than the pool owner's home node (0 on single-node hosts). Observability only — sampled by ServeMetrics.
   static std::uint64_t global_cross_node_rows();
 
   /// Number of chunks for_rows would use (pure partition arithmetic).
@@ -96,8 +95,8 @@ class RowPartitionPool {
   std::vector<std::thread> workers_;
   bool started_ = false;
   /// Topology node index of the owning thread when workers started (-1 until
-  /// then / when placement accounting is off); workers compare their own node
-  /// against it for the cross-node row counter and auto pinning.
+  /// then / on single-node hosts); workers compare their own node
+  /// against it for the cross-node row counter and node pinning.
   int home_node_ = -1;
 
   std::mutex mu_;

@@ -81,14 +81,7 @@ common::Json KernelTuningInfo::to_json() const {
 
 common::Json MemPlacementInfo::to_json() const {
   common::Json::Object out;
-  out["numa_mode"] = numa_mode;
   out["nodes"] = nodes;
-  out["arena_bytes"] = arena_bytes;
-  out["arena_allocations"] = static_cast<std::size_t>(arena_allocations);
-  out["arena_slab_allocations"] =
-      static_cast<std::size_t>(arena_slab_allocations);
-  out["arena_resets"] = static_cast<std::size_t>(arena_resets);
-  out["arena_reuse_ratio"] = arena_reuse_ratio();
   out["cross_node_rows"] = static_cast<std::size_t>(cross_node_rows);
   return out;
 }
@@ -145,7 +138,7 @@ common::Json ServeMetrics::to_json() const {
   counters["rows_per_batched_call"] = rows_per_batched_call();
   out["norm_counters"] = counters;
   if (!kernel.backend.empty()) out["kernel"] = kernel.to_json();
-  if (!mem.numa_mode.empty()) out["mem"] = mem.to_json();
+  if (mem.nodes > 0) out["mem"] = mem.to_json();
   return out;
 }
 
@@ -222,12 +215,9 @@ std::string ServeMetrics::to_string() const {
     out << "kernel backend   : " << kernel.backend << " over "
         << kernel.norm_layers << " norm layers\n";
   }
-  if (!mem.numa_mode.empty()) {
-    out << "memory placement : numa " << mem.numa_mode << ", " << mem.nodes
-        << " node" << (mem.nodes == 1 ? "" : "s") << ", arenas "
-        << mem.arena_bytes << " bytes (reuse "
-        << common::format_double(mem.arena_reuse_ratio(), 3) << ", "
-        << mem.arena_resets << " resets)";
+  if (mem.nodes > 0) {
+    out << "memory placement : " << mem.nodes << " node"
+        << (mem.nodes == 1 ? "" : "s");
     if (mem.nodes > 1) {
       out << ", cross-node rows " << mem.cross_node_rows;
     }
@@ -337,11 +327,6 @@ void MetricsCollector::add_norm_counters(const NormCounters& counters) {
   norm_.batched_rows += counters.batched_rows;
 }
 
-void MetricsCollector::add_arena_stats(const mem::ArenaStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  arena_.add_counters(stats);
-}
-
 std::size_t MetricsCollector::completed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_us_.count();
@@ -392,9 +377,6 @@ ServeMetrics MetricsCollector::finalize(double wall_us) const {
     metrics.per_priority.emplace(priority, std::move(summary));
   }
   metrics.norm = norm_;
-  metrics.mem.arena_allocations = arena_.allocations;
-  metrics.mem.arena_slab_allocations = arena_.slab_allocations;
-  metrics.mem.arena_resets = arena_.resets;
   return metrics;
 }
 

@@ -18,7 +18,7 @@
 #include "common/histogram.hpp"
 #include "common/json_lite.hpp"
 #include "core/haan_norm.hpp"
-#include "mem/arena.hpp"
+#include "mem/topology.hpp"  // MemPlacementInfo describes mem::topology()
 #include "serve/request.hpp"
 
 namespace haan::serve {
@@ -63,39 +63,19 @@ struct KernelTuningInfo {
   common::Json to_json() const;
 };
 
-/// NUMA/arena placement accounting for ONE Server::run. The server's arenas
-/// (session KV and worker scratch) outlive a run, so the arena counters are
-/// per-run deltas: arena_allocations, arena_slab_allocations and
-/// arena_resets count only what this run's workers (folded in at drain via
-/// MetricsCollector::add_arena_stats) and its sessions (added by the server
-/// from the SessionTable) did. A steady-state run on a warm Server maps no
-/// slab at all. arena_bytes is a level, not a delta: the bytes the server's
-/// arena pools hold reserved when the run ends. The topology fields and the
-/// cross-node row delta are stamped by the server. arena_* are all zero
-/// under HAAN_NUMA=off — the legacy allocator is in force and no arena
-/// exists.
+/// Thread-placement accounting for ONE Server::run, stamped by the server:
+/// the NUMA nodes the topology discovered (0 = not stamped) and the run's
+/// cross-node row delta. Serving allocates from the heap, so the arena_*
+/// fields always read 0; they remain only because the serving benchmark
+/// (perfbench/) reads them, and are not rendered.
 struct MemPlacementInfo {
-  std::string numa_mode;  ///< "off" | "auto" | "interleave"
-  int nodes = 1;          ///< NUMA nodes the topology discovered
-  /// Σ reserved slab bytes of the server's scratch + KV arenas at run end.
-  std::size_t arena_bytes = 0;
-  std::uint64_t arena_allocations = 0;       ///< this run's allocate() calls
-  std::uint64_t arena_slab_allocations = 0;  ///< ...of which mapped a new slab
-  std::uint64_t arena_resets = 0;            ///< this run's reset() calls
+  int nodes = 0;  ///< NUMA nodes the topology discovered
   /// Rows whose row-partition chunk executed off its pool's home node during
-  /// the run (0 on single-node hosts or with placement off).
+  /// the run (0 on single-node hosts).
   std::uint64_t cross_node_rows = 0;
-
-  /// Fraction of this run's arena allocations served from already-mapped
-  /// slabs. The --numa-sweep gate requires this >= 0.95 on a fresh server's
-  /// first run: steady-state serving should not be talking to the system
-  /// allocator.
-  double arena_reuse_ratio() const {
-    return arena_allocations == 0
-               ? 1.0
-               : 1.0 - static_cast<double>(arena_slab_allocations) /
-                           static_cast<double>(arena_allocations);
-  }
+  std::size_t arena_bytes = 0;
+  std::uint64_t arena_allocations = 0;
+  std::uint64_t arena_slab_allocations = 0;
 
   common::Json to_json() const;
 };
@@ -277,12 +257,6 @@ class MetricsCollector {
   /// Accumulates one worker's provider counters at drain time.
   void add_norm_counters(const NormCounters& counters);
 
-  /// Accumulates arena counter growth (allocations, slab_allocations,
-  /// resets; byte gauges are ignored): called by workers for their scratch
-  /// arenas at drain, and by the server for the session table's KV arenas.
-  /// Sums land in ServeMetrics::mem.
-  void add_arena_stats(const mem::ArenaStats& stats);
-
   /// Number of results recorded so far.
   std::size_t completed() const;
 
@@ -336,7 +310,6 @@ class MetricsCollector {
   std::size_t kv_bytes_resident_ = 0;
   std::size_t max_kv_bytes_ = 0;
   NormCounters norm_;
-  mem::ArenaStats arena_;  ///< counters only
 };
 
 }  // namespace haan::serve

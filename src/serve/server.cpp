@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -66,9 +65,7 @@ obs::Snapshot live_snapshot(const MetricsCollector& metrics,
   json["p95_us"] = live.total.p95_us;
   json["p99_us"] = live.total.p99_us;
   json["kernel_backend"] = kernel.backend;
-  // Placement gauges that are live mid-run (worker arena stats only land in
-  // the collector at drain; these two are process-global and always current).
-  json["numa_mode"] = std::string(mem::to_string(mem::numa_mode()));
+  // Placement gauges: process-global, so always current mid-run.
   json["numa_nodes"] = mem::topology().nodes();
   json["cross_node_rows"] = static_cast<std::size_t>(
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base);
@@ -129,11 +126,7 @@ Server::Server(ServerConfig config)
   HAAN_EXPECTS(core::is_norm_provider_name(config_.degrade_norm));
   HAAN_EXPECTS(config_.workers > 0);
 
-  if (!config_.numa.empty()) {
-    const std::optional<mem::NumaMode> mode = mem::parse_numa_mode(config_.numa);
-    HAAN_EXPECTS(mode.has_value());  // "off" | "auto" | "interleave"
-    mem::set_numa_mode_override(*mode);
-  }
+  HAAN_EXPECTS(config_.numa.empty() || config_.numa == "auto");
 
   provider_options_.width = config_.model.d_model;
   provider_options_.model_name = config_.model.name;
@@ -182,11 +175,10 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   StepSchedulerConfig step_config;
   step_config.batching = config_.scheduler;
   step_config.prefill_chunk = config_.prefill_chunk;
-  SessionTable sessions(config_.model, kv_arenas_);
+  SessionTable sessions(config_.model);
   StepScheduler scheduler(queue, sessions, step_config);
   WorkerPool pool(model_, scheduler, sessions,
-                  [this] { return make_provider(); }, metrics,
-                  scratch_arenas_, pool_options);
+                  [this] { return make_provider(); }, metrics, pool_options);
   // Cross-node rows are a process-global counter (pools are created and
   // destroyed with workers); the run's contribution is the delta.
   const std::uint64_t xnode_rows_base =
@@ -255,9 +247,6 @@ ServeReport Server::run(const std::vector<Request>& workload) {
                 return a.id < b.id;
               });
   }
-  // Worker scratch-arena growth arrived in the collector before join; the
-  // sessions' KV-arena growth lives in the session table.
-  metrics.add_arena_stats(sessions.arena_usage());
   report.metrics = metrics.finalize(wall_us);
   // The queue owns depth accounting under its own lock: the high watermark
   // (a feeder-side post-push sample can miss the true peak) and the
@@ -269,15 +258,9 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   report.metrics.kernel = kernel_tuning_info(config_.model);
   trace_kernel_choice(report.metrics.kernel);
 
-  // Placement accounting: every arena is back in its pool by now, so the
-  // pools' reservation is the server's; the topology and cross-node delta
-  // are stamped here.
-  report.metrics.mem.numa_mode = mem::to_string(mem::numa_mode());
   report.metrics.mem.nodes = static_cast<int>(mem::topology().nodes());
   report.metrics.mem.cross_node_rows =
       model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base;
-  report.metrics.mem.arena_bytes =
-      kv_arenas_.reserved_bytes() + scratch_arenas_.reserved_bytes();
   HAAN_ENSURES(report.metrics.accounted_requests() == workload.size());
   return report;
 }
@@ -340,7 +323,6 @@ ServeReport Server::run_reference(const std::vector<Request>& workload) {
   report.results = std::move(results);
   report.metrics = metrics.finalize(wall_us);
   report.metrics.kernel = kernel_tuning_info(config_.model);
-  report.metrics.mem.numa_mode = mem::to_string(mem::numa_mode());
   report.metrics.mem.nodes = static_cast<int>(mem::topology().nodes());
   HAAN_ENSURES(report.metrics.accounted_requests() == workload.size());
   return report;

@@ -14,12 +14,8 @@
 // prefill chunking and norm-thread count, because providers key per-position
 // state by packed row (unique per row, carrying exactly the per-sequence
 // anchor values) and every row kernel is row-wise.
-//
-// Serving memory lives as long as the Server, not one run: under placement
-// the Server owns two arena pools — session KV arenas and worker scratch
-// arenas — that every run borrows from and returns to, so a warm Server maps
-// and first-touches no new pages. The queue, session table, scheduler,
-// workers and metrics are still built per run.
+// The queue, session table, scheduler, workers and metrics are built per run,
+// so one Server serves any number of runs.
 #pragma once
 
 #include <memory>
@@ -28,7 +24,6 @@
 
 #include "core/calibration.hpp"
 #include "core/provider_factory.hpp"
-#include "mem/arena.hpp"
 #include "model/transformer.hpp"
 #include "serve/metrics.hpp"
 #include "serve/step_scheduler.hpp"
@@ -71,11 +66,9 @@ struct ServerConfig {
   /// hardware default, 1 = serial). Outputs are bit-identical regardless.
   std::size_t norm_threads = 0;
 
-  /// NUMA/arena placement policy: "off", "auto", "interleave", or empty to
-  /// defer to HAAN_NUMA (default auto). Non-empty sets the PROCESS-WIDE mode
-  /// override at server construction (placement is global by nature: arenas,
-  /// pinning and the topology are shared machinery). Placement moves memory
-  /// and threads, never values — results are bit-identical across modes.
+  /// Must be empty or "auto": serving has one memory path (the heap, with
+  /// node pinning on multi-node hosts). The field remains because the
+  /// serving benchmark (perfbench/) sets and prints it.
   std::string numa;
 
   /// Honor workload arrival offsets (open-loop). False = closed-loop: feed as
@@ -141,11 +134,9 @@ class Server {
   /// on.
   ///
   /// Overlapping calls on one Server are safe: each run builds its own
-  /// queue, scheduler, session table and workers, and the shared arena pools
-  /// are mutex-guarded, so concurrent runs simply check out distinct arenas.
-  /// Results stay bit-identical. Two per-run metrics are then approximate:
-  /// mem.arena_bytes counts only the arenas parked when the run ends, and
-  /// mem.cross_node_rows includes the other run's rows.
+  /// queue, scheduler, session table and workers. Results stay
+  /// bit-identical; only mem.cross_node_rows then includes the other run's
+  /// rows.
   ServeReport run(const std::vector<Request>& workload);
 
   /// Single-threaded in-order execution with one provider; no queue, no
@@ -168,10 +159,6 @@ class Server {
   ServerConfig config_;
   model::Transformer model_;
   core::ProviderOptions provider_options_;
-  /// Session KV arenas and worker scratch arenas, recycled across runs
-  /// (empty with placement off).
-  mem::ArenaPool kv_arenas_;
-  mem::ArenaPool scratch_arenas_;
 };
 
 }  // namespace haan::serve

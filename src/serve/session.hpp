@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mem/arena.hpp"
 #include "model/config.hpp"
 #include "model/kv_cache.hpp"
 #include "serve/request.hpp"
@@ -25,19 +24,6 @@ namespace haan::serve {
 /// in the scheduler's ready queue, so its fields need no lock of their own.
 struct Session {
   Request request;
-
-  /// Backing storage for `cache` under HAAN_NUMA=auto/interleave: a bump
-  /// arena sized for the session's whole K/V footprint, checked out of the
-  /// table's KV pool and returned to it when the session dies. Declared
-  /// BEFORE `cache` so the cache's pmr vectors are destroyed while their
-  /// resource is alive. Null with placement off (cache allocates from the
-  /// heap as before).
-  std::unique_ptr<mem::Arena> kv_arena;
-
-  /// kv_arena's stats at checkout: the session's share of the arena
-  /// counters is the growth since this sample.
-  mem::ArenaStats kv_arena_base;
-
   model::KvCache cache;
 
   /// request.max_new_tokens clamped so fed tokens (prompt + all generated but
@@ -89,16 +75,13 @@ struct Session {
 class SessionTable {
  public:
   /// `config` supplies KV cache shape and the max_seq_len decode clamp.
-  /// `kv_pool` supplies (and takes back) session KV arenas under placement;
-  /// it must outlive the table.
-  SessionTable(const model::ModelConfig& config, mem::ArenaPool& kv_pool);
+  explicit SessionTable(const model::ModelConfig& config);
 
   /// Admits a request: builds its KV cache, clamps max_new_tokens, stamps
   /// nothing. The returned pointer stays valid until release(id).
   Session* create(Request request);
 
-  /// Removes a finished session, un-charging its KV bytes and returning its
-  /// KV arena (reset) to the pool.
+  /// Removes a finished session, un-charging its KV bytes.
   void release(std::uint64_t id);
 
   std::size_t live() const;
@@ -108,18 +91,11 @@ class SessionTable {
   void account_kv(Session& session);
 
   /// KV bytes currently resident across live sessions (LOGICAL bytes — rows
-  /// actually stored — so the gauge is comparable across HAAN_NUMA modes;
-  /// arena capacity is reported separately via arena_usage()).
+  /// actually stored, not reserved capacity).
   std::size_t kv_bytes_resident() const;
 
   /// High watermark of kv_bytes_resident() over the table's lifetime.
   std::size_t max_kv_bytes() const;
-
-  /// KV arena counters (allocations, slab_allocations, resets) accrued by
-  /// the sessions this table has released — every session of a run once it
-  /// drains. Live sessions' arenas are not read: a worker may be writing
-  /// them. All zero with placement off.
-  mem::ArenaStats arena_usage() const;
 
  private:
   const std::size_t n_blocks_;
@@ -127,11 +103,6 @@ class SessionTable {
   const std::size_t max_seq_len_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  /// Arenas of dead sessions wait here for the next create(). Reuse converges
-  /// each arena to one slab at the largest session footprint seen, so
-  /// steady-state session churn performs zero system allocations for KV.
-  mem::ArenaPool& kv_pool_;
-  mem::ArenaStats released_usage_;  ///< counters only
   std::size_t kv_bytes_ = 0;
   std::size_t max_kv_bytes_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #ifdef __linux__
@@ -12,8 +14,6 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "core/provider_factory.hpp"
-#include "mem/arena.hpp"
-#include "mem/scratch.hpp"
 #include "mem/topology.hpp"
 #include "model/batch_layout.hpp"
 #include "obs/trace.hpp"
@@ -23,15 +23,14 @@
 namespace haan::serve {
 namespace {
 
-/// Under HAAN_NUMA=auto on a multi-node host, serve workers spread
-/// round-robin across nodes: worker w is confined to node (w % nodes) — the
-/// whole node's CPU set, not one CPU, so the OS still schedules freely within
-/// the socket. The worker's arenas and pool threads then inherit that home
-/// via first touch and RowPartitionPool's own node capture. No-op (legacy OS
-/// placement) in every other configuration.
+/// On a multi-node host, serve workers spread round-robin across nodes:
+/// worker w is confined to node (w % nodes) — the whole node's CPU set, not
+/// one CPU, so the OS still schedules freely within the socket. The memory
+/// the worker first touches and its pool threads (RowPartitionPool's own node
+/// capture) then stay on that node. No-op (OS placement) on a single-node
+/// host.
 void pin_worker_to_node(std::size_t worker_index) {
 #ifdef __linux__
-  if (mem::numa_mode() != mem::NumaMode::kAuto) return;
   const mem::Topology& topo = mem::topology();
   if (topo.nodes() < 2) return;
   const mem::NumaNode& node = topo.node(worker_index % topo.nodes());
@@ -64,6 +63,25 @@ RequestResult result_for(const Request& request, std::size_t worker_index,
   return result;
 }
 
+/// One lane's provider on one worker, or the error its factory raised.
+struct Lane {
+  std::unique_ptr<model::NormProvider> provider;
+  std::exception_ptr error;
+};
+
+Lane build_lane(const WorkerPool::ProviderFactory& factory) {
+  Lane lane;
+  try {
+    lane.provider = factory();
+    if (lane.provider == nullptr) {
+      throw std::runtime_error("provider factory returned no provider");
+    }
+  } catch (...) {
+    lane.error = std::current_exception();
+  }
+  return lane;
+}
+
 std::string describe(const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);
@@ -78,14 +96,12 @@ std::string describe(const std::exception_ptr& error) {
 
 WorkerPool::WorkerPool(const model::Transformer& model, StepScheduler& scheduler,
                        SessionTable& sessions, ProviderFactory provider_factory,
-                       MetricsCollector& metrics, mem::ArenaPool& scratch_pool,
-                       Options options)
+                       MetricsCollector& metrics, Options options)
     : model_(model),
       scheduler_(scheduler),
       sessions_(sessions),
       provider_factory_(std::move(provider_factory)),
       metrics_(metrics),
-      scratch_pool_(scratch_pool),
       options_(options) {
   HAAN_EXPECTS(options_.n_workers > 0);
   HAAN_EXPECTS(static_cast<bool>(provider_factory_));
@@ -94,14 +110,7 @@ WorkerPool::WorkerPool(const model::Transformer& model, StepScheduler& scheduler
 WorkerPool::~WorkerPool() { join(); }
 
 void WorkerPool::start() {
-  HAAN_EXPECTS(threads_.empty() && scratch_.empty());
-  if (mem::placement_enabled()) {
-    mem::ArenaOptions opts;
-    opts.interleave = mem::numa_mode() == mem::NumaMode::kInterleave;
-    for (std::size_t w = 0; w < options_.n_workers; ++w) {
-      scratch_.push_back(scratch_pool_.acquire(opts));
-    }
-  }
+  HAAN_EXPECTS(threads_.empty());
   threads_.reserve(options_.n_workers);
   for (std::size_t w = 0; w < options_.n_workers; ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -111,11 +120,6 @@ void WorkerPool::start() {
 void WorkerPool::join() {
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
-  }
-  // Reverse worker order, so the LIFO hands worker i the same arena next run.
-  while (!scratch_.empty()) {
-    scratch_pool_.release(std::move(scratch_.back()));
-    scratch_.pop_back();
   }
 }
 
@@ -167,34 +171,14 @@ void WorkerPool::fail_pack(std::size_t worker_index, StepPack& pack,
 
 void WorkerPool::worker_main(std::size_t worker_index) {
   obs::set_thread_name("worker-" + std::to_string(worker_index));
-  // Placement first: everything the worker allocates or spawns below (scratch
-  // arena first touch, provider pools' home-node capture) keys off where this
-  // thread runs.
+  // Placement first: everything the worker allocates or spawns below
+  // (provider state first touch, provider pools' home-node capture) keys off
+  // where this thread runs.
   pin_worker_to_node(worker_index);
-  // Per-pack scratch arena: while a pack executes, every Tensor the forward
-  // pass constructs on this thread (packed hidden block, attention scratch,
-  // MLP intermediates) bump-allocates here via the thread-local ScratchScope,
-  // and reset() recycles the whole lot between packs. Null with placement
-  // off — Tensors fall through to the default heap resource, byte-for-byte
-  // the legacy behavior.
-  mem::Arena* scratch =
-      scratch_.empty() ? nullptr : scratch_[worker_index].get();
-  const mem::ArenaStats scratch_base =
-      scratch != nullptr ? scratch->stats() : mem::ArenaStats{};
-  const std::unique_ptr<model::NormProvider> provider = provider_factory_();
-  HAAN_ASSERT(provider != nullptr);
+  Lane primary = build_lane(provider_factory_);
   // The degrade lane's provider is built lazily: runs that never degrade
   // never pay for it.
-  std::unique_ptr<model::NormProvider> degrade_provider;
-  const auto lane_provider = [&](bool degraded) -> model::NormProvider& {
-    if (!degraded) return *provider;
-    if (degrade_provider == nullptr) {
-      degrade_provider = options_.degrade_factory ? options_.degrade_factory()
-                                                  : provider_factory_();
-      HAAN_ASSERT(degrade_provider != nullptr);
-    }
-    return *degrade_provider;
-  };
+  std::optional<Lane> degrade;
   // Worker-local span parallelism for packed forwards (threads start lazily).
   model::RowPartitionPool span_pool(options_.norm_threads);
 
@@ -202,28 +186,29 @@ void WorkerPool::worker_main(std::size_t worker_index) {
     record_shed(worker_index, pack->sequence, pack->shed);
     if (pack->entries.empty()) continue;  // shed-only pack
     metrics_.record_batch(pack->entries.size());
-    // Resolve the lane BEFORE opening the scratch scope: a lazily built
-    // degrade provider must not put its long-lived state in pack scratch.
-    model::NormProvider& lane = lane_provider(pack->degraded);
-    if (scratch) scratch->reset();
-    mem::ScratchScope scope(scratch);
-    execute_step_pack(worker_index, *pack, lane, span_pool);
-  }
-
-  if (scratch != nullptr) {
-    // Leave the arena reset (and consolidated) for its next run, and count
-    // only what this run added to its lifetime counters.
-    scratch->reset();
-    metrics_.add_arena_stats(scratch->stats().since(scratch_base));
+    Lane* lane = &primary;
+    if (pack->degraded) {
+      if (!degrade) {
+        degrade = build_lane(options_.degrade_factory ? options_.degrade_factory
+                                                      : provider_factory_);
+      }
+      lane = &*degrade;
+    }
+    if (lane->error != nullptr) {
+      fail_pack(worker_index, *pack, lane->error);
+      continue;
+    }
+    execute_step_pack(worker_index, *pack, *lane->provider, span_pool);
   }
 
   // End-of-stream: fold this worker's HAAN counters (both lanes) into the
   // shared metrics.
-  if (const core::HaanNormProvider* haan = core::as_haan_provider(provider.get())) {
+  if (const core::HaanNormProvider* haan =
+          core::as_haan_provider(primary.provider.get())) {
     metrics_.add_norm_counters(haan->counters());
   }
-  if (const core::HaanNormProvider* haan =
-          core::as_haan_provider(degrade_provider.get())) {
+  if (const core::HaanNormProvider* haan = core::as_haan_provider(
+          degrade ? degrade->provider.get() : nullptr)) {
     metrics_.add_norm_counters(haan->counters());
   }
 }

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "mem/scratch.hpp"
 
 namespace haan::tensor {
 
@@ -42,20 +41,12 @@ std::string Shape::to_string() const {
 
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
-      data_(shape_.numel(), 0.0f, mem::current_resource()) {}
+      data_(shape_.numel(), 0.0f) {}
 
 Tensor::Tensor(Shape shape, std::span<const float> data)
     : shape_(std::move(shape)),
-      data_(data.begin(), data.end(), mem::current_resource()) {
+      data_(data.begin(), data.end()) {
   HAAN_EXPECTS(data_.size() == shape_.numel());
-}
-
-Tensor& Tensor::operator=(Tensor&& other) noexcept {
-  if (this != &other) {
-    shape_ = std::move(other.shape_);
-    mem::steal_assign(data_, std::move(other.data_));
-  }
-  return *this;
 }
 
 Tensor Tensor::randn(Shape shape, common::Rng& rng, double mean, double stddev) {

@@ -1,20 +1,10 @@
 // Row-major dense float tensor. Deliberately small: the LLM simulator needs
 // contiguous 1-3D tensors, row views, and elementwise access — not a full
 // n-d library. Shapes are validated eagerly so misuse fails at the call site.
-//
-// Storage is a std::pmr::vector drawn from mem::current_resource(): the heap
-// by default, or the calling thread's scratch arena while a serving worker
-// has a mem::ScratchScope open around a packed forward — which makes every
-// intermediate block of that forward a node-local bump allocation with zero
-// per-pack allocator churn after warmup. Placement never changes values;
-// copies always re-derive their resource from the constructing thread (so a
-// copy taken outside a scope lands on the heap), and move construction /
-// assignment steal the buffer wholesale, allocator included.
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
-#include <memory_resource>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,8 +39,7 @@ class Tensor {
   /// Empty (rank-0, zero elements).
   Tensor() = default;
 
-  /// Zero-filled tensor of the given shape, allocated from the calling
-  /// thread's current memory resource (heap unless a ScratchScope is open).
+  /// Zero-filled tensor of the given shape.
   explicit Tensor(Shape shape);
 
   /// Tensor copying existing data; data.size() must equal shape.numel().
@@ -62,9 +51,7 @@ class Tensor {
   Tensor(const Tensor&) = default;
   Tensor& operator=(const Tensor&) = default;
   Tensor(Tensor&&) noexcept = default;
-  /// Steals the source buffer (and its allocator) even across memory
-  /// resources — pmr's default move *assignment* would deep-copy instead.
-  Tensor& operator=(Tensor&& other) noexcept;
+  Tensor& operator=(Tensor&&) noexcept = default;
   ~Tensor() = default;
 
   /// Factory: i.i.d. N(mean, stddev^2) entries from `rng`.
@@ -108,7 +95,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::pmr::vector<float> data_;
+  std::vector<float> data_;
 };
 
 }  // namespace haan::tensor

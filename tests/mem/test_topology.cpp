@@ -1,7 +1,6 @@
 // Topology discovery: cpulist parsing, sysfs-tree discovery against a fake
 // root, the single-node fallback, CPU->node lookups and round-robin slot
-// wrapping, and the HAAN_NUMA mode parsing/override semantics the serving
-// stack and benches gate placement on.
+// wrapping.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -119,40 +118,6 @@ TEST(Topology, ProcessTopologyIsUsableOnAnyHost) {
     }
   }
   EXPECT_FALSE(topo.describe().empty());
-}
-
-TEST(NumaModeParse, AcceptedSpellings) {
-  EXPECT_EQ(parse_numa_mode("off"), NumaMode::kOff);
-  EXPECT_EQ(parse_numa_mode("0"), NumaMode::kOff);
-  EXPECT_EQ(parse_numa_mode("auto"), NumaMode::kAuto);
-  EXPECT_EQ(parse_numa_mode("1"), NumaMode::kAuto);
-  EXPECT_EQ(parse_numa_mode("interleave"), NumaMode::kInterleave);
-  EXPECT_FALSE(parse_numa_mode("bogus").has_value());
-  EXPECT_FALSE(parse_numa_mode("").has_value());
-}
-
-TEST(NumaModeParse, ToStringRoundTrips) {
-  for (const NumaMode mode :
-       {NumaMode::kOff, NumaMode::kAuto, NumaMode::kInterleave}) {
-    EXPECT_EQ(parse_numa_mode(to_string(mode)), mode);
-  }
-}
-
-TEST(NumaModeOverride, WinsOverEnvironmentAndClears) {
-  set_numa_mode_override(NumaMode::kInterleave);
-  EXPECT_EQ(numa_mode(), NumaMode::kInterleave);
-  set_numa_mode_override(NumaMode::kOff);
-  EXPECT_EQ(numa_mode(), NumaMode::kOff);
-  EXPECT_FALSE(placement_enabled());
-  clear_numa_mode_override();
-
-  // Environment-driven again: HAAN_NUMA if set and valid, else the kAuto
-  // default.
-  const char* env = std::getenv("HAAN_NUMA");
-  const NumaMode expected =
-      (env != nullptr ? parse_numa_mode(env) : std::nullopt)
-          .value_or(NumaMode::kAuto);
-  EXPECT_EQ(numa_mode(), expected);
 }
 
 }  // namespace

@@ -45,9 +45,8 @@ void finish_all(StepScheduler& scheduler, const StepPack& pack) {
 /// Queue + session table a scheduler under test admits into.
 struct Harness {
   explicit Harness(std::size_t queue_capacity)
-      : queue(queue_capacity), sessions(model::tiny_test_model(), kv_pool) {}
+      : queue(queue_capacity), sessions(model::tiny_test_model()) {}
   RequestQueue queue;
-  mem::ArenaPool kv_pool;
   SessionTable sessions;
 };
 

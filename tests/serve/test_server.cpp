@@ -185,8 +185,7 @@ INSTANTIATE_TEST_SUITE_P(PrefillChunk, ServerParity,
 
 TEST(Server, OverlappingRunsOnOneServerStayBitIdentical) {
   // run() is documented safe to overlap: each run has its own queue,
-  // scheduler, sessions and workers, and the shared arena pools hand
-  // concurrent runs distinct arenas.
+  // scheduler, sessions and workers.
   Server server(tiny_server("haan", 2));
   const auto workload =
       generate_workload(small_workload(24, server.config().model));
