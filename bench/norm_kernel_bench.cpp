@@ -4,10 +4,12 @@
 // pre-kernel-layer baseline. The JSON report is the anchor recorded in
 // bench/kernel_baseline.json; --min-speedup gates CI on the fused vectorized
 // residual_add_rmsnorm at d=4096 staying ahead of the seed path. The report
-// also carries linear GMAC/s, softmax / SiLU ns/element and causal attention
-// ns/query row per backend; the run fails if any backend's linear, softmax,
-// SiLU or causal attention output differs from the scalar reference by a
-// single bit.
+// also carries linear GMAC/s (input-major weights, at a prefill block and
+// at the decode shapes the serving benchmark's two models run), softmax /
+// SiLU ns/element and causal attention ns/query row per backend; the run
+// fails if any backend's linear, softmax, SiLU or causal attention output
+// differs from the scalar reference by a single bit. Every per-backend figure
+// interleaves its timed loops round-robin across the backends.
 //
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,32 +64,50 @@ void sink(double v) {
 /// least-disturbed estimate of the op's own cost.
 constexpr int kTimingRepeats = 5;
 
-/// Calibrates an iteration count so one loop takes ~target_ms, then reports
-/// the minimum ns per element over kTimingRepeats loops of that count (the
-/// calibrating loop counts as the first).
-double time_ns_per_element(const std::function<void()>& op, std::size_t d,
-                           double target_ms) {
+/// ns per element of each op in `ops` (one per backend, typically).
+/// Calibrates each op's iteration count so one loop takes ~target_ms, then
+/// runs kTimingRepeats loops of every op round-robin and keeps each op's
+/// minimum (its calibrating loop counts as its first). Interleaving spreads
+/// every op's repeats over the whole measurement, so a disturbance that lasts
+/// several loops slows one repeat of each op instead of every repeat of one.
+std::vector<double> time_ns_per_element(
+    std::span<const std::function<void()>> ops, std::size_t d,
+    double target_ms) {
   using Clock = std::chrono::steady_clock;
-  const auto loop_ns = [&op](std::size_t iters) {
+  const auto loop_ns = [](const std::function<void()>& op, std::size_t iters) {
     const Clock::time_point begin = Clock::now();
     for (std::size_t i = 0; i < iters; ++i) op();
     return static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - begin)
             .count());
   };
-  op();  // warm up caches and code
-  std::size_t iters = 1;
-  double best_ns = loop_ns(iters);
-  while (best_ns < target_ms * 1e6 && iters < (1u << 24)) {
-    const double scale = best_ns > 0.0 ? (target_ms * 1.2e6) / best_ns : 16.0;
-    iters = static_cast<std::size_t>(static_cast<double>(iters) *
-                                     std::max(2.0, scale));
-    best_ns = loop_ns(iters);
+  std::vector<std::size_t> iters(ops.size(), 1);
+  std::vector<double> best_ns(ops.size());
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    ops[k]();  // warm up caches and code
+    best_ns[k] = loop_ns(ops[k], iters[k]);
+    while (best_ns[k] < target_ms * 1e6 && iters[k] < (1u << 24)) {
+      const double scale =
+          best_ns[k] > 0.0 ? (target_ms * 1.2e6) / best_ns[k] : 16.0;
+      iters[k] = static_cast<std::size_t>(static_cast<double>(iters[k]) *
+                                          std::max(2.0, scale));
+      best_ns[k] = loop_ns(ops[k], iters[k]);
+    }
   }
   for (int repeat = 1; repeat < kTimingRepeats; ++repeat) {
-    best_ns = std::min(best_ns, loop_ns(iters));
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      best_ns[k] = std::min(best_ns[k], loop_ns(ops[k], iters[k]));
+    }
   }
-  return best_ns / static_cast<double>(iters) / static_cast<double>(d);
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    best_ns[k] /= static_cast<double>(iters[k]) * static_cast<double>(d);
+  }
+  return best_ns;
+}
+
+double time_ns_per_element(const std::function<void()>& op, std::size_t d,
+                           double target_ms) {
+  return time_ns_per_element(std::span(&op, 1), d, target_ms).front();
 }
 
 /// The seed's pre-kernel-layer residual + norm sequence, verbatim: one add
@@ -230,6 +251,8 @@ int main(int argc, char** argv) {
   std::printf("topology: %s%s\n", mem::topology().describe().c_str(),
               mem::topology().discovered() ? "" : " (sysfs fallback)");
 
+  const std::vector<const kernels::KernelTable*> tables =
+      kernels::supported_kernels();
   common::Json::Array results;
   double rmsnorm_speedup_4096 = 0.0;
   for (const std::size_t d : dims) {
@@ -254,78 +277,74 @@ int main(int argc, char** argv) {
         d, target_ms);
     per_backend["seed_ref"] = seed_ref;
 
+    // Per-backend kernels, one op at a time with its loops interleaved
+    // across the backends.
+    struct NormOp {
+      const char* name;
+      double bytes_per_element;
+      std::function<void(const kernels::KernelTable&)> run;
+    };
+    const NormOp norm_ops[] = {
+        {"stats", kStatsBytes,
+         [&](const kernels::KernelTable& t) {
+           sink(t.stats(ws.h.data(), d).sum_sq);
+         }},
+        {"residual_add_stats", kResidualAddStatsBytes,
+         [&](const kernels::KernelTable& t) {
+           sink(t.residual_add_stats(ws.h.data(), ws.residual.data(), d)
+                    .sum_sq);
+         }},
+        {"normalize_affine", kNormalizeAffineBytes,
+         [&](const kernels::KernelTable& t) {
+           t.normalize_affine(ws.h.data(), d, 0.01, 0.66, ws.alpha.data(),
+                              ws.beta.data(), ws.out.data());
+           sink(ws.out[0]);
+         }},
+        {"quantize_int8", kQuantizeBytes,
+         [&](const kernels::KernelTable& t) {
+           t.quantize_dequantize(ws.quant.data(), d,
+                                 numerics::NumericFormat::kINT8, 0.05f);
+           sink(ws.quant[0]);
+         }},
+        {"quantize_fp16", kQuantizeBytes,
+         [&](const kernels::KernelTable& t) {
+           t.quantize_dequantize(ws.quant.data(), d,
+                                 numerics::NumericFormat::kFP16, 1.0f);
+           sink(ws.quant[0]);
+         }},
+        {"residual_add_rmsnorm", kFusedRmsBytes,
+         [&](const kernels::KernelTable& t) {
+           kernels::residual_add_rmsnorm(t, ws.h, ws.residual, ws.alpha,
+                                         ws.beta, ws.out, kEps);
+           sink(ws.out[0]);
+         }},
+        {"residual_add_layernorm", kFusedLayerBytes,
+         [&](const kernels::KernelTable& t) {
+           kernels::residual_add_layernorm(t, ws.h, ws.residual, ws.alpha,
+                                           ws.beta, ws.out, kEps);
+           sink(ws.out[0]);
+         }},
+    };
+    std::vector<common::Json::Object> table_ops(tables.size());
     double active_fused_rmsnorm = 0.0;
-    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
-      common::Json::Object ops;
-      const auto record = [&ops](const char* name, double bytes_per_element,
-                                 double ns) {
-        ops[name] = ns;
-        ops[std::string(name) + "_gbps"] = gbps(bytes_per_element, ns);
-        return ns;
-      };
-      record("stats", kStatsBytes,
-             time_ns_per_element(
-                 [&] { sink(table->stats(ws.h.data(), d).sum_sq); }, d,
-                 target_ms));
-      record("residual_add_stats", kResidualAddStatsBytes,
-             time_ns_per_element(
-                 [&] {
-                   sink(table
-                            ->residual_add_stats(ws.h.data(),
-                                                 ws.residual.data(), d)
-                            .sum_sq);
-                 },
-                 d, target_ms));
-      record("normalize_affine", kNormalizeAffineBytes,
-             time_ns_per_element(
-                 [&] {
-                   table->normalize_affine(ws.h.data(), d, 0.01, 0.66,
-                                           ws.alpha.data(), ws.beta.data(),
-                                           ws.out.data());
-                   sink(ws.out[0]);
-                 },
-                 d, target_ms));
-      record("quantize_int8", kQuantizeBytes,
-             time_ns_per_element(
-                 [&] {
-                   table->quantize_dequantize(ws.quant.data(), d,
-                                              numerics::NumericFormat::kINT8,
-                                              0.05f);
-                   sink(ws.quant[0]);
-                 },
-                 d, target_ms));
-      record("quantize_fp16", kQuantizeBytes,
-             time_ns_per_element(
-                 [&] {
-                   table->quantize_dequantize(ws.quant.data(), d,
-                                              numerics::NumericFormat::kFP16,
-                                              1.0f);
-                   sink(ws.quant[0]);
-                 },
-                 d, target_ms));
-      const double fused_rms =
-          record("residual_add_rmsnorm", kFusedRmsBytes,
-                 time_ns_per_element(
-                     [&] {
-                       kernels::residual_add_rmsnorm(*table, ws.h, ws.residual,
-                                                     ws.alpha, ws.beta, ws.out,
-                                                     kEps);
-                       sink(ws.out[0]);
-                     },
-                     d, target_ms));
-      record("residual_add_layernorm", kFusedLayerBytes,
-             time_ns_per_element(
-                 [&] {
-                   kernels::residual_add_layernorm(*table, ws.h, ws.residual,
-                                                   ws.alpha, ws.beta, ws.out,
-                                                   kEps);
-                   sink(ws.out[0]);
-                 },
-                 d, target_ms));
-      per_backend[table->name] = ops;
-      if (std::string(table->name) == kernels::active_name()) {
-        active_fused_rmsnorm = fused_rms;
+    for (const NormOp& op : norm_ops) {
+      std::vector<std::function<void()>> runs;
+      for (const kernels::KernelTable* table : tables) {
+        runs.push_back([&op, table] { op.run(*table); });
       }
+      const std::vector<double> ns = time_ns_per_element(runs, d, target_ms);
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        table_ops[t][op.name] = ns[t];
+        table_ops[t][std::string(op.name) + "_gbps"] =
+            gbps(op.bytes_per_element, ns[t]);
+        if (std::string(op.name) == "residual_add_rmsnorm" &&
+            std::string(tables[t]->name) == kernels::active_name()) {
+          active_fused_rmsnorm = ns[t];
+        }
+      }
+    }
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      per_backend[tables[t]->name] = table_ops[t];
     }
 
     common::Json::Object row;
@@ -387,30 +406,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Matmul kernel: linear GMAC/s per backend at a prefill-sized and a
-  // decode-sized shape. Gated on cross-backend bit identity only (the
-  // exact-order contract in kernels.hpp), never on time: shared CI runners
-  // are too noisy for a timing gate. Runs after the timed norm sections so
-  // its long FMA bursts cannot shift their clocks. --------------------------
+  // --- Matmul kernel: linear GMAC/s per backend at a prefill-sized block
+  // and at the decode shapes the serving benchmark's workloads run (one
+  // chat_decode row through the GPT-2 surrogate's MLP, two prefill_offline
+  // decode rows through the LLaMA surrogate's), with the weight input-major
+  // (in x out) as the model stores it. Gated on cross-backend bit identity
+  // only (the exact-order contract in kernels.hpp), never on time: shared CI
+  // runners are too noisy for a timing gate. Runs after the timed norm
+  // sections so its long FMA bursts cannot shift their clocks. -------------
   struct LinearShape {
     std::size_t n, in, out;
   };
-  const LinearShape linear_shapes[] = {{288, 64, 170}, {1, 96, 384}};
+  const LinearShape linear_shapes[] = {
+      {288, 64, 170}, {1, 96, 384}, {1, 384, 96}, {2, 64, 170}, {2, 170, 64}};
   common::Json::Array linear_results;
   bool linear_identical = true;
-  std::printf("--- linear (y = x W^T), GMAC/s per backend ---\n");
+  std::printf("--- linear (y = x W^T, W^T stored), GMAC/s per backend ---\n");
   for (const LinearShape& shape : linear_shapes) {
     const std::size_t macs = shape.n * shape.in * shape.out;
-    std::vector<float> x(shape.n * shape.in), w(shape.out * shape.in);
+    std::vector<float> x(shape.n * shape.in), wt(shape.in * shape.out);
     common::Rng rng(macs);
     rng.fill_gaussian(x, 0.0, 1.0);
-    rng.fill_gaussian(w, 0.0, 0.1);
+    rng.fill_gaussian(wt, 0.0, 0.1);
     std::vector<float> y(shape.n * shape.out), reference;
-    common::Json::Object gmac_s;
-    std::printf("n=%3zu in=%3zu out=%3zu ", shape.n, shape.in, shape.out);
-    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
-      const auto run = [&] {
-        table->linear(x.data(), shape.n, shape.in, w.data(), shape.out,
+    std::vector<std::function<void()>> runs;
+    for (const kernels::KernelTable* table : tables) {
+      const auto run = [&, table] {
+        table->linear(x.data(), shape.n, shape.in, wt.data(), shape.out,
                       nullptr, y.data());
         sink(y[0]);
       };
@@ -420,15 +442,19 @@ int main(int argc, char** argv) {
       } else if (std::memcmp(reference.data(), y.data(),
                              y.size() * sizeof(float)) != 0) {
         std::fprintf(stderr, "FAIL: %s linear differs from %s at n=%zu in=%zu "
-                     "out=%zu\n", table->name,
-                     kernels::supported_kernels().front()->name, shape.n,
+                     "out=%zu\n", table->name, tables.front()->name, shape.n,
                      shape.in, shape.out);
         linear_identical = false;
       }
-      // ns per multiply-accumulate -> GMAC/s.
-      const double gmacs = 1.0 / time_ns_per_element(run, macs, target_ms);
-      gmac_s[table->name] = gmacs;
-      std::printf(" %s %7.2f", table->name, gmacs);
+      runs.push_back(run);
+    }
+    // ns per multiply-accumulate -> GMAC/s.
+    const std::vector<double> ns = time_ns_per_element(runs, macs, target_ms);
+    common::Json::Object gmac_s;
+    std::printf("n=%3zu in=%3zu out=%3zu ", shape.n, shape.in, shape.out);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      gmac_s[tables[t]->name] = 1.0 / ns[t];
+      std::printf(" %s %7.2f", tables[t]->name, 1.0 / ns[t]);
     }
     std::printf(" GMAC/s\n");
     common::Json::Object entry;
@@ -458,34 +484,41 @@ int main(int argc, char** argv) {
     std::vector<float> input(n);
     common::Rng rng(n);
     rng.fill_gaussian(input, 0.0, 3.0);
-    std::vector<float> work, reference;
-    common::Json::Object ns_per_element;
-    std::printf("%-7s %3zux%3zu ", shape.kernel, shape.rows, shape.cols);
-    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
-      const bool softmax = std::strcmp(shape.kernel, "softmax") == 0;
-      const auto run = [&] {
+    const bool softmax = std::strcmp(shape.kernel, "softmax") == 0;
+    // One working buffer per backend, so each backend's timed calls chain on
+    // its own previous output.
+    std::vector<std::vector<float>> work(tables.size(), input);
+    std::vector<float> reference;
+    std::vector<std::function<void()>> runs;
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      const kernels::KernelTable* table = tables[t];
+      std::vector<float>& v = work[t];
+      const auto run = [&v, table, softmax, n] {
         if (softmax) {
-          table->softmax(work.data(), n);
+          table->softmax(v.data(), n);
         } else {
-          table->silu(work.data(), n);
+          table->silu(v.data(), n);
         }
-        sink(work[0]);
+        sink(v[0]);
       };
-      work = input;
       run();
       if (reference.empty()) {
-        reference = work;
-      } else if (std::memcmp(reference.data(), work.data(),
-                             n * sizeof(float)) != 0) {
+        reference = v;
+      } else if (std::memcmp(reference.data(), v.data(), n * sizeof(float)) !=
+                 0) {
         std::fprintf(stderr, "FAIL: %s %s differs from %s at %zux%zu\n",
-                     table->name, shape.kernel,
-                     kernels::supported_kernels().front()->name, shape.rows,
-                     shape.cols);
+                     table->name, shape.kernel, tables.front()->name,
+                     shape.rows, shape.cols);
         exp_identical = false;
       }
-      const double ns = time_ns_per_element(run, n, target_ms);
-      ns_per_element[table->name] = ns;
-      std::printf(" %s %6.3f", table->name, ns);
+      runs.push_back(run);
+    }
+    const std::vector<double> ns = time_ns_per_element(runs, n, target_ms);
+    common::Json::Object ns_per_element;
+    std::printf("%-7s %3zux%3zu ", shape.kernel, shape.rows, shape.cols);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      ns_per_element[tables[t]->name] = ns[t];
+      std::printf(" %s %6.3f", tables[t]->name, ns[t]);
     }
     std::printf(" ns/el\n");
     common::Json::Object entry;
@@ -517,11 +550,9 @@ int main(int argc, char** argv) {
     rng.fill_gaussian(v, 0.0, 1.0);
     const float scale = 1.0f / std::sqrt(static_cast<float>(shape.d_head));
     std::vector<float> out(q.size()), reference;
-    common::Json::Object ns_per_row;
-    std::printf("d_head=%3zu rows=%3zu start=%3zu ", shape.d_head, shape.rows,
-                shape.start);
-    for (const kernels::KernelTable* table : kernels::supported_kernels()) {
-      const auto run = [&] {
+    std::vector<std::function<void()>> runs;
+    for (const kernels::KernelTable* table : tables) {
+      const auto run = [&, table] {
         table->causal_attention(q.data(), shape.rows, k.data(), v.data(),
                                 shape.d_head, shape.d_head, shape.start, scale,
                                 out.data());
@@ -534,13 +565,20 @@ int main(int argc, char** argv) {
                              out.size() * sizeof(float)) != 0) {
         std::fprintf(stderr, "FAIL: %s causal_attention differs from %s at "
                      "d_head=%zu rows=%zu start=%zu\n", table->name,
-                     kernels::supported_kernels().front()->name, shape.d_head,
-                     shape.rows, shape.start);
+                     tables.front()->name, shape.d_head, shape.rows,
+                     shape.start);
         attention_identical = false;
       }
-      const double ns = time_ns_per_element(run, shape.rows, target_ms);
-      ns_per_row[table->name] = ns;
-      std::printf(" %s %8.1f", table->name, ns);
+      runs.push_back(run);
+    }
+    const std::vector<double> ns =
+        time_ns_per_element(runs, shape.rows, target_ms);
+    common::Json::Object ns_per_row;
+    std::printf("d_head=%3zu rows=%3zu start=%3zu ", shape.d_head, shape.rows,
+                shape.start);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      ns_per_row[tables[t]->name] = ns[t];
+      std::printf(" %s %8.1f", tables[t]->name, ns[t]);
     }
     std::printf(" ns/row\n");
     common::Json::Object entry;

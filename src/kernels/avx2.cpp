@@ -323,8 +323,15 @@ void quantize_dequantize_rows_avx2(float* x, std::size_t rows, std::size_t d,
 
 /// Output columns per linear block: two ymm of double accumulators per row.
 constexpr std::size_t kLinearCols = 8;
-/// Rows sharing one staged column panel per register tile.
+/// Rows sharing one column block per register tile.
 constexpr std::size_t kLinearRows = 4;
+/// Calls with at most this many rows widen each float weight in registers as
+/// they read it; larger calls first widen the column block into a double
+/// panel that all their tiles share. Measured with this table on a 4-vCPU
+/// AVX-512 host over the two perfbench models' shapes: direct reads lead
+/// through 4 rows (3-4 GMAC/s at 1 row against the panel's 2-3), tie at 6-8
+/// and trail from 10 rows.
+constexpr std::size_t kLinearDirectRows = 4;
 
 /// All-ones in the first min(count, 8) of 8 int lanes (the AVX2 mask format).
 inline __m256i lane_mask8(std::size_t count) {
@@ -358,37 +365,27 @@ inline void transpose8x8(__m256 r[8]) {
   }
 }
 
-/// Stages weight rows [0, width) of the (width x in) block at `w` as a
-/// transposed double panel, panel[p*8 + k] = w[k*in + p], one 8x8 block at a
-/// time; the panel holds round_up(in, 8) columns. Rows past `width` and
-/// columns past `in` stage +0.0 and never reach a stored output.
-void stage_columns_avx2(const float* w, std::size_t in, std::size_t width,
-                        double* panel) {
-  for (std::size_t p0 = 0; p0 < in; p0 += 8) {
-    const __m256i pm = lane_mask8(in - p0);
-    __m256 r[8];
-#pragma GCC unroll 8
-    for (std::size_t k = 0; k < 8; ++k) {
-      r[k] = k < width ? _mm256_maskload_ps(w + k * in + p0, pm)
-                       : _mm256_setzero_ps();
-    }
-    transpose8x8(r);
-    double* dst = panel + p0 * kLinearCols;
-#pragma GCC unroll 8
-    for (std::size_t p = 0; p < 8; ++p) {
-      _mm256_storeu_pd(dst + p * kLinearCols,
-                       _mm256_cvtps_pd(_mm256_castps256_ps128(r[p])));
-      _mm256_storeu_pd(dst + p * kLinearCols + 4,
-                       _mm256_cvtps_pd(_mm256_extractf128_ps(r[p], 1)));
-    }
+/// Widens the input-major weight columns [o0, o0 + 8) of every reduction
+/// step, masked by m, into panel[p*8 + k] = wt[p*out + o0 + k]. Masked-off
+/// columns stage +0.0 and never reach a stored output.
+void stage_columns_avx2(const float* wt, std::size_t in, std::size_t out,
+                        __m256i m, double* panel) {
+  for (std::size_t p = 0; p < in; ++p) {
+    const __m256 v = _mm256_maskload_ps(wt + p * out, m);
+    _mm256_storeu_pd(panel + p * kLinearCols,
+                     _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+    _mm256_storeu_pd(panel + p * kLinearCols + 4,
+                     _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
   }
 }
 
-/// R rows of x against one staged panel: y[r][0..width) for r < R.
-template <std::size_t R>
-void linear_tile_avx2(const float* x, std::size_t in, const double* panel,
-                      __m256d bias_lo, __m256d bias_hi, __m256i m,
-                      std::size_t out, float* y) {
+/// R rows of x against one 8-column block: y[r][0..width) for r < R. Direct
+/// tiles read the float weights at wt (row stride `out`) and widen them per
+/// step; panel tiles read the block stage_columns_avx2 widened.
+template <std::size_t R, bool Direct>
+void linear_tile_avx2(const float* x, std::size_t in, const float* wt,
+                      const double* panel, __m256d bias_lo, __m256d bias_hi,
+                      __m256i m, std::size_t out, float* y) {
   __m256d lo[R];
   __m256d hi[R];
 #pragma GCC unroll 8
@@ -397,8 +394,16 @@ void linear_tile_avx2(const float* x, std::size_t in, const double* panel,
     hi[r] = bias_hi;
   }
   for (std::size_t p = 0; p < in; ++p) {
-    const __m256d w_lo = _mm256_loadu_pd(panel + p * kLinearCols);
-    const __m256d w_hi = _mm256_loadu_pd(panel + p * kLinearCols + 4);
+    __m256d w_lo;
+    __m256d w_hi;
+    if constexpr (Direct) {
+      const __m256 v = _mm256_maskload_ps(wt + p * out, m);
+      w_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+      w_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+    } else {
+      w_lo = _mm256_loadu_pd(panel + p * kLinearCols);
+      w_hi = _mm256_loadu_pd(panel + p * kLinearCols + 4);
+    }
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < R; ++r) {
       const __m256d xv = _mm256_set1_pd(static_cast<double>(x[r * in + p]));
@@ -414,26 +419,58 @@ void linear_tile_avx2(const float* x, std::size_t in, const double* panel,
   }
 }
 
-void linear_avx2(const float* x, std::size_t n, std::size_t in, const float* w,
-                 std::size_t out, const float* bias, float* y) {
+/// All n rows of x against one 8-column block, in tiles of kLinearRows rows
+/// and one smaller remainder tile.
+template <bool Direct>
+void linear_rows_avx2(const float* x, std::size_t n, std::size_t in,
+                      const float* wt, const double* panel, __m256d bias_lo,
+                      __m256d bias_hi, __m256i m, std::size_t out, float* y) {
+  static_assert(kLinearRows == 4, "remainder tiles cover 1-3 rows");
+  std::size_t i = 0;
+  for (; i + kLinearRows <= n; i += kLinearRows) {
+    linear_tile_avx2<kLinearRows, Direct>(x + i * in, in, wt, panel, bias_lo,
+                                          bias_hi, m, out, y + i * out);
+  }
+  x += i * in;
+  y += i * out;
+  switch (n - i) {
+    case 3:
+      linear_tile_avx2<3, Direct>(x, in, wt, panel, bias_lo, bias_hi, m, out,
+                                  y);
+      break;
+    case 2:
+      linear_tile_avx2<2, Direct>(x, in, wt, panel, bias_lo, bias_hi, m, out,
+                                  y);
+      break;
+    case 1:
+      linear_tile_avx2<1, Direct>(x, in, wt, panel, bias_lo, bias_hi, m, out,
+                                  y);
+      break;
+    default:
+      break;
+  }
+}
+
+void linear_avx2(const float* x, std::size_t n, std::size_t in,
+                 const float* wt, std::size_t out, const float* bias,
+                 float* y) {
   thread_local std::vector<double> panel;
-  panel.resize((in + 7) / 8 * 8 * kLinearCols);
+  const bool direct = n <= kLinearDirectRows;
+  if (!direct) panel.resize(in * kLinearCols);
   for (std::size_t o0 = 0; o0 < out; o0 += kLinearCols) {
     const std::size_t width = std::min(kLinearCols, out - o0);
     const __m256i m = lane_mask8(width);
-    stage_columns_avx2(w + o0 * in, in, width, panel.data());
     const __m256 b = bias == nullptr ? _mm256_setzero_ps()
                                      : _mm256_maskload_ps(bias + o0, m);
     const __m256d bias_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(b));
     const __m256d bias_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1));
-    std::size_t i = 0;
-    for (; i + kLinearRows <= n; i += kLinearRows) {
-      linear_tile_avx2<kLinearRows>(x + i * in, in, panel.data(), bias_lo,
-                                    bias_hi, m, out, y + i * out + o0);
-    }
-    for (; i < n; ++i) {
-      linear_tile_avx2<1>(x + i * in, in, panel.data(), bias_lo, bias_hi, m,
-                          out, y + i * out + o0);
+    if (direct) {
+      linear_rows_avx2<true>(x, n, in, wt + o0, nullptr, bias_lo, bias_hi, m,
+                             out, y + o0);
+    } else {
+      stage_columns_avx2(wt + o0, in, out, m, panel.data());
+      linear_rows_avx2<false>(x, n, in, nullptr, panel.data(), bias_lo,
+                              bias_hi, m, out, y + o0);
     }
   }
 }

@@ -383,8 +383,16 @@ void quantize_dequantize_rows_avx512(float* x, std::size_t rows, std::size_t d,
 /// (16 + 16 columns), enough independent FMA chains to cover the FMA latency
 /// even for a single row.
 constexpr std::size_t kLinearCols = 32;
-/// Rows sharing one staged column panel per register tile.
+/// Rows sharing one column block per register tile.
 constexpr std::size_t kLinearRows = 4;
+/// Calls with at most this many rows (decode steps, small packs) widen each
+/// float weight in registers as they read it; larger calls first widen the
+/// column block into a double panel that all their tiles share. Measured on
+/// a 4-vCPU AVX-512 host over the two perfbench models' shapes: direct reads
+/// run 8-9 GMAC/s at 1 row and 14-17 GMAC/s at 3-8 rows, ahead of the panel
+/// up to 8 rows on most shapes; from about 10 rows the panel's amortized
+/// widening wins (19-27 GMAC/s from 16 rows up).
+constexpr std::size_t kLinearDirectRows = 8;
 
 /// Mask of the first min(count, 16) lanes.
 inline __mmask16 column_mask16(std::size_t count) {
@@ -393,9 +401,8 @@ inline __mmask16 column_mask16(std::size_t count) {
 }
 
 /// In-register transpose of a 16x16 float block: on return r[p] holds
-/// column p (element k = old r[k][p]). Forced inline, like
-/// stage_columns_avx512: an out-of-line call passes r through memory and
-/// made the one-row linear (decode steps) ~10% slower.
+/// column p (element k = old r[k][p]). Forced inline: an out-of-line call
+/// would pass r through memory.
 [[gnu::always_inline]] inline void transpose16x16(__m512 r[16]) {
   __m512 t[16];
 #pragma GCC unroll 8
@@ -433,39 +440,31 @@ inline __mmask16 column_mask16(std::size_t count) {
   }
 }
 
-/// Stages weight rows [0, width) of the (width x in) block at `w` as a
-/// transposed double panel, panel[p*32 + k] = w[k*in + p], one 16x16 block
-/// at a time; the panel holds round_up(in, 16) columns. Rows past `width`
-/// and columns past `in` stage +0.0 and never reach a stored output.
-[[gnu::always_inline]] inline void stage_columns_avx512(
-    const float* w, std::size_t in, std::size_t width, double* panel) {
-  for (std::size_t k0 = 0; k0 < kLinearCols; k0 += 16) {
-    for (std::size_t p0 = 0; p0 < in; p0 += 16) {
-      const __mmask16 pm = column_mask16(in - p0);
-      __m512 r[16];
-#pragma GCC unroll 16
-      for (std::size_t k = 0; k < 16; ++k) {
-        r[k] = k0 + k < width
-                   ? _mm512_maskz_loadu_ps(pm, w + (k0 + k) * in + p0)
-                   : _mm512_setzero_ps();
-      }
-      transpose16x16(r);
-      double* dst = panel + p0 * kLinearCols + k0;
-#pragma GCC unroll 16
-      for (std::size_t p = 0; p < 16; ++p) {
-        _mm512_storeu_pd(dst + p * kLinearCols, cvt_lo_pd(r[p]));
-        _mm512_storeu_pd(dst + p * kLinearCols + 8, cvt_hi_pd(r[p]));
-      }
-    }
+/// Widens the input-major weight columns [o0, o0 + 32) of every reduction
+/// step, masked by m_lo / m_hi, into panel[p*32 + k] = wt[p*out + o0 + k].
+/// Masked-off columns stage +0.0 and never reach a stored output.
+void stage_columns_avx512(const float* wt, std::size_t in, std::size_t out,
+                          __mmask16 m_lo, __mmask16 m_hi, double* panel) {
+  for (std::size_t p = 0; p < in; ++p) {
+    const __m512 lo = _mm512_maskz_loadu_ps(m_lo, wt + p * out);
+    const __m512 hi = _mm512_maskz_loadu_ps(m_hi, wt + p * out + 16);
+    double* dst = panel + p * kLinearCols;
+    _mm512_storeu_pd(dst, cvt_lo_pd(lo));
+    _mm512_storeu_pd(dst + 8, cvt_hi_pd(lo));
+    _mm512_storeu_pd(dst + 16, cvt_lo_pd(hi));
+    _mm512_storeu_pd(dst + 24, cvt_hi_pd(hi));
   }
 }
 
-/// R rows of x against one staged panel: y[r][0..32) for r < R, masked by
-/// m_lo / m_hi (columns 0-15 / 16-31).
-template <std::size_t R>
-void linear_tile_avx512(const float* x, std::size_t in, const double* panel,
-                        const __m512d bias[4], __mmask16 m_lo, __mmask16 m_hi,
-                        std::size_t out, float* y) {
+/// R rows of x against one 32-column block: y[r][0..32) for r < R, masked by
+/// m_lo / m_hi (columns 0-15 / 16-31). Direct tiles read the float weights
+/// at wt (row stride `out`) and widen them per step; panel tiles read the
+/// block stage_columns_avx512 widened.
+template <std::size_t R, bool Direct>
+void linear_tile_avx512(const float* x, std::size_t in, const float* wt,
+                        const double* panel, const __m512d bias[4],
+                        __mmask16 m_lo, __mmask16 m_hi, std::size_t out,
+                        float* y) {
   __m512d acc[R][4];
 #pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r) {
@@ -474,9 +473,18 @@ void linear_tile_avx512(const float* x, std::size_t in, const double* panel,
   }
   for (std::size_t p = 0; p < in; ++p) {
     __m512d wv[4];
+    if constexpr (Direct) {
+      const __m512 lo = _mm512_maskz_loadu_ps(m_lo, wt + p * out);
+      const __m512 hi = _mm512_maskz_loadu_ps(m_hi, wt + p * out + 16);
+      wv[0] = cvt_lo_pd(lo);
+      wv[1] = cvt_hi_pd(lo);
+      wv[2] = cvt_lo_pd(hi);
+      wv[3] = cvt_hi_pd(hi);
+    } else {
 #pragma GCC unroll 4
-    for (std::size_t g = 0; g < 4; ++g) {
-      wv[g] = _mm512_loadu_pd(panel + p * kLinearCols + 8 * g);
+      for (std::size_t g = 0; g < 4; ++g) {
+        wv[g] = _mm512_loadu_pd(panel + p * kLinearCols + 8 * g);
+      }
     }
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < R; ++r) {
@@ -500,16 +508,46 @@ void linear_tile_avx512(const float* x, std::size_t in, const double* panel,
   }
 }
 
+/// All n rows of x against one 32-column block, in tiles of kLinearRows
+/// rows and one smaller remainder tile.
+template <bool Direct>
+void linear_rows_avx512(const float* x, std::size_t n, std::size_t in,
+                        const float* wt, const double* panel,
+                        const __m512d bias[4], __mmask16 m_lo, __mmask16 m_hi,
+                        std::size_t out, float* y) {
+  static_assert(kLinearRows == 4, "remainder tiles cover 1-3 rows");
+  std::size_t i = 0;
+  for (; i + kLinearRows <= n; i += kLinearRows) {
+    linear_tile_avx512<kLinearRows, Direct>(x + i * in, in, wt, panel, bias,
+                                            m_lo, m_hi, out, y + i * out);
+  }
+  x += i * in;
+  y += i * out;
+  switch (n - i) {
+    case 3:
+      linear_tile_avx512<3, Direct>(x, in, wt, panel, bias, m_lo, m_hi, out, y);
+      break;
+    case 2:
+      linear_tile_avx512<2, Direct>(x, in, wt, panel, bias, m_lo, m_hi, out, y);
+      break;
+    case 1:
+      linear_tile_avx512<1, Direct>(x, in, wt, panel, bias, m_lo, m_hi, out, y);
+      break;
+    default:
+      break;
+  }
+}
+
 void linear_avx512(const float* x, std::size_t n, std::size_t in,
-                   const float* w, std::size_t out, const float* bias,
+                   const float* wt, std::size_t out, const float* bias,
                    float* y) {
   thread_local std::vector<double> panel;
-  panel.resize((in + 15) / 16 * 16 * kLinearCols);
+  const bool direct = n <= kLinearDirectRows;
+  if (!direct) panel.resize(in * kLinearCols);
   for (std::size_t o0 = 0; o0 < out; o0 += kLinearCols) {
     const std::size_t width = std::min(kLinearCols, out - o0);
     const __mmask16 m_lo = column_mask16(width);
     const __mmask16 m_hi = column_mask16(width > 16 ? width - 16 : 0);
-    stage_columns_avx512(w + o0 * in, in, width, panel.data());
     __m512d b[4];
     const __m512 b_lo = bias == nullptr
                             ? _mm512_setzero_ps()
@@ -521,14 +559,13 @@ void linear_avx512(const float* x, std::size_t n, std::size_t in,
     b[1] = cvt_hi_pd(b_lo);
     b[2] = cvt_lo_pd(b_hi);
     b[3] = cvt_hi_pd(b_hi);
-    std::size_t i = 0;
-    for (; i + kLinearRows <= n; i += kLinearRows) {
-      linear_tile_avx512<kLinearRows>(x + i * in, in, panel.data(), b, m_lo,
-                                      m_hi, out, y + i * out + o0);
-    }
-    for (; i < n; ++i) {
-      linear_tile_avx512<1>(x + i * in, in, panel.data(), b, m_lo, m_hi, out,
-                            y + i * out + o0);
+    if (direct) {
+      linear_rows_avx512<true>(x, n, in, wt + o0, nullptr, b, m_lo, m_hi, out,
+                               y + o0);
+    } else {
+      stage_columns_avx512(wt + o0, in, out, m_lo, m_hi, panel.data());
+      linear_rows_avx512<false>(x, n, in, nullptr, panel.data(), b, m_lo,
+                                m_hi, out, y + o0);
     }
   }
 }

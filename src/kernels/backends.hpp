@@ -22,7 +22,7 @@ const KernelTable* avx512_table();
 /// The scalar backend's matmul entries (the seed loops), shared with backends
 /// that have no vector implementation of their own (NEON).
 void linear_scalar(const float* x, std::size_t n, std::size_t in,
-                   const float* w, std::size_t out, const float* bias,
+                   const float* wt, std::size_t out, const float* bias,
                    float* y);
 
 /// The scalar backend's exp entries and causal attention (the seed loops):

@@ -142,11 +142,14 @@ struct KernelTable {
   // per-row order too. NaN and Inf propagate to the same positions (NaN
   // payloads may differ).
 
-  /// y[i*out + o] = (float)(bias[o] + Σ_p x[i*in + p] * w[o*in + p]) for
-  /// i < n, o < out: x is (n x in), w is (out x in), both row-major; bias may
-  /// be null (accumulators start at +0.0). y must not alias x or w.
+  /// y[i*out + o] = (float)(bias[o] + Σ_p x[i*in + p] * wt[p*out + o]) for
+  /// i < n, o < out: y = x·W^T + b with the weight stored input-major, i.e.
+  /// wt = W^T is (in x out) row-major, so the outputs of one reduction step
+  /// are contiguous. x is (n x in) row-major; bias may be null (accumulators
+  /// start at +0.0). y must not alias x or wt. The model stores every
+  /// projection this way; tensor::linear adapts a row-major (out x in) W.
   void (*linear)(const float* x, std::size_t n, std::size_t in,
-                 const float* w, std::size_t out, const float* bias, float* y);
+                 const float* wt, std::size_t out, const float* bias, float* y);
 
   /// Causal attention of one head over `rows` query rows. Query row i (at
   /// q + i*ld) sits at position start_position + i and attends keys

@@ -167,16 +167,16 @@ void attention_context_scalar(const float* p, std::size_t ctx, const float* v,
 namespace detail {
 
 void linear_scalar(const float* x, std::size_t n, std::size_t in,
-                   const float* w, std::size_t out, const float* bias,
+                   const float* wt, std::size_t out, const float* bias,
                    float* y) {
   for (std::size_t i = 0; i < n; ++i) {
     const float* x_row = x + i * in;
     float* y_row = y + i * out;
     for (std::size_t o = 0; o < out; ++o) {
-      const float* w_row = w + o * in;
       double acc = bias == nullptr ? 0.0 : bias[o];
       for (std::size_t p = 0; p < in; ++p) {
-        acc += static_cast<double>(x_row[p]) * static_cast<double>(w_row[p]);
+        acc += static_cast<double>(x_row[p]) *
+               static_cast<double>(wt[p * out + o]);
       }
       y_row[o] = static_cast<float>(acc);
     }

@@ -44,12 +44,12 @@ tensor::Tensor multi_head_attention(const tensor::Tensor& x, const BlockWeights&
   HAAN_EXPECTS(x.shape().rank() == 2);
   HAAN_EXPECTS(x.shape().dim(1) % n_heads == 0);
 
-  const tensor::Tensor q = tensor::linear(x, block.wq, {});
-  const tensor::Tensor k = tensor::linear(x, block.wk, {});
-  const tensor::Tensor v = tensor::linear(x, block.wv, {});
+  const tensor::Tensor q = tensor::linear_input_major(x, block.wq, {});
+  const tensor::Tensor k = tensor::linear_input_major(x, block.wk, {});
+  const tensor::Tensor v = tensor::linear_input_major(x, block.wv, {});
   const tensor::Tensor context =
       causal_context(q, k.data(), v.data(), /*start_position=*/0, n_heads);
-  return tensor::linear(context, block.wo, {});
+  return tensor::linear_input_major(context, block.wo, {});
 }
 
 tensor::Tensor multi_head_attention_cached(const tensor::Tensor& x_new,
@@ -64,16 +64,18 @@ tensor::Tensor multi_head_attention_cached(const tensor::Tensor& x_new,
   HAAN_EXPECTS(block_index < cache.blocks());
   HAAN_EXPECTS(cache.rows(block_index) == start_position);
 
-  const tensor::Tensor q = tensor::linear(x_new, block.wq, {});
+  const tensor::Tensor q = tensor::linear_input_major(x_new, block.wq, {});
   {
-    const tensor::Tensor k_new = tensor::linear(x_new, block.wk, {});
-    const tensor::Tensor v_new = tensor::linear(x_new, block.wv, {});
+    const tensor::Tensor k_new =
+        tensor::linear_input_major(x_new, block.wk, {});
+    const tensor::Tensor v_new =
+        tensor::linear_input_major(x_new, block.wv, {});
     cache.append(block_index, k_new.data(), v_new.data());
   }
   const tensor::Tensor context =
       causal_context(q, cache.k(block_index), cache.v(block_index),
                      start_position, n_heads);
-  return tensor::linear(context, block.wo, {});
+  return tensor::linear_input_major(context, block.wo, {});
 }
 
 }  // namespace haan::model

@@ -67,15 +67,15 @@ namespace {
 
 tensor::Tensor run_mlp(const tensor::Tensor& x, const BlockWeights& block,
                        const ModelConfig& config) {
-  tensor::Tensor up = tensor::linear(x, block.w_up, {});
+  tensor::Tensor up = tensor::linear_input_major(x, block.w_up, {});
   if (config.gated_mlp) {
-    tensor::Tensor gate = tensor::linear(x, block.w_gate, {});
+    tensor::Tensor gate = tensor::linear_input_major(x, block.w_gate, {});
     tensor::silu_inplace(gate);
     up = tensor::hadamard(up, gate);
   } else {
     tensor::gelu_inplace(up);
   }
-  return tensor::linear(up, block.w_down, {});
+  return tensor::linear_input_major(up, block.w_down, {});
 }
 
 /// Copies span rows out of the packed block, applies `fn` (sub-block + span

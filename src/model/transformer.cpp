@@ -67,10 +67,15 @@ tensor::Tensor Transformer::forward_hidden_batch(
         const int token = tokens[t];
         HAAN_EXPECTS(token >= 0 &&
                      static_cast<std::size_t>(token) < config_.vocab_size);
-        const auto emb = weights_.embedding.row(static_cast<std::size_t>(token));
+        // The embedding is stored input-major: a token's vector is column
+        // `token` of the (d_model x vocab) tensor.
+        const float* emb =
+            weights_.embedding.data().data() + static_cast<std::size_t>(token);
         const auto pos = weights_.pos_embedding.row(span.start_position + t);
         const auto row = h.row(span.row_begin + t);
-        for (std::size_t c = 0; c < d; ++c) row[c] = emb[c] + pos[c];
+        for (std::size_t c = 0; c < d; ++c) {
+          row[c] = emb[c * config_.vocab_size] + pos[c];
+        }
       }
     }
   }
@@ -121,8 +126,9 @@ std::vector<float> Transformer::last_logits(std::span<const int> tokens,
 std::vector<float> Transformer::logits_for_hidden_row(
     std::span<const float> row) const {
   HAAN_EXPECTS(row.size() == config_.d_model);
-  // One 1 x vocab product against the tied embedding: each logit is the same
-  // ascending double dot product tensor::dot computes, rounded to float.
+  // One 1 x vocab product against the tied embedding, which is stored
+  // input-major like every projection: each logit is the same ascending
+  // double dot product tensor::dot computes, rounded to float.
   std::vector<float> logits(config_.vocab_size);
   kernels::active().linear(row.data(), 1, config_.d_model,
                            weights_.embedding.data().data(), config_.vocab_size,

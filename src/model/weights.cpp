@@ -8,10 +8,25 @@ namespace haan::model {
 
 namespace {
 
-/// Gaussian matrix with std 1/sqrt(fan_in): variance-preserving projection.
+/// A Gaussian (rows x cols) matrix stored input-major, as its (cols x rows)
+/// transpose. Values are drawn in (rows x cols) row-major order, as
+/// Tensor::randn would draw the matrix itself, so the layout changes no value.
+tensor::Tensor transposed_gaussian(std::size_t rows, std::size_t cols,
+                                   double stddev, common::Rng& rng) {
+  tensor::Tensor t(tensor::Shape{cols, rows});
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      t.at(c, r) = static_cast<float>(rng.gaussian(0.0, stddev));
+    }
+  }
+  return t;
+}
+
+/// Gaussian (out x in) projection with std 1/sqrt(fan_in), variance
+/// preserving, stored input-major as (in x out).
 tensor::Tensor projection(std::size_t out, std::size_t in, common::Rng& rng) {
-  return tensor::Tensor::randn(tensor::Shape{out, in}, rng, 0.0,
-                               1.0 / std::sqrt(static_cast<double>(in)));
+  return transposed_gaussian(out, in,
+                             1.0 / std::sqrt(static_cast<double>(in)), rng);
 }
 
 /// Norm affine gain vector with the requested RMS and ±10% per-channel jitter.
@@ -45,8 +60,8 @@ ModelWeights make_weights(const ModelConfig& config) {
   common::Rng rng(config.seed);
 
   ModelWeights weights;
-  weights.embedding = tensor::Tensor::randn(
-      tensor::Shape{config.vocab_size, config.d_model}, rng, 0.0, 1.0);
+  weights.embedding =
+      transposed_gaussian(config.vocab_size, config.d_model, 1.0, rng);
   // Token embedding norms are heterogeneous in trained LLMs (rare tokens sit
   // far from the origin). This drives the per-token spread — and the
   // token-dependent early-layer ISD slopes — visible in the paper's Fig 2,
@@ -54,7 +69,9 @@ ModelWeights make_weights(const ModelConfig& config) {
   // global decay coefficient cannot fit token-dependent early dynamics.
   for (std::size_t v = 0; v < config.vocab_size; ++v) {
     const float scale = static_cast<float>(std::exp(rng.gaussian(0.0, 0.4)));
-    for (float& value : weights.embedding.row(v)) value *= scale;
+    for (std::size_t c = 0; c < config.d_model; ++c) {
+      weights.embedding.at(c, v) *= scale;
+    }
   }
   weights.pos_embedding = tensor::Tensor::randn(
       tensor::Shape{config.max_seq_len, config.d_model}, rng, 0.0, 0.1);

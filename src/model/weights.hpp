@@ -16,11 +16,14 @@ namespace haan::model {
 
 /// Per-block parameters.
 struct BlockWeights {
-  // Attention projections, each (d_model x d_model), stored row-major as
-  // (out x in) for tensor::linear.
+  // Every projection W (out x in) is stored input-major, as its transpose
+  // W^T: an (in x out) row-major tensor, the layout
+  // tensor::linear_input_major and KernelTable::linear read, so a decode step
+  // streams each reduction step's outputs contiguously with no per-call
+  // repacking. Attention projections: each (d_model x d_model).
   tensor::Tensor wq, wk, wv, wo;
-  // MLP: w_up (d_ff x d_model), w_gate (d_ff x d_model, gated models only),
-  // w_down (d_model x d_ff).
+  // MLP: w_up (d_model x d_ff), w_gate (d_model x d_ff, gated models only),
+  // w_down (d_ff x d_model).
   tensor::Tensor w_up, w_gate, w_down;
   // Normalization affine parameters, one pair per norm layer in the block.
   std::vector<float> norm1_alpha, norm1_beta;
@@ -29,7 +32,9 @@ struct BlockWeights {
 
 /// Whole-model parameters.
 struct ModelWeights {
-  tensor::Tensor embedding;       ///< (vocab x d_model)
+  /// Token embedding, tied to the logits projection and stored input-major
+  /// like the projections: (d_model x vocab), token t's vector is column t.
+  tensor::Tensor embedding;
   tensor::Tensor pos_embedding;   ///< (max_seq_len x d_model)
   std::vector<BlockWeights> blocks;
   std::vector<float> final_alpha, final_beta;  ///< final norm (may be empty)

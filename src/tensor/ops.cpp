@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "kernels/kernels.hpp"
 
 namespace haan::tensor {
+
+Tensor linear_input_major(const Tensor& x, const Tensor& wt,
+                          std::span<const float> bias) {
+  HAAN_EXPECTS(x.shape().rank() == 2 && wt.shape().rank() == 2);
+  const std::size_t n = x.shape().dim(0);
+  const std::size_t in = x.shape().dim(1);
+  const std::size_t out = wt.shape().dim(1);
+  HAAN_EXPECTS(wt.shape().dim(0) == in);
+  HAAN_EXPECTS(bias.empty() || bias.size() == out);
+  Tensor y(Shape{n, out});
+  kernels::active().linear(x.data().data(), n, in, wt.data().data(), out,
+                           kernels::data_or_null(bias), y.data().data());
+  return y;
+}
 
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   HAAN_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
@@ -15,8 +30,15 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   const std::size_t out = w.shape().dim(0);
   HAAN_EXPECTS(w.shape().dim(1) == in);
   HAAN_EXPECTS(bias.empty() || bias.size() == out);
+  // W^T into per-thread scratch, the layout the kernel reads.
+  thread_local std::vector<float> wt;
+  wt.resize(in * out);
+  const float* w_data = w.data().data();
+  for (std::size_t o = 0; o < out; ++o) {
+    for (std::size_t p = 0; p < in; ++p) wt[p * out + o] = w_data[o * in + p];
+  }
   Tensor y(Shape{n, out});
-  kernels::active().linear(x.data().data(), n, in, w.data().data(), out,
+  kernels::active().linear(x.data().data(), n, in, wt.data(), out,
                            kernels::data_or_null(bias), y.data().data());
   return y;
 }

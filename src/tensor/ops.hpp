@@ -10,10 +10,18 @@
 
 namespace haan::tensor {
 
-/// y = x * W^T + b, where x is (n x in), w is (out x in), b has length out.
-/// The (out x in) weight layout matches how the model stores projections.
-/// Runs the active backend's exact-order kernel (KernelTable::linear), so the
-/// result is bit-identical on every backend and for any row count.
+/// y = x * W^T + b with the weight stored input-major: x is (n x in), wt is
+/// W^T, (in x out) row-major, b has length out. This is how the model stores
+/// every projection. Runs the active backend's exact-order kernel
+/// (KernelTable::linear), so the result is bit-identical on every backend and
+/// for any row count.
+Tensor linear_input_major(const Tensor& x, const Tensor& wt,
+                          std::span<const float> bias);
+
+/// y = x * W^T + b for a row-major W, (out x in): transposes W into
+/// per-thread scratch, then runs linear_input_major's kernel, so the result
+/// equals it bit for bit. The transpose costs as much memory traffic as a
+/// one-row product; hot paths store W^T once instead.
 Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias);
 
 /// In-place numerically stable softmax of one row: v = exp(v - max) in float,

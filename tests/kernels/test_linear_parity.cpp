@@ -1,9 +1,13 @@
 // Exact-order contract of the linear kernel (kernels.hpp): every runnable
-// kernel table's linear must be bit-identical (memcmp) to an inline replica
-// of the seed loop, for every shape, and a row computed alone must equal the
-// same row inside a large call. Shapes cover single rows, register-tile
-// remainders, output-block tails and reduction lengths that are not a
-// multiple of any vector width.
+// kernel table's linear, fed the input-major transpose W^T of a row-major W,
+// must be bit-identical (memcmp) to an inline replica of the seed loop over W,
+// for every shape, and a row computed alone must equal the same row inside a
+// large call. Row counts cover both sides of every backend's direct-read /
+// widened-panel crossover (8 rows on AVX-512, 4 on AVX2), each with every
+// 4-row register-tile remainder; output counts cover the column-block tails
+// of every backend, and reduction lengths are not all multiples of any
+// vector width. The row-major tensor::linear adapter must equal the seed
+// loop too.
 // Non-finite inputs must produce NaN at the same positions and bit-identical
 // values (Inf included) everywhere else.
 #include <gtest/gtest.h>
@@ -16,13 +20,14 @@
 
 #include "common/rng.hpp"
 #include "kernels/kernels.hpp"
+#include "tensor/ops.hpp"
 
 namespace haan::kernels {
 namespace {
 
-const std::size_t kRows[] = {1, 2, 3, 7, 8, 9, 33, 288};
+const std::size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 33, 288};
 const std::size_t kIns[] = {1, 13, 64, 96, 170, 384};
-const std::size_t kOuts[] = {1, 7, 16, 17, 64, 170, 384, 512};
+const std::size_t kOuts[] = {1, 7, 16, 17, 33, 64, 65, 170, 384, 512};
 
 std::vector<float> random_values(std::size_t n, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -31,7 +36,17 @@ std::vector<float> random_values(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// The seed's tensor::linear loop.
+/// The (cols x rows) transpose of a row-major (rows x cols) matrix.
+std::vector<float> transposed(const std::vector<float>& m, std::size_t rows,
+                              std::size_t cols) {
+  std::vector<float> t(m.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) t[c * rows + r] = m[r * cols + c];
+  }
+  return t;
+}
+
+/// The seed's tensor::linear loop over a row-major (out x in) w.
 std::vector<float> seed_linear(const std::vector<float>& x, std::size_t n,
                                std::size_t in, const std::vector<float>& w,
                                std::size_t out, const float* bias) {
@@ -81,6 +96,7 @@ TEST(LinearParity, EveryTableMatchesTheSeedLoopBitForBit) {
   for (const std::size_t in : kIns) {
     for (const std::size_t out : kOuts) {
       const auto w = random_values(out * in, in * 1000 + out);
+      const auto wt = transposed(w, out, in);
       const auto bias = random_values(out, out + 7);
       for (const std::size_t n : kRows) {
         const auto x = random_values(n * in, n * 31 + in);
@@ -89,7 +105,7 @@ TEST(LinearParity, EveryTableMatchesTheSeedLoopBitForBit) {
           const auto want = seed_linear(x, n, in, w, out, b);
           for (const KernelTable* table : supported_kernels()) {
             std::vector<float> got(n * out, -1.0f);
-            table->linear(x.data(), n, in, w.data(), out, b, got.data());
+            table->linear(x.data(), n, in, wt.data(), out, b, got.data());
             ASSERT_TRUE(same_bits(got, want))
                 << table->name << " n=" << n << " in=" << in << " out=" << out
                 << " bias=" << with_bias;
@@ -140,9 +156,10 @@ TEST(LinearParity, CancellingSumsKeepTheAscendingOrder) {
         const auto reversed = seed_linear(x_rev, n, in, w_rev, out, nullptr);
         ASSERT_FALSE(same_bits(reversed, want))
             << "in=" << in << " out=" << out << " n=" << n;
+        const auto wt = transposed(w, out, in);
         for (const KernelTable* table : supported_kernels()) {
           std::vector<float> got(n * out);
-          table->linear(x.data(), n, in, w.data(), out, nullptr, got.data());
+          table->linear(x.data(), n, in, wt.data(), out, nullptr, got.data());
           ASSERT_TRUE(same_bits(got, want))
               << table->name << " n=" << n << " in=" << in << " out=" << out;
         }
@@ -154,18 +171,18 @@ TEST(LinearParity, CancellingSumsKeepTheAscendingOrder) {
 TEST(LinearParity, ARowAloneEqualsTheSameRowInsideA288RowCall) {
   constexpr std::size_t kBatch = 288;
   const std::pair<std::size_t, std::size_t> shapes[] = {
-      {64, 170}, {170, 64}, {13, 17}, {96, 384}};
+      {64, 170}, {170, 64}, {13, 17}, {96, 384}, {64, 65}};
   for (const auto& [in, out] : shapes) {
     const auto x = random_values(kBatch * in, in + 3);
-    const auto w = random_values(out * in, out + 5);
+    const auto wt = random_values(in * out, out + 5);
     const auto bias = random_values(out, 11);
     for (const KernelTable* table : supported_kernels()) {
       std::vector<float> batch(kBatch * out);
-      table->linear(x.data(), kBatch, in, w.data(), out, bias.data(),
+      table->linear(x.data(), kBatch, in, wt.data(), out, bias.data(),
                     batch.data());
       std::vector<float> alone(out);
       for (std::size_t r = 0; r < kBatch; ++r) {
-        table->linear(x.data() + r * in, 1, in, w.data(), out, bias.data(),
+        table->linear(x.data() + r * in, 1, in, wt.data(), out, bias.data(),
                       alone.data());
         ASSERT_EQ(std::memcmp(alone.data(), batch.data() + r * out,
                               out * sizeof(float)),
@@ -189,10 +206,29 @@ TEST(LinearParity, NonFiniteInputsPropagateToTheSamePositions) {
   x[8 * in + 10] = 3.0e38f;  // float overflow in the double sum -> Inf
   w[12 * in + 10] = 3.0e38f;
   const auto want = seed_linear(x, n, in, w, out, nullptr);
+  const auto wt = transposed(w, out, in);
   for (const KernelTable* table : supported_kernels()) {
     std::vector<float> got(n * out);
-    table->linear(x.data(), n, in, w.data(), out, nullptr, got.data());
+    table->linear(x.data(), n, in, wt.data(), out, nullptr, got.data());
     expect_same_nonfinite(got, want, table->name);
+  }
+}
+
+TEST(LinearParity, RowMajorAdapterMatchesTheSeedLoopBitForBit) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {96, 512}, {64, 170}, {170, 64}, {13, 33}};
+  for (const auto& [in, out] : shapes) {
+    const auto w = random_values(out * in, in + out);
+    const auto bias = random_values(out, out);
+    for (const std::size_t n : {1u, 3u, 4u, 33u}) {
+      const auto x = random_values(n * in, n + in);
+      const tensor::Tensor x_tensor(tensor::Shape{n, in}, x);
+      const tensor::Tensor w_tensor(tensor::Shape{out, in}, w);
+      const tensor::Tensor y = tensor::linear(x_tensor, w_tensor, bias);
+      const std::vector<float> got(y.data().begin(), y.data().end());
+      ASSERT_TRUE(same_bits(got, seed_linear(x, n, in, w, out, bias.data())))
+          << "n=" << n << " in=" << in << " out=" << out;
+    }
   }
 }
 

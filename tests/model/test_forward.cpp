@@ -31,9 +31,11 @@ TEST(Weights, ShapesMatchConfig) {
   const auto config = tiny_test_model();
   const ModelWeights w = make_weights(config);
   EXPECT_EQ(w.blocks.size(), config.n_blocks);
-  EXPECT_EQ(w.embedding.shape(), tensor::Shape({config.vocab_size, config.d_model}));
+  // The tied embedding and every projection are stored input-major.
+  EXPECT_EQ(w.embedding.shape(), tensor::Shape({config.d_model, config.vocab_size}));
   EXPECT_EQ(w.blocks[0].wq.shape(), tensor::Shape({config.d_model, config.d_model}));
-  EXPECT_EQ(w.blocks[0].w_up.shape(), tensor::Shape({config.d_ff, config.d_model}));
+  EXPECT_EQ(w.blocks[0].w_up.shape(), tensor::Shape({config.d_model, config.d_ff}));
+  EXPECT_EQ(w.blocks[0].w_down.shape(), tensor::Shape({config.d_ff, config.d_model}));
   EXPECT_EQ(w.blocks[0].norm1_alpha.size(), config.d_model);
   EXPECT_FALSE(w.final_alpha.empty());  // tiny model has a final norm
 }
@@ -41,7 +43,7 @@ TEST(Weights, ShapesMatchConfig) {
 TEST(Weights, GatedModelsHaveGateMatrix) {
   const auto llama = llama7b_surrogate(64);
   const ModelWeights w = make_weights(llama);
-  EXPECT_EQ(w.blocks[0].w_gate.shape(), tensor::Shape({llama.d_ff, llama.d_model}));
+  EXPECT_EQ(w.blocks[0].w_gate.shape(), tensor::Shape({llama.d_model, llama.d_ff}));
   // RMSNorm models carry no beta.
   EXPECT_TRUE(w.blocks[0].norm1_beta.empty());
 }
