@@ -6,10 +6,11 @@
 // residual_add_rmsnorm at d=4096 staying ahead of the seed path. The report
 // also carries linear GMAC/s (input-major weights, at a prefill block and
 // at the decode shapes the serving benchmark's two models run), softmax /
-// SiLU ns/element and causal attention ns/query row per backend; the run
-// fails if any backend's linear, softmax, SiLU or causal attention output
-// differs from the scalar reference by a single bit. Every per-backend figure
-// interleaves its timed loops round-robin across the backends.
+// SiLU / GELU ns/element and causal attention ns/query row per backend; the
+// run fails if any backend's linear, softmax, SiLU, GELU or causal attention
+// output differs from the scalar reference by a single bit. Every
+// per-backend figure interleaves its timed loops round-robin across the
+// backends.
 //
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <algorithm>
@@ -465,26 +466,32 @@ int main(int argc, char** argv) {
     linear_results.push_back(entry);
   }
 
-  // --- Exp kernels: softmax over one attention row at ctx 72 and 144 (the
-  // prefill_offline surrogate's mean context and twice it) and SiLU over a
-  // 288 x 170 MLP gate block, ns/element per backend. Each timed call runs in
-  // place on the previous call's output; the bit-identity check uses the
-  // first call, on the original input. Gated on identity only. -------------
+  // --- Exp and tanh kernels: softmax over one attention row at ctx 72 and
+  // 144 (the prefill_offline surrogate's mean context and twice it), SiLU
+  // over a 288 x 170 MLP gate block, and GELU over one and twenty rows of
+  // chat_decode's d_ff = 384 MLP (a decode step and a chat prompt), ns/element
+  // per backend. Softmax and SiLU run in place on the previous call's
+  // output; GELU first restores its input (a plain copy, timed with it),
+  // since repeated GELU drives a row towards zeros and saturated values. The
+  // bit-identity check uses the first call, on the original input. Gated on
+  // identity only. ---------------------------------------------------------
   struct ExpShape {
     const char* kernel;
     std::size_t rows, cols;
   };
-  const ExpShape exp_shapes[] = {
-      {"softmax", 1, 72}, {"softmax", 1, 144}, {"silu", 288, 170}};
+  const ExpShape exp_shapes[] = {{"softmax", 1, 72}, {"softmax", 1, 144},
+                                 {"silu", 288, 170}, {"gelu", 1, 384},
+                                 {"gelu", 20, 384}};
   common::Json::Array exp_results;
   bool exp_identical = true;
-  std::printf("--- softmax / silu, ns/element per backend ---\n");
+  std::printf("--- softmax / silu / gelu, ns/element per backend ---\n");
   for (const ExpShape& shape : exp_shapes) {
     const std::size_t n = shape.rows * shape.cols;
     std::vector<float> input(n);
     common::Rng rng(n);
     rng.fill_gaussian(input, 0.0, 3.0);
     const bool softmax = std::strcmp(shape.kernel, "softmax") == 0;
+    const bool silu = std::strcmp(shape.kernel, "silu") == 0;
     // One working buffer per backend, so each backend's timed calls chain on
     // its own previous output.
     std::vector<std::vector<float>> work(tables.size(), input);
@@ -493,11 +500,14 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < tables.size(); ++t) {
       const kernels::KernelTable* table = tables[t];
       std::vector<float>& v = work[t];
-      const auto run = [&v, table, softmax, n] {
+      const auto run = [&v, &input, table, softmax, silu, n] {
         if (softmax) {
           table->softmax(v.data(), n);
-        } else {
+        } else if (silu) {
           table->silu(v.data(), n);
+        } else {
+          std::copy(input.begin(), input.end(), v.begin());
+          table->gelu(v.data(), n);
         }
         sink(v[0]);
       };

@@ -23,6 +23,7 @@
 #include "common/assert.hpp"
 #include "kernels/attention_rows.hpp"
 #include "kernels/expf_model.hpp"
+#include "kernels/tanhf_model.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -591,6 +592,18 @@ void silu_avx2(float* v, std::size_t n) {
   }
 }
 
+// --- GELU --------------------------------------------------------------------
+// The seed loop on 8 lanes through the tanhf model (kernels/tanhf_model.hpp),
+// which covers every input: no lane goes to libm. Tail lanes load +0.0.
+
+void gelu_avx2(float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256i m = lane_mask8(n - i);
+    _mm256_maskstore_ps(v + i, m,
+                        detail::gelu_lanes(_mm256_maskload_ps(v + i, m)));
+  }
+}
+
 // --- Causal attention (exact-order contract, see kernels.hpp) --------------
 // The AVX-512 backend's two shapes at half the width: a tile of kTileRows
 // query rows puts one row in each lane, every lane keeping its row's exact
@@ -921,6 +934,7 @@ constexpr KernelTable kAvx2Table = {
     exp_avx2,
     softmax_avx2,
     silu_avx2,
+    gelu_avx2,
 };
 
 }  // namespace

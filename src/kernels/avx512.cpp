@@ -30,6 +30,7 @@
 #include "common/assert.hpp"
 #include "kernels/attention_rows.hpp"
 #include "kernels/expf_model.hpp"
+#include "kernels/tanhf_model.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -681,6 +682,18 @@ void silu_avx512(float* v, std::size_t n) {
   }
 }
 
+// --- GELU --------------------------------------------------------------------
+// The seed loop on 16 lanes through the tanhf model (kernels/tanhf_model.hpp),
+// which covers every input: no lane goes to libm. Tail lanes load +0.0.
+
+void gelu_avx512(float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 m = column_mask16(n - i);
+    _mm512_mask_storeu_ps(v + i, m,
+                          detail::gelu_lanes(_mm512_maskz_loadu_ps(m, v + i)));
+  }
+}
+
 // --- Causal attention (exact-order contract, see kernels.hpp) --------------
 // Two shapes of the same per-row arithmetic. A tile of kTileRows query rows
 // puts one row in each lane: every lane keeps its row's exact order (the
@@ -997,6 +1010,7 @@ constexpr KernelTable kAvx512Table = {
     exp_avx512,
     softmax_avx512,
     silu_avx512,
+    gelu_avx512,
 };
 
 }  // namespace

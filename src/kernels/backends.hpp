@@ -25,24 +25,26 @@ void linear_scalar(const float* x, std::size_t n, std::size_t in,
                    const float* wt, std::size_t out, const float* bias,
                    float* y);
 
-/// The scalar backend's exp entries and causal attention (the seed loops):
-/// the NEON table's own, and what with_checked_exp swaps into a SIMD table
-/// whose expf model disagrees with this process's libm.
+/// The scalar backend's exp and gelu entries and causal attention (the seed
+/// loops): the NEON table's own, and what with_checked_libm swaps into a SIMD
+/// table whose expf or tanhf model disagrees with this process's libm.
 void exp_scalar(const float* x, std::size_t n, float* out);
 void softmax_scalar(float* row, std::size_t n);
 void silu_scalar(float* v, std::size_t n);
+void gelu_scalar(float* v, std::size_t n);
 void causal_attention_scalar(const float* q, std::size_t rows, const float* k,
                              const float* v, std::size_t ld,
                              std::size_t d_head, std::size_t start_position,
                              float scale, float* out);
 
-/// `table` itself when it is null or its exp matches this process's libm bit
-/// for bit on a fixed set of probe inputs (kernels.cpp); otherwise
-/// `patched`, a copy of it carrying the scalar exp, softmax, silu and
-/// causal_attention (every entry that runs the SIMD expf model). Logs a
-/// warning when it patches.
-const KernelTable* with_checked_exp(const KernelTable* table,
-                                    KernelTable& patched);
+/// `table` itself when it is null, or when its exp and gelu match the
+/// scalar loops (this process's libm) bit for bit on fixed probe inputs
+/// (kernels.cpp). Otherwise `patched`, a copy of it carrying the scalar
+/// exp, softmax, silu and causal_attention (every entry that runs the SIMD
+/// expf model) when exp disagrees, and the scalar gelu (the tanhf model)
+/// when gelu disagrees. Logs a warning when it patches.
+const KernelTable* with_checked_libm(const KernelTable* table,
+                                     KernelTable& patched);
 
 /// The NEON (AArch64) table. Null when this build does not target AArch64.
 const KernelTable* neon_table();

@@ -14,6 +14,7 @@
 #include "common/logging.hpp"
 #include "kernels/backends.hpp"
 #include "kernels/expf_model.hpp"
+#include "kernels/tanhf_model.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -82,21 +83,75 @@ bool exp_matches_libm(const KernelTable& table) {
   return true;
 }
 
+/// Inputs on which a SIMD table's gelu must match the scalar loop, whose
+/// tanh is this process's libm: the fdlibm probes, zeros, a subnormal, the
+/// |inner| >= 22 saturation, v^3 overflow, inf and NaN.
+constexpr float kGeluProbes[] = {
+    detail::kTanhProbeFdlibm[0],
+    detail::kTanhProbeFdlibm[1],
+    detail::kTanhProbeFdlibm[2],
+    detail::kTanhProbeFdlibm[3],
+    detail::kTanhProbeFdlibm[4],
+    0.0f,
+    -0.0f,
+    0x1p-140f,
+    0.3f,
+    -2.5f,
+    30.0f,
+    -30.0f,
+    1e13f,
+    -1e13f,
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::numeric_limits<float>::quiet_NaN(),
+};
+
+bool gelu_matches_libm(const KernelTable& table) {
+  float expected[std::size(kGeluProbes)];
+  float out[std::size(kGeluProbes)];
+  for (std::size_t i = 0; i < std::size(kGeluProbes); ++i) {
+    // A volatile read, so the compiler cannot fold std::tanh on a probe.
+    const volatile float input = kGeluProbes[i];
+    expected[i] = input;
+    out[i] = input;
+  }
+  detail::gelu_scalar(expected, std::size(kGeluProbes));
+  table.gelu(out, std::size(kGeluProbes));
+  for (std::size_t i = 0; i < std::size(kGeluProbes); ++i) {
+    if (std::bit_cast<std::uint32_t>(out[i]) !=
+        std::bit_cast<std::uint32_t>(expected[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 namespace detail {
 
-const KernelTable* with_checked_exp(const KernelTable* table,
-                                    KernelTable& patched) {
-  if (table == nullptr || exp_matches_libm(*table)) return table;
-  HAAN_LOG_WARN_C("kernels")
-      << table->name << ": the SIMD expf model disagrees with this libm's "
-      << "expf; exp, softmax, silu and causal_attention run the scalar loops";
+const KernelTable* with_checked_libm(const KernelTable* table,
+                                     KernelTable& patched) {
+  if (table == nullptr) return table;
+  const bool exp_ok = exp_matches_libm(*table);
+  const bool gelu_ok = gelu_matches_libm(*table);
+  if (exp_ok && gelu_ok) return table;
   patched = *table;
-  patched.exp = exp_scalar;
-  patched.softmax = softmax_scalar;
-  patched.silu = silu_scalar;
-  patched.causal_attention = causal_attention_scalar;
+  if (!exp_ok) {
+    HAAN_LOG_WARN_C("kernels")
+        << table->name << ": the SIMD expf model disagrees with this libm's "
+        << "expf; exp, softmax, silu and causal_attention run the scalar loops";
+    patched.exp = exp_scalar;
+    patched.softmax = softmax_scalar;
+    patched.silu = silu_scalar;
+    patched.causal_attention = causal_attention_scalar;
+  }
+  if (!gelu_ok) {
+    HAAN_LOG_WARN_C("kernels")
+        << table->name << ": the SIMD tanhf model disagrees with this libm's "
+        << "tanhf; gelu runs the scalar loop";
+    patched.gelu = gelu_scalar;
+  }
   return &patched;
 }
 
@@ -106,17 +161,17 @@ namespace {
 
 /// The AVX-512 table when both the build and the CPU can run it (the TU
 /// compiles to a null stub when the compiler lacks the ISA flags), checked
-/// once against libm's expf.
+/// once against libm's expf and tanhf.
 const KernelTable* runnable_avx512_table() {
   static KernelTable patched{};
-  static const KernelTable* const table = detail::with_checked_exp(
+  static const KernelTable* const table = detail::with_checked_libm(
       cpu_supports_avx512() ? detail::avx512_table() : nullptr, patched);
   return table;
 }
 
 const KernelTable* runnable_avx2_table() {
   static KernelTable patched{};
-  static const KernelTable* const table = detail::with_checked_exp(
+  static const KernelTable* const table = detail::with_checked_libm(
       cpu_supports_avx2() ? detail::avx2_table() : nullptr, patched);
   return table;
 }

@@ -1,8 +1,8 @@
 // Runtime-dispatched kernels: the vectorized hot loops behind every norm in
-// the repo, plus the forward pass's matmul, causal attention, softmax and SiLU
-// loops. One KernelTable per backend (portable scalar, AVX2, AVX-512, NEON);
-// dispatch picks the widest backend the CPU supports once at first use, with
-// `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
+// the repo, plus the forward pass's matmul, causal attention, softmax, SiLU
+// and GELU loops. One KernelTable per backend (portable scalar, AVX2,
+// AVX-512, NEON); dispatch picks the widest backend the CPU supports once at
+// first use, with `HAAN_FORCE_SCALAR=1` forcing the scalar reference.
 //
 // The scalar backend is the semantic reference: it reproduces the seed
 // `tensor::norm_ref` / `core::subsample` arithmetic bit for bit (same
@@ -48,14 +48,19 @@ struct SumStats {
 ///     bits may differ (both backends produce a quiet NaN).
 ///   linear / causal_attention
 ///     Bit-identical (exact-order contract, see the entries below).
-///   exp / softmax / silu
+///   exp / softmax / silu / gelu
 ///     Bit-identical for every input, inf and NaN included. SIMD lanes run a
 ///     lane-wise model of glibc 2.36's FMA expf (kernels/expf_model.hpp);
-///     lanes with |x| >= 88, inf or NaN call std::exp. The dispatcher checks
-///     the model against this process's libm on probe inputs once, when it
-///     resolves the tables; on any mismatch (another libm, or glibc's non-FMA
+///     lanes with |x| >= 88, inf or NaN call std::exp. gelu's lanes run a
+///     model of the same libm's fdlibm tanhf and expm1f
+///     (kernels/tanhf_model.hpp) for every input, with each libm branch a
+///     per-lane mask and blend. The dispatcher checks both models against
+///     this process's libm on probe inputs once, when it resolves the
+///     tables. On an expf mismatch (another libm, or glibc's non-FMA
 ///     variant) the SIMD tables carry the scalar exp / softmax / silu and
-///     causal_attention (whose softmax calls the model directly).
+///     causal_attention (whose softmax calls the model directly); on a tanhf
+///     mismatch (a correctly rounded tanhf, as in glibc >= 2.41) they carry
+///     the scalar gelu.
 struct KernelTable {
   /// Backend family: "scalar", "avx2", "avx512" or "neon".
   const char* name;
@@ -175,10 +180,10 @@ struct KernelTable {
                            const float* v, std::size_t ld, std::size_t d_head,
                            std::size_t start_position, float scale, float* out);
 
-  // --- Exp kernels ------------------------------------------------------
-  // The scalar entries are the seed loops of tensor::softmax / silu_inplace;
-  // SIMD entries vectorize everything but the softmax's double sum, whose
-  // sequential order is part of the result.
+  // --- Exp and tanh kernels ---------------------------------------------
+  // The scalar entries are the seed loops of tensor::softmax / silu_inplace /
+  // gelu_inplace; SIMD entries vectorize everything but the softmax's double
+  // sum, whose sequential order is part of the result.
 
   /// out[i] = std::exp(x[i]) in float, for i < n. out may alias x.
   void (*exp)(const float* x, std::size_t n, float* out);
@@ -191,6 +196,11 @@ struct KernelTable {
 
   /// v[i] = v[i] / (1.0f + std::exp(-v[i])) in float, in place.
   void (*silu)(float* v, std::size_t n);
+
+  /// GELU, tanh approximation, in float and in place, in this order:
+  ///   inner = 0.7978845608028654f * (v + ((0.044715f * v) * v) * v)
+  ///   v     = (0.5f * v) * (1.0f + std::tanh(inner))
+  void (*gelu)(float* v, std::size_t n);
 };
 
 /// Maps an empty span to the nullptr the kernel tables use for "no affine

@@ -299,6 +299,7 @@ constexpr KernelTable kNeonTable = {
     detail::exp_scalar,
     detail::softmax_scalar,
     detail::silu_scalar,
+    detail::gelu_scalar,
 };
 
 }  // namespace

@@ -217,6 +217,14 @@ void silu_scalar(float* v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] = v[i] / (1.0f + std::exp(-v[i]));
 }
 
+void gelu_scalar(float* v, std::size_t n) {
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float inner = kSqrt2OverPi * (v[i] + 0.044715f * v[i] * v[i] * v[i]);
+    v[i] = 0.5f * v[i] * (1.0f + std::tanh(inner));
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -240,6 +248,7 @@ constexpr KernelTable kScalarTable = {
     detail::exp_scalar,
     detail::softmax_scalar,
     detail::silu_scalar,
+    detail::gelu_scalar,
 };
 
 }  // namespace

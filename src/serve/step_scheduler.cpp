@@ -57,6 +57,17 @@ std::optional<StepPack> StepScheduler::next_pack() {
       policy_ == SchedPolicy::kBinned || policy_ == SchedPolicy::kEdf;
 
   for (;;) {
+    // Work handed back after this snapshot (requeue / finish) bumps the
+    // generation, so a wait below returns at once instead of missing a
+    // notify that fired between a ready_ check and the wait.
+    std::uint64_t seen_generation = 0;
+    {
+      std::lock_guard<std::mutex> state(state_mu_);
+      seen_generation = work_generation_;
+    }
+    const auto work_returned = [&] {
+      return work_generation_ != seen_generation;
+    };
     const TryPopResult queue_state = drain_queue_into_pool();
     const Clock::time_point now = Clock::now();
     pool_.apply_admission(now, pack.shed);
@@ -157,7 +168,8 @@ std::optional<StepPack> StepScheduler::next_pack() {
       }
       std::unique_lock<std::mutex> state(state_mu_);
       work_cv_.wait_for(
-          state, std::min<Clock::duration>(config_.poll, *deadline - now));
+          state, std::min<Clock::duration>(config_.poll, *deadline - now),
+          work_returned);
       continue;
     }
 
@@ -177,7 +189,7 @@ std::optional<StepPack> StepScheduler::next_pack() {
       }
     }
     std::unique_lock<std::mutex> state(state_mu_);
-    work_cv_.wait_for(state, config_.poll);
+    work_cv_.wait_for(state, config_.poll, work_returned);
   }
 
   pack.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
@@ -193,6 +205,7 @@ void StepScheduler::requeue(Session* session) {
   {
     std::lock_guard<std::mutex> state(state_mu_);
     ready_[lane_index(session->request.degraded)].push_back(session);
+    ++work_generation_;
   }
   work_cv_.notify_all();
 }
@@ -207,6 +220,7 @@ void StepScheduler::finish(Session* session) {
     std::lock_guard<std::mutex> state(state_mu_);
     HAAN_ASSERT(lane_live_[lane_index(lane)] > 0);
     --lane_live_[lane_index(lane)];
+    ++work_generation_;
   }
   work_cv_.notify_all();
 }

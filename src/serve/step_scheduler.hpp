@@ -151,6 +151,8 @@ class StepScheduler {
   std::condition_variable work_cv_;
   std::deque<Session*> ready_[2];   ///< per-lane (normal / degraded)
   std::size_t lane_live_[2] = {0, 0};  ///< live sessions per lane
+  /// Bumped by every requeue() / finish(); next_pack() waits for it to move.
+  std::uint64_t work_generation_ = 0;
 
   std::atomic<std::uint64_t> next_sequence_{0};
 };

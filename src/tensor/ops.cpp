@@ -55,11 +55,7 @@ void softmax_rows(Tensor& t) {
 }
 
 void gelu_inplace(Tensor& t) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (float& v : t.data()) {
-    const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
-    v = 0.5f * v * (1.0f + std::tanh(inner));
-  }
+  kernels::active().gelu(t.data().data(), t.data().size());
 }
 
 void silu_inplace(Tensor& t) {

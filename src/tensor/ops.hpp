@@ -33,7 +33,11 @@ void softmax(std::span<float> row);
 /// In-place numerically stable softmax over the last axis of a rank-2 tensor.
 void softmax_rows(Tensor& t);
 
-/// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT).
+/// Elementwise GELU (tanh approximation, as used by GPT-2 / OPT), computed as
+/// inner = 0.7978845608028654f * (v + 0.044715f * v * v * v), then
+/// v = 0.5f * v * (1.0f + std::tanh(inner)), in float, by the active
+/// backend's KernelTable::gelu. The SIMD tables model glibc's tanhf lane by
+/// lane and give the same bits.
 void gelu_inplace(Tensor& t);
 
 /// Elementwise SiLU (x * sigmoid(x), as used by LLaMA), computed as

@@ -8,8 +8,8 @@
 // values must land in the same positions, scores far below the row max or
 // overflowing to -Inf must take the same zero-weight skips, a NaN or +Inf
 // score (an infinite key, or a finite product past the float range) must
-// abort every table, and a table patched for a libm mismatch must carry the
-// scalar attention.
+// abort every table, and a table patched for an expf mismatch must carry the
+// scalar attention (and one patched for a tanhf mismatch the scalar gelu).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -468,15 +468,21 @@ void wrong_exp(const float* x, std::size_t n, float* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = x[i];
 }
 
+/// A wrong gelu, as the host check would see one from a libm whose tanhf the
+/// SIMD model does not match.
+void wrong_gelu(float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) v[i] *= 0.5f;
+}
+
 TEST(CausalAttentionFallback, APatchedTableCarriesTheScalarAttention) {
   for (const KernelTable* table : supported_kernels()) {
     KernelTable patched{};
     // A table whose exp agrees with libm (every runnable one) is kept.
-    EXPECT_EQ(detail::with_checked_exp(table, patched), table) << table->name;
+    EXPECT_EQ(detail::with_checked_libm(table, patched), table) << table->name;
 
     KernelTable broken = *table;
     broken.exp = wrong_exp;
-    const KernelTable* fixed = detail::with_checked_exp(&broken, patched);
+    const KernelTable* fixed = detail::with_checked_libm(&broken, patched);
     ASSERT_EQ(fixed, &patched) << table->name;
     EXPECT_EQ(fixed->causal_attention, &detail::causal_attention_scalar)
         << table->name;
@@ -484,12 +490,22 @@ TEST(CausalAttentionFallback, APatchedTableCarriesTheScalarAttention) {
     EXPECT_EQ(fixed->softmax, &detail::softmax_scalar) << table->name;
     EXPECT_EQ(fixed->silu, &detail::silu_scalar) << table->name;
     EXPECT_EQ(fixed->linear, table->linear) << table->name;
+    EXPECT_EQ(fixed->gelu, table->gelu) << table->name;
 
     const Case c(24, 3, 20, 24, 0, 5);
     EXPECT_TRUE(same_bits(run(*fixed, c), seed_attention(c))) << table->name;
+
+    // A gelu that fails the tanhf probes swaps in the scalar gelu only.
+    KernelTable broken_gelu = *table;
+    broken_gelu.gelu = wrong_gelu;
+    fixed = detail::with_checked_libm(&broken_gelu, patched);
+    ASSERT_EQ(fixed, &patched) << table->name;
+    EXPECT_EQ(fixed->gelu, &detail::gelu_scalar) << table->name;
+    EXPECT_EQ(fixed->exp, table->exp) << table->name;
+    EXPECT_EQ(fixed->causal_attention, table->causal_attention) << table->name;
   }
   KernelTable unused{};
-  EXPECT_EQ(detail::with_checked_exp(nullptr, unused), nullptr);
+  EXPECT_EQ(detail::with_checked_libm(nullptr, unused), nullptr);
 }
 
 }  // namespace

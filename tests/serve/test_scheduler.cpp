@@ -123,6 +123,33 @@ TEST(StepScheduler, CollectsLateArrivalsWhileALiveSessionCanJoin) {
             (std::set<std::uint64_t>{0, 1, 2, 3}));
 }
 
+TEST(StepScheduler, RequeueWakesAWaitingFormerWellBeforeThePoll) {
+  // next_pack waits for work with nothing queued and one session in flight;
+  // a requeue from another thread must wake it at once, not after the 2 s
+  // poll. (The lost-wake-up race, a notify landing between the ready check
+  // and the wait, cannot be forced from here; this pins the wake-up itself.)
+  Harness h(16);
+  ASSERT_TRUE(h.queue.push(make_request(0, 3)));
+  StepSchedulerConfig config = make_config(4, 100);
+  config.poll = std::chrono::seconds(2);
+  StepScheduler scheduler(h.queue, h.sessions, config);
+  const auto first = scheduler.next_pack();
+  ASSERT_TRUE(first.has_value());
+  Session* in_flight = first->entries.front().session;
+
+  std::thread worker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    scheduler.requeue(in_flight);
+  });
+  const auto t0 = Clock::now();
+  const auto pack = scheduler.next_pack();
+  const double waited = elapsed_us(t0, Clock::now());
+  worker.join();
+  ASSERT_TRUE(pack.has_value());
+  EXPECT_EQ(ids_of(*pack), (std::vector<std::uint64_t>{0}));
+  EXPECT_LT(waited, 1e6);  // well under the 2 s poll
+}
+
 TEST(StepScheduler, ReadySessionsPrecedeNewArrivals) {
   Harness h(16);
   ASSERT_TRUE(h.queue.push(make_request(0, 5)));
