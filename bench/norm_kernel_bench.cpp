@@ -3,14 +3,14 @@
 // double-precision stats, temp normalize buffer, separate affine pass) as the
 // pre-kernel-layer baseline. The JSON report is the anchor recorded in
 // bench/kernel_baseline.json; --min-speedup gates CI on the fused vectorized
-// residual_add_rmsnorm at d=4096 staying ahead of the seed path. The report
-// also carries linear GMAC/s (input-major weights, at a prefill block and
-// at the decode shapes the serving benchmark's two models run), softmax /
-// SiLU / GELU ns/element and causal attention ns/query row per backend; the
-// run fails if any backend's linear, softmax, SiLU, GELU or causal attention
-// output differs from the scalar reference by a single bit. Every
-// per-backend figure interleaves its timed loops round-robin across the
-// backends.
+// residual_add_rmsnorm_rows kernel (one row of d=4096) staying ahead of the
+// seed path. The report also carries linear GMAC/s (input-major weights, at
+// a prefill block and at the decode shapes the serving benchmark's two
+// models run), softmax / SiLU / GELU ns/element and causal attention
+// ns/query row per backend; the run fails if any backend's linear, softmax,
+// SiLU, GELU or causal attention output differs from the scalar reference by
+// a single bit. Every per-backend figure interleaves its timed loops
+// round-robin across the backends.
 //
 //   ./build/bench/norm_kernel_bench --json=bench/kernel_baseline.json
 #include <algorithm>
@@ -26,10 +26,8 @@
 #include "common/cli.hpp"
 #include "common/json_lite.hpp"
 #include "common/rng.hpp"
-#include "core/haan_norm.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
-#include "model/norm_provider.hpp"
 #include "numerics/formats.hpp"
 
 using namespace haan;
@@ -168,77 +166,14 @@ struct Workspace {
   }
 };
 
-/// A (rows x d) block workspace for the row-block measurements.
-struct RowWorkspace {
-  std::size_t rows, d;
-  std::vector<float> h, residual, alpha, beta, out;
-
-  RowWorkspace(std::size_t rows_, std::size_t d_)
-      : rows(rows_), d(d_), h(rows_ * d_), residual(rows_ * d_), alpha(d_),
-        beta(d_), out(rows_ * d_) {
-    common::Rng rng(rows_ * 31 + d_);
-    rng.fill_gaussian(h, 0.2, 1.5);
-    rng.fill_gaussian(residual, 0.0, 0.02);
-    rng.fill_gaussian(alpha, 1.0, 0.1);
-    rng.fill_gaussian(beta, 0.0, 0.2);
-  }
-
-  std::span<float> row(std::vector<float>& v, std::size_t r) {
-    return std::span(v).subspan(r * d, d);
-  }
-};
-
-/// The provider-seam comparison this PR is about: one virtual fused call per
-/// token row (the seed execution model) vs one batched row-block call per
-/// norm layer. `haan-full` semantics (full-vector stats, FP32 operands) keep
-/// both paths deterministic and predictor-free.
-struct RowBlockTimings {
-  double per_row_ns = 0.0;
-  double rowblock_ns = 0.0;
-
-  double speedup() const {
-    return rowblock_ns > 0.0 ? per_row_ns / rowblock_ns : 0.0;
-  }
-};
-
-RowBlockTimings time_provider_rowblock(model::NormProvider& provider,
-                                       RowWorkspace& ws, double target_ms) {
-  using model::NormKind;
-  const std::size_t rows = ws.rows;
-  RowBlockTimings t;
-  t.per_row_ns = time_ns_per_element(
-      [&] {
-        for (std::size_t r = 0; r < rows; ++r) {
-          provider.residual_add_normalize(0, r, NormKind::kRMSNorm,
-                                          ws.row(ws.h, r), ws.row(ws.residual, r),
-                                          ws.alpha, ws.beta, ws.row(ws.out, r));
-        }
-        sink(ws.out[0]);
-      },
-      rows * ws.d, target_ms);
-  t.rowblock_ns = time_ns_per_element(
-      [&] {
-        provider.residual_add_normalize_rows(0, 0, NormKind::kRMSNorm, rows,
-                                             ws.h, ws.residual, ws.alpha,
-                                             ws.beta, ws.out);
-        sink(ws.out[0]);
-      },
-      rows * ws.d, target_ms);
-  return t;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   common::CliParser cli("normalization kernel microbenchmark");
   cli.add_flag("target-ms", "25", "per-measurement timed-loop budget, ms");
   cli.add_flag("min-speedup", "0",
-               "fail unless fused residual_add_rmsnorm at d=4096 beats the "
-               "seed scalar path by this factor (0 disables)");
-  cli.add_flag("min-rowblock-speedup", "0",
-               "fail unless the batched row-block provider path at d=4096, "
-               "rows=64 beats the per-row provider path by this factor "
-               "(0 disables)");
+               "fail unless fused residual_add_rmsnorm_rows on one row of "
+               "d=4096 beats the seed scalar path by this factor (0 disables)");
   cli.add_flag("json", "", "write the report as JSON to this path");
   if (!cli.parse(argc, argv)) return cli.error() ? 1 : 0;
 
@@ -279,7 +214,9 @@ int main(int argc, char** argv) {
     per_backend["seed_ref"] = seed_ref;
 
     // Per-backend kernels, one op at a time with its loops interleaved
-    // across the backends.
+    // across the backends. The residual_add_* cells run the row-block
+    // kernels on one row of d.
+    kernels::RowNormWorkspace row_ws;
     struct NormOp {
       const char* name;
       double bytes_per_element;
@@ -292,8 +229,10 @@ int main(int argc, char** argv) {
          }},
         {"residual_add_stats", kResidualAddStatsBytes,
          [&](const kernels::KernelTable& t) {
-           sink(t.residual_add_stats(ws.h.data(), ws.residual.data(), d)
-                    .sum_sq);
+           kernels::SumStats sums;
+           t.residual_add_stats_rows(ws.h.data(), ws.residual.data(), 1, d, d,
+                                     &sums);
+           sink(sums.sum_sq);
          }},
         {"normalize_affine", kNormalizeAffineBytes,
          [&](const kernels::KernelTable& t) {
@@ -315,14 +254,16 @@ int main(int argc, char** argv) {
          }},
         {"residual_add_rmsnorm", kFusedRmsBytes,
          [&](const kernels::KernelTable& t) {
-           kernels::residual_add_rmsnorm(t, ws.h, ws.residual, ws.alpha,
-                                         ws.beta, ws.out, kEps);
+           kernels::residual_add_rmsnorm_rows(t, 1, ws.h, ws.residual,
+                                              ws.alpha, ws.beta, ws.out, kEps,
+                                              row_ws);
            sink(ws.out[0]);
          }},
         {"residual_add_layernorm", kFusedLayerBytes,
          [&](const kernels::KernelTable& t) {
-           kernels::residual_add_layernorm(t, ws.h, ws.residual, ws.alpha,
-                                           ws.beta, ws.out, kEps);
+           kernels::residual_add_layernorm_rows(t, 1, ws.h, ws.residual,
+                                                ws.alpha, ws.beta, ws.out,
+                                                kEps, row_ws);
            sink(ws.out[0]);
          }},
     };
@@ -365,46 +306,6 @@ int main(int argc, char** argv) {
         "speedup %5.2fx\n",
         d, seed_rms, kernels::active_name(), active_fused_rmsnorm,
         gbps(kFusedRmsBytes, active_fused_rmsnorm), speedup);
-  }
-
-  // --- Row-block sweep: batched provider calls vs the per-row seam --------
-  const double min_rowblock_speedup = cli.get_double("min-rowblock-speedup");
-  const std::vector<std::size_t> row_counts = {8, 64, 256};
-  common::Json::Array rowblock_results;
-  double rowblock_speedup_4096x64 = 0.0;
-  std::printf("--- row-block provider path vs per-row provider path ---\n");
-  for (const std::size_t d : dims) {
-    for (const std::size_t rows : row_counts) {
-      RowWorkspace ws(rows, d);
-      // haan-full semantics: full-vector statistics, FP32 operands, fast
-      // inverse sqrt; plan disabled so both paths are predictor-free.
-      core::HaanNormProvider haan(core::HaanConfig{});
-      const RowBlockTimings haan_t = time_provider_rowblock(haan, ws, target_ms);
-      model::ExactNormProvider exact;
-      const RowBlockTimings exact_t =
-          time_provider_rowblock(exact, ws, target_ms);
-
-      common::Json::Object entry;
-      entry["d"] = d;
-      entry["rows"] = rows;
-      entry["haan_per_row_ns"] = haan_t.per_row_ns;
-      entry["haan_rowblock_ns"] = haan_t.rowblock_ns;
-      entry["haan_speedup"] = haan_t.speedup();
-      entry["exact_per_row_ns"] = exact_t.per_row_ns;
-      entry["exact_rowblock_ns"] = exact_t.rowblock_ns;
-      entry["exact_speedup"] = exact_t.speedup();
-      entry["haan_rowblock_gbps"] = gbps(kFusedRmsBytes, haan_t.rowblock_ns);
-      entry["exact_rowblock_gbps"] = gbps(kFusedRmsBytes, exact_t.rowblock_ns);
-      rowblock_results.push_back(entry);
-      if (d == 4096 && rows == 64) {
-        rowblock_speedup_4096x64 = haan_t.speedup();
-      }
-      std::printf(
-          "d=%5zu rows=%4zu  haan %6.3f -> %6.3f ns/el (%5.2fx)  exact %6.3f "
-          "-> %6.3f ns/el (%5.2fx)\n",
-          d, rows, haan_t.per_row_ns, haan_t.rowblock_ns, haan_t.speedup(),
-          exact_t.per_row_ns, exact_t.rowblock_ns, exact_t.speedup());
-    }
   }
 
   // --- Matmul kernel: linear GMAC/s per backend at a prefill-sized block
@@ -609,11 +510,6 @@ int main(int argc, char** argv) {
   for (const std::size_t d : dims) dims_json.push_back(d);
   doc["dims"] = dims_json;
   doc["results"] = results;
-  common::Json::Array rows_json;
-  for (const std::size_t r : row_counts) rows_json.push_back(r);
-  doc["rowblock_rows"] = rows_json;
-  doc["rowblock_results"] = rowblock_results;
-  doc["rowblock_speedup_d4096_rows64"] = rowblock_speedup_4096x64;
   doc["linear"] = linear_results;
   doc["linear_bit_identical"] = linear_identical;
   doc["exp_kernels"] = exp_results;
@@ -632,17 +528,9 @@ int main(int argc, char** argv) {
 
   if (min_speedup > 0.0 && rmsnorm_speedup_4096 < min_speedup) {
     std::fprintf(stderr,
-                 "FAIL: fused residual_add_rmsnorm at d=4096 is %.2fx the seed "
-                 "path (< required %.2fx)\n",
+                 "FAIL: fused residual_add_rmsnorm_rows at d=4096 is %.2fx the "
+                 "seed path (< required %.2fx)\n",
                  rmsnorm_speedup_4096, min_speedup);
-    return 1;
-  }
-  if (min_rowblock_speedup > 0.0 &&
-      rowblock_speedup_4096x64 < min_rowblock_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: row-block provider path at d=4096, rows=64 is %.2fx "
-                 "the per-row path (< required %.2fx)\n",
-                 rowblock_speedup_4096x64, min_rowblock_speedup);
     return 1;
   }
   if (!linear_identical || !exp_identical || !attention_identical) return 1;

@@ -57,30 +57,6 @@ bool AcceleratorNormProvider::run_datapath(std::size_t layer_index,
   return skipped;
 }
 
-void AcceleratorNormProvider::normalize(std::size_t layer_index,
-                                        std::size_t position, model::NormKind kind,
-                                        std::span<const float> z,
-                                        std::span<const float> alpha,
-                                        std::span<const float> beta,
-                                        std::span<float> out) {
-  const bool skipped =
-      run_datapath(layer_index, position, kind, z, alpha, beta, out);
-
-  // Charge the cycle/energy cost of this vector (fill paid per vector: the
-  // per-row entry point models unbatched dispatch, one DMA burst per call).
-  NormLayerWork work;
-  work.n = z.size();
-  work.vectors = 1;
-  work.nsub = algorithm_.nsub;
-  work.isd_skipped = skipped;
-  work.kind = kind;
-  const CycleStats cycles = accel_.time_layer(work);
-  cost_.cycles += cycles.cycles;
-  cost_.energy_uj += accel_.layer_energy_uj(work);
-  ++cost_.norm_calls;
-  if (skipped) ++cost_.skipped;
-}
-
 void AcceleratorNormProvider::normalize_rows(
     std::size_t layer_index, std::size_t start_position, model::NormKind kind,
     std::size_t rows, std::span<const float> x, std::span<const float> alpha,
@@ -100,8 +76,8 @@ void AcceleratorNormProvider::normalize_rows(
   }
 
   // Batched cycle model: the whole block streams through the pipeline as one
-  // DMA burst — fill once, then one bottleneck interval per additional row —
-  // instead of paying the fill per row as the per-row loop would.
+  // DMA burst — fill once, then one bottleneck interval per additional row.
+  // A one-row call pays the fill for its single vector.
   NormLayerWork work;
   work.n = d;
   work.vectors = rows;
@@ -113,20 +89,6 @@ void AcceleratorNormProvider::normalize_rows(
   cost_.norm_calls += rows;
   if (skipped) cost_.skipped += rows;
   ++cost_.batched_layers;
-  cost_.batched_rows += rows;
-}
-
-void AcceleratorNormProvider::residual_add_normalize_rows(
-    std::size_t layer_index, std::size_t start_position, model::NormKind kind,
-    std::size_t rows, std::span<float> h, std::span<const float> residual,
-    std::span<const float> alpha, std::span<const float> beta,
-    std::span<float> out) {
-  HAAN_EXPECTS(h.size() == residual.size());
-  // The residual add happens host-side (the accelerator sees the summed
-  // vector arriving over DMA, exactly like the unfused per-row fallback);
-  // the summed block then runs the batched datapath pricing above.
-  kernels::residual_add(h, residual);
-  normalize_rows(layer_index, start_position, kind, rows, h, alpha, beta, out);
 }
 
 }  // namespace haan::accel

@@ -16,15 +16,13 @@ namespace haan::accel {
 
 /// NormProvider executing through the accelerator datapath.
 ///
-/// Each row is computed per-vector (the datapath prices one vector through
-/// the pipeline at a time), but the row-block entry points are overridden
-/// with a BATCHED cycle model: a whole (rows x d) block is priced as one
-/// pipelined burst (`NormLayerWork{vectors = rows}`), so the DMA stream and
-/// pipeline fill amortize across all packed rows instead of being paid once
-/// per row as the per-row virtuals would. The numerics are unchanged — the
-/// same per-row datapath runs either way, so outputs are bit-identical to
-/// the default per-row loop (and to per-request execution when rows span a
-/// packed mega-batch); only the cycle/energy accounting differs.
+/// normalize_rows runs every row through the bit-accurate datapath (the
+/// numerics are per vector) and prices the whole (rows x d) block as one
+/// pipelined burst (`NormLayerWork{vectors = rows}`): the DMA stream and the
+/// pipeline fill are paid once per call, so packing more rows into a call
+/// amortizes them. The residual add happens host-side (the base class's
+/// unfused residual_add_normalize_rows): the accelerator sees the summed
+/// vector arriving over DMA.
 class AcceleratorNormProvider final : public model::NormProvider {
  public:
   /// `arch` fixes the hardware configuration; `algorithm` carries the HAAN
@@ -35,38 +33,22 @@ class AcceleratorNormProvider final : public model::NormProvider {
 
   const char* trace_label() const override { return "norm/accel"; }
 
-  void normalize(std::size_t layer_index, std::size_t position, model::NormKind kind,
-                 std::span<const float> z, std::span<const float> alpha,
-                 std::span<const float> beta, std::span<float> out) override;
-
-  /// Batched row-block execution: every row runs the full datapath
-  /// (bit-identical to the per-row loop), and the layer is charged ONE
+  /// Every row runs the full datapath, and the call is charged ONE
   /// pipelined cost of `rows` vectors — fill + DMA burst paid once.
   void normalize_rows(std::size_t layer_index, std::size_t start_position,
                       model::NormKind kind, std::size_t rows,
                       std::span<const float> x, std::span<const float> alpha,
                       std::span<const float> beta, std::span<float> out) override;
 
-  void residual_add_normalize_rows(std::size_t layer_index,
-                                   std::size_t start_position,
-                                   model::NormKind kind, std::size_t rows,
-                                   std::span<float> h,
-                                   std::span<const float> residual,
-                                   std::span<const float> alpha,
-                                   std::span<const float> beta,
-                                   std::span<float> out) override;
-
-  /// Cumulative hardware cost since construction (or reset). The per-row
-  /// counters (norm_calls, skipped) count vectors regardless of entry point;
-  /// batched_layers/batched_rows record how often the burst-amortized pricing
-  /// ran (one "layer" = one row-block invocation = one DMA burst).
+  /// Cumulative hardware cost since construction (or reset). norm_calls and
+  /// skipped count vectors; batched_layers counts calls (one call = one DMA
+  /// burst).
   struct HardwareCost {
     std::size_t cycles = 0;
     double energy_uj = 0.0;
-    std::size_t norm_calls = 0;
-    std::size_t skipped = 0;
+    std::size_t norm_calls = 0;      ///< vectors normalized
+    std::size_t skipped = 0;         ///< vectors whose ISD was predicted
     std::size_t batched_layers = 0;  ///< row-block invocations (DMA bursts)
-    std::size_t batched_rows = 0;    ///< vectors priced inside those bursts
   };
   const HardwareCost& cost() const { return cost_; }
   void reset_cost() { cost_ = {}; }

@@ -5,10 +5,8 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "core/subsample.hpp"
 #include "kernels/kernels.hpp"
 #include "numerics/fast_math.hpp"
-#include "tensor/norm_ref.hpp"
 
 namespace haan::core {
 
@@ -33,30 +31,6 @@ double HaanNormProvider::compute_isd(double second_moment) const {
                                                      config_.newton_iterations));
 }
 
-void HaanNormProvider::normalize(std::size_t layer_index, std::size_t position,
-                                 model::NormKind kind, std::span<const float> z,
-                                 std::span<const float> alpha,
-                                 std::span<const float> beta, std::span<float> out) {
-  HAAN_EXPECTS(out.size() == z.size());
-  buffer_.assign(z.begin(), z.end());
-  normalize_prepared(layer_index, position, kind, alpha, beta, out);
-}
-
-void HaanNormProvider::residual_add_normalize(
-    std::size_t layer_index, std::size_t position, model::NormKind kind,
-    std::span<float> h, std::span<const float> residual,
-    std::span<const float> alpha, std::span<const float> beta,
-    std::span<float> out) {
-  HAAN_EXPECTS(out.size() == h.size());
-  HAAN_EXPECTS(residual.size() == h.size());
-  // One pass updates the residual stream and fills the operand buffer.
-  buffer_.resize(h.size());
-  kernels::active().residual_add_copy(h.data(), residual.data(),
-                                      buffer_.data(), h.size());
-  ++counters_.fused_residual_norms;
-  normalize_prepared(layer_index, position, kind, alpha, beta, out);
-}
-
 void HaanNormProvider::normalize_rows(std::size_t layer_index,
                                       std::size_t start_position,
                                       model::NormKind kind, std::size_t rows,
@@ -67,8 +41,9 @@ void HaanNormProvider::normalize_rows(std::size_t layer_index,
   const std::size_t d = check_row_block(rows, x.size(), alpha, beta, out.size());
   counters_.norm_calls += rows;
   ++counters_.batched_norm_calls;
-  counters_.batched_rows += rows;
 
+  // Operand quantization: the datapath sees the quantized input in both the
+  // statistics and the normalization path (paper §III-C / §IV-A).
   const float* src = x.data();
   if (config_.format != numerics::NumericFormat::kFP32) {
     buffer_.assign(x.begin(), x.end());
@@ -76,7 +51,7 @@ void HaanNormProvider::normalize_rows(std::size_t layer_index,
     src = buffer_.data();
   }
   // FP32: no operand copy at all — statistics and normalization read the
-  // input block in place (the per-row path pays a full buffer fill per row).
+  // input block in place.
   finish_rows(layer_index, start_position, kind, rows, d, src,
               /*stats_done=*/false, alpha, beta, out);
 }
@@ -91,7 +66,6 @@ void HaanNormProvider::residual_add_normalize_rows(
   counters_.norm_calls += rows;
   counters_.fused_residual_norms += rows;
   ++counters_.batched_norm_calls;
-  counters_.batched_rows += rows;
 
   const kernels::KernelTable& k = kernels::active();
   const std::size_t min_rows = model::min_partition_rows(d);
@@ -199,8 +173,10 @@ void HaanNormProvider::finish_rows(std::size_t layer_index,
       row_isd_[r] = skip ? predictor_.predict(layer_index, start_position + r)
                          : compute_isd(second_moment);
     }
-    // One normalize+affine kernel call per chunk; the saturation clamp
-    // (hardware FP16 I/O range) is fused into the same pass.
+    // One normalize+affine kernel call per chunk, with the saturation clamp
+    // fused into the same pass: like the hardware datapath (FP16 I/O range),
+    // badly misconfigured plans (paper Table II's failing rows) then degrade
+    // accuracy instead of passing inf/NaN to downstream layers.
     k.normalize_affine_rows(src + r0 * d, nr, d, row_mean_.data() + r0,
                             row_isd_.data() + r0, kernels::data_or_null(alpha),
                             kernels::data_or_null(beta), out.data() + r0 * d,
@@ -219,66 +195,6 @@ void HaanNormProvider::finish_rows(std::size_t layer_index,
     }
   }
   last_isd_ = row_isd_[rows - 1];
-}
-
-void HaanNormProvider::normalize_prepared(std::size_t layer_index,
-                                          std::size_t position,
-                                          model::NormKind kind,
-                                          std::span<const float> alpha,
-                                          std::span<const float> beta,
-                                          std::span<float> out) {
-  ++counters_.norm_calls;
-  const kernels::KernelTable& k = kernels::active();
-
-  // Operand quantization: the datapath sees the quantized input both in the
-  // statistics path and the normalization path (paper §III-C / §IV-A).
-  if (config_.format != numerics::NumericFormat::kFP32) {
-    const float scale = config_.format == numerics::NumericFormat::kINT8
-                            ? numerics::choose_int8_scale(buffer_)
-                            : 1.0f;
-    kernels::quantize_dequantize_span(k, buffer_, config_.format, scale);
-  }
-
-  double mean = 0.0;
-  double isd;
-  if (predictor_.should_skip(layer_index)) {
-    // ISD skipped: predicted from the anchor layer (paper eq. 3). LayerNorm
-    // still needs the mean, which the subsampled adder tree provides cheaply.
-    isd = predictor_.predict(layer_index, position);
-    ++counters_.isd_predicted;
-    if (kind == model::NormKind::kLayerNorm) {
-      const SubsampledStats stats =
-          subsampled_stats(k, buffer_, config_.nsub, kind, config_.eps);
-      mean = stats.mean;
-      counters_.elements_read += stats.used;
-    }
-  } else {
-    const SubsampledStats stats =
-        subsampled_stats(k, buffer_, config_.nsub, kind, config_.eps);
-    counters_.elements_read += stats.used;
-    mean = stats.mean;
-    isd = compute_isd(stats.second_moment);
-    ++counters_.isd_computed;
-    if (predictor_.is_anchor(layer_index)) predictor_.record_anchor(position, isd);
-  }
-  last_isd_ = isd;
-
-  if (kind == model::NormKind::kLayerNorm) {
-    tensor::layernorm_with_isd(k, buffer_, mean, isd, alpha, beta, out);
-  } else {
-    tensor::rmsnorm_with_isd(k, buffer_, isd, alpha, beta, out);
-  }
-  // The hardware datapath saturates instead of producing inf/NaN; clamp the
-  // output so badly misconfigured plans (paper Table II's failing rows)
-  // degrade accuracy gracefully rather than poisoning downstream layers.
-  constexpr float kSaturation = 65504.0f;  // FP16 max, the widest I/O format
-  for (float& v : out) {
-    if (std::isnan(v)) {
-      v = 0.0f;
-    } else {
-      v = std::clamp(v, -kSaturation, kSaturation);
-    }
-  }
 }
 
 }  // namespace haan::core

@@ -29,29 +29,19 @@ class HaanNormProvider final : public model::NormProvider {
 
   const char* trace_label() const override { return "norm/haan"; }
 
-  void normalize(std::size_t layer_index, std::size_t position, model::NormKind kind,
-                 std::span<const float> z, std::span<const float> alpha,
-                 std::span<const float> beta, std::span<float> out) override;
-
-  /// Fused path: the residual add shares a pass with the operand-buffer fill,
-  /// so the datapath reads the hidden vector once less per norm layer.
-  void residual_add_normalize(std::size_t layer_index, std::size_t position,
-                              model::NormKind kind, std::span<float> h,
-                              std::span<const float> residual,
-                              std::span<const float> alpha,
-                              std::span<const float> beta,
-                              std::span<float> out) override;
-
-  /// Row-block overrides: per-layer work (skip-plan lookup, kernel backend
-  /// resolution, alpha/beta prep, scratch sizing) is hoisted out of the row
-  /// loop and the kernels run once over the whole (rows x d) block. In FP32
-  /// the operand-buffer copy disappears entirely (statistics read the hidden
-  /// block in place). Bit-identical to the per-row loop for a given backend.
+  /// The HAAN operator over a (rows x d) block, the provider's one
+  /// execution path: per-layer work (skip-plan lookup, anchor check,
+  /// statistics width, kernel backend, scratch sizing) is resolved once per
+  /// call and the kernels run over the whole block. In FP32 there is no
+  /// operand copy (statistics read the hidden block in place); INT8/FP16
+  /// quantize a copy with per-row scales. A single vector is rows = 1.
   void normalize_rows(std::size_t layer_index, std::size_t start_position,
                       model::NormKind kind, std::size_t rows,
                       std::span<const float> x, std::span<const float> alpha,
                       std::span<const float> beta, std::span<float> out) override;
 
+  /// Fused path: in FP32 the residual add shares a pass with the row
+  /// statistics; quantized formats add while filling the operand block.
   void residual_add_normalize_rows(std::size_t layer_index,
                                    std::size_t start_position,
                                    model::NormKind kind, std::size_t rows,
@@ -61,33 +51,26 @@ class HaanNormProvider final : public model::NormProvider {
                                    std::span<const float> beta,
                                    std::span<float> out) override;
 
-  /// Execution counters for verifying skip behaviour end to end. The per-row
-  /// counters (norm_calls, isd_*, elements_read, fused_residual_norms) count
-  /// rows regardless of entry point, so per-row and row-block execution report
-  /// identical values; batched_* record how well callers batch the seam.
+  /// Execution counters for verifying skip behaviour end to end. norm_calls,
+  /// isd_*, elements_read and fused_residual_norms count rows, so they do not
+  /// depend on how rows are grouped into calls; batched_norm_calls counts
+  /// calls, so norm_calls / batched_norm_calls is the mean rows per call.
   struct Counters {
-    std::size_t norm_calls = 0;
+    std::size_t norm_calls = 0;     ///< normalized rows
     std::size_t isd_computed = 0;   ///< square-root inverter invocations
     std::size_t isd_predicted = 0;  ///< predictor invocations (skipped ISD)
     std::size_t elements_read = 0;  ///< statistics-path memory reads
     std::size_t fused_residual_norms = 0;  ///< fused residual+norm rows
     std::size_t batched_norm_calls = 0;    ///< row-block layer invocations
-    std::size_t batched_rows = 0;          ///< rows through the row-block path
   };
   const Counters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
 
-  /// The ISD value used for the most recent normalize() call (test hook).
+  /// The ISD value used for the last row of the most recent call (test hook).
   double last_isd_used() const { return last_isd_; }
 
  private:
   double compute_isd(double second_moment) const;
-
-  /// Statistics + normalization over the already-filled (pre-quantization)
-  /// operand buffer; shared by the plain and fused entry points.
-  void normalize_prepared(std::size_t layer_index, std::size_t position,
-                          model::NormKind kind, std::span<const float> alpha,
-                          std::span<const float> beta, std::span<float> out);
 
   /// Quantizes a (rows x d) operand block in place with per-row scales.
   void quantize_rows(float* block, std::size_t rows, std::size_t d);

@@ -921,7 +921,6 @@ constexpr KernelTable kAvx2Table = {
     centered_sum_sq_avx2,
     residual_add_avx2,
     residual_add_copy_avx2,
-    residual_add_stats_avx2,
     normalize_affine_avx2,
     quantize_dequantize_avx2,
     stats_rows_avx2,

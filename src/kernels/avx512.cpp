@@ -997,7 +997,6 @@ constexpr KernelTable kAvx512Table = {
     centered_sum_sq_avx512,
     residual_add_avx512,
     residual_add_copy_avx512,
-    residual_add_stats_avx512,
     normalize_affine_avx512,
     quantize_dequantize_avx512,
     stats_rows_avx512,

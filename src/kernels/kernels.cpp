@@ -1,4 +1,4 @@
-// Dispatcher and fused span-level entry points. This translation unit is
+// Dispatcher and span-level row-block norms. This translation unit is
 // compiled with baseline flags only: the CPU feature check happens here,
 // before any backend code (compiled with ISA flags) can execute.
 #include "kernels/kernels.hpp"
@@ -197,21 +197,6 @@ const KernelTable& dispatch_once() {
   return *chosen;
 }
 
-/// Shared by both fused entry points: shape checks + the pass-1 residual
-/// add + sums.
-SumStats add_and_sum(const KernelTable& kernels, std::span<float> h,
-                     std::span<const float> residual,
-                     std::span<const float> alpha, std::span<const float> beta,
-                     std::span<const float> out) {
-  HAAN_EXPECTS(!h.empty());
-  HAAN_EXPECTS(out.size() == h.size());
-  HAAN_EXPECTS(alpha.empty() || alpha.size() == h.size());
-  HAAN_EXPECTS(beta.empty() || beta.size() == h.size());
-  if (residual.empty()) return kernels.stats(h.data(), h.size());
-  HAAN_EXPECTS(residual.size() == h.size());
-  return kernels.residual_add_stats(h.data(), residual.data(), h.size());
-}
-
 }  // namespace
 
 bool force_scalar_requested() {
@@ -239,79 +224,106 @@ std::vector<const KernelTable*> supported_kernels() {
   return tables;
 }
 
-void residual_add_rmsnorm(const KernelTable& kernels, std::span<float> h,
-                          std::span<const float> residual,
-                          std::span<const float> alpha,
-                          std::span<const float> beta, std::span<float> out,
-                          double eps) {
-  const SumStats sums = add_and_sum(kernels, h, residual, alpha, beta, out);
-  const double n = static_cast<double>(h.size());
-  // Matches tensor::rmsnorm: rms is materialized before being squared again,
-  // so the scalar path rounds identically to the seed reference.
-  const double rms = std::sqrt(sums.sum_sq / n);
-  const double isd = 1.0 / std::sqrt(rms * rms + eps);
-  kernels.normalize_affine(h.data(), h.size(), 0.0, isd, data_or_null(alpha),
-                           data_or_null(beta), out.data());
-}
-
-void residual_add_rmsnorm(std::span<float> h, std::span<const float> residual,
-                          std::span<const float> alpha,
-                          std::span<const float> beta, std::span<float> out,
-                          double eps) {
-  residual_add_rmsnorm(active(), h, residual, alpha, beta, out, eps);
-}
-
-void residual_add_layernorm(const KernelTable& kernels, std::span<float> h,
-                            std::span<const float> residual,
-                            std::span<const float> alpha,
-                            std::span<const float> beta, std::span<float> out,
-                            double eps) {
-  const SumStats sums = add_and_sum(kernels, h, residual, alpha, beta, out);
-  const double n = static_cast<double>(h.size());
-  const double mean = sums.sum / n;
-  // Two-pass variance, like tensor::exact_stats, to avoid E[x^2] - E[x]^2
-  // cancellation in the reference path.
-  const double variance =
-      kernels.centered_sum_sq(h.data(), h.size(), mean) / n;
-  const double isd = 1.0 / std::sqrt(variance + eps);
-  kernels.normalize_affine(h.data(), h.size(), mean, isd, data_or_null(alpha),
-                           data_or_null(beta), out.data());
-}
-
-void residual_add_layernorm(std::span<float> h, std::span<const float> residual,
-                            std::span<const float> alpha,
-                            std::span<const float> beta, std::span<float> out,
-                            double eps) {
-  residual_add_layernorm(active(), h, residual, alpha, beta, out, eps);
-}
-
 namespace {
 
-/// Shared by the row-block fused entry points: shape checks, scratch sizing,
-/// and the pass-1 residual add + per-row sums (full-row statistics).
-void add_and_sum_rows(const KernelTable& kernels, std::size_t rows,
-                      std::span<float> h, std::span<const float> residual,
-                      std::span<const float> alpha, std::span<const float> beta,
-                      std::span<const float> out, RowNormWorkspace& ws) {
+/// Shared by the row-block norms: shape checks and scratch sizing. Returns d.
+std::size_t prepare_rows(std::size_t rows, std::size_t numel,
+                         std::span<const float> alpha,
+                         std::span<const float> beta, std::size_t out_size,
+                         RowNormWorkspace& ws) {
   HAAN_EXPECTS(rows > 0);
-  HAAN_EXPECTS(!h.empty() && h.size() % rows == 0);
-  const std::size_t d = h.size() / rows;
-  HAAN_EXPECTS(out.size() == h.size());
+  HAAN_EXPECTS(numel > 0 && numel % rows == 0);
+  const std::size_t d = numel / rows;
+  HAAN_EXPECTS(out_size == numel);
   HAAN_EXPECTS(alpha.empty() || alpha.size() == d);
   HAAN_EXPECTS(beta.empty() || beta.size() == d);
   ws.stats.resize(rows);
   ws.mean.resize(rows);
   ws.isd.resize(rows);
+  return d;
+}
+
+/// RMSNorm of `rows` rows of width d from their sums in ws.stats.
+void rmsnorm_from_sums(const KernelTable& kernels, std::size_t rows,
+                       std::size_t d, const float* x,
+                       std::span<const float> alpha,
+                       std::span<const float> beta, float* out, double eps,
+                       RowNormWorkspace& ws) {
+  const double n = static_cast<double>(d);
+  for (std::size_t r = 0; r < rows; ++r) {
+    // Matches tensor::rmsnorm: rms is materialized before being squared
+    // again, so the scalar path rounds identically to the seed reference.
+    const double rms = std::sqrt(ws.stats[r].sum_sq / n);
+    ws.mean[r] = 0.0;
+    ws.isd[r] = 1.0 / std::sqrt(rms * rms + eps);
+  }
+  kernels.normalize_affine_rows(x, rows, d, ws.mean.data(), ws.isd.data(),
+                                data_or_null(alpha), data_or_null(beta), out,
+                                /*saturate=*/false);
+}
+
+/// LayerNorm of `rows` rows of width d from their sums in ws.stats.
+void layernorm_from_sums(const KernelTable& kernels, std::size_t rows,
+                         std::size_t d, const float* x,
+                         std::span<const float> alpha,
+                         std::span<const float> beta, float* out, double eps,
+                         RowNormWorkspace& ws) {
+  const double n = static_cast<double>(d);
+  for (std::size_t r = 0; r < rows; ++r) ws.mean[r] = ws.stats[r].sum / n;
+  // Two-pass variance per row, like tensor::exact_stats, to avoid
+  // E[x^2] - E[x]^2 cancellation; ws.isd holds the centered moment first.
+  kernels.centered_sum_sq_rows(x, rows, d, d, ws.mean.data(), ws.isd.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double variance = ws.isd[r] / n;
+    ws.isd[r] = 1.0 / std::sqrt(variance + eps);
+  }
+  kernels.normalize_affine_rows(x, rows, d, ws.mean.data(), ws.isd.data(),
+                                data_or_null(alpha), data_or_null(beta), out,
+                                /*saturate=*/false);
+}
+
+/// The residual add fused with the row sums (a plain stats pass when the
+/// residual is empty). Returns d.
+std::size_t add_and_sum_rows(const KernelTable& kernels, std::size_t rows,
+                             std::span<float> h, std::span<const float> residual,
+                             std::span<const float> alpha,
+                             std::span<const float> beta,
+                             std::span<const float> out, RowNormWorkspace& ws) {
+  const std::size_t d =
+      prepare_rows(rows, h.size(), alpha, beta, out.size(), ws);
   if (residual.empty()) {
     kernels.stats_rows(h.data(), rows, d, d, ws.stats.data());
-    return;
+  } else {
+    HAAN_EXPECTS(residual.size() == h.size());
+    kernels.residual_add_stats_rows(h.data(), residual.data(), rows, d, d,
+                                    ws.stats.data());
   }
-  HAAN_EXPECTS(residual.size() == h.size());
-  kernels.residual_add_stats_rows(h.data(), residual.data(), rows, d, d,
-                                  ws.stats.data());
+  return d;
 }
 
 }  // namespace
+
+void rmsnorm_rows(const KernelTable& kernels, std::size_t rows,
+                  std::span<const float> x, std::span<const float> alpha,
+                  std::span<const float> beta, std::span<float> out,
+                  double eps, RowNormWorkspace& ws) {
+  const std::size_t d =
+      prepare_rows(rows, x.size(), alpha, beta, out.size(), ws);
+  kernels.stats_rows(x.data(), rows, d, d, ws.stats.data());
+  rmsnorm_from_sums(kernels, rows, d, x.data(), alpha, beta, out.data(), eps,
+                    ws);
+}
+
+void layernorm_rows(const KernelTable& kernels, std::size_t rows,
+                    std::span<const float> x, std::span<const float> alpha,
+                    std::span<const float> beta, std::span<float> out,
+                    double eps, RowNormWorkspace& ws) {
+  const std::size_t d =
+      prepare_rows(rows, x.size(), alpha, beta, out.size(), ws);
+  kernels.stats_rows(x.data(), rows, d, d, ws.stats.data());
+  layernorm_from_sums(kernels, rows, d, x.data(), alpha, beta, out.data(), eps,
+                      ws);
+}
 
 void residual_add_rmsnorm_rows(const KernelTable& kernels, std::size_t rows,
                                std::span<float> h,
@@ -319,29 +331,10 @@ void residual_add_rmsnorm_rows(const KernelTable& kernels, std::size_t rows,
                                std::span<const float> alpha,
                                std::span<const float> beta, std::span<float> out,
                                double eps, RowNormWorkspace& ws) {
-  add_and_sum_rows(kernels, rows, h, residual, alpha, beta, out, ws);
-  const std::size_t d = h.size() / rows;
-  const double n = static_cast<double>(d);
-  for (std::size_t r = 0; r < rows; ++r) {
-    // Same rounding points as the per-row entry point: rms is materialized
-    // before being squared again.
-    const double rms = std::sqrt(ws.stats[r].sum_sq / n);
-    ws.mean[r] = 0.0;
-    ws.isd[r] = 1.0 / std::sqrt(rms * rms + eps);
-  }
-  kernels.normalize_affine_rows(h.data(), rows, d, ws.mean.data(),
-                                ws.isd.data(), data_or_null(alpha),
-                                data_or_null(beta), out.data(),
-                                /*saturate=*/false);
-}
-
-void residual_add_rmsnorm_rows(std::size_t rows, std::span<float> h,
-                               std::span<const float> residual,
-                               std::span<const float> alpha,
-                               std::span<const float> beta, std::span<float> out,
-                               double eps, RowNormWorkspace& ws) {
-  residual_add_rmsnorm_rows(active(), rows, h, residual, alpha, beta, out, eps,
-                            ws);
+  const std::size_t d =
+      add_and_sum_rows(kernels, rows, h, residual, alpha, beta, out, ws);
+  rmsnorm_from_sums(kernels, rows, d, h.data(), alpha, beta, out.data(), eps,
+                    ws);
 }
 
 void residual_add_layernorm_rows(const KernelTable& kernels, std::size_t rows,
@@ -351,33 +344,10 @@ void residual_add_layernorm_rows(const KernelTable& kernels, std::size_t rows,
                                  std::span<const float> beta,
                                  std::span<float> out, double eps,
                                  RowNormWorkspace& ws) {
-  add_and_sum_rows(kernels, rows, h, residual, alpha, beta, out, ws);
-  const std::size_t d = h.size() / rows;
-  const double n = static_cast<double>(d);
-  for (std::size_t r = 0; r < rows; ++r) {
-    ws.mean[r] = ws.stats[r].sum / n;
-  }
-  // Two-pass variance per row, reusing ws.isd as the centered-moment scratch.
-  kernels.centered_sum_sq_rows(h.data(), rows, d, d, ws.mean.data(),
-                               ws.isd.data());
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double variance = ws.isd[r] / n;
-    ws.isd[r] = 1.0 / std::sqrt(variance + eps);
-  }
-  kernels.normalize_affine_rows(h.data(), rows, d, ws.mean.data(),
-                                ws.isd.data(), data_or_null(alpha),
-                                data_or_null(beta), out.data(),
-                                /*saturate=*/false);
-}
-
-void residual_add_layernorm_rows(std::size_t rows, std::span<float> h,
-                                 std::span<const float> residual,
-                                 std::span<const float> alpha,
-                                 std::span<const float> beta,
-                                 std::span<float> out, double eps,
-                                 RowNormWorkspace& ws) {
-  residual_add_layernorm_rows(active(), rows, h, residual, alpha, beta, out,
-                              eps, ws);
+  const std::size_t d =
+      add_and_sum_rows(kernels, rows, h, residual, alpha, beta, out, ws);
+  layernorm_from_sums(kernels, rows, d, h.data(), alpha, beta, out.data(), eps,
+                      ws);
 }
 
 SumStats stats(std::span<const float> z) {

@@ -30,10 +30,11 @@ struct SumStats {
 /// null (identity). Spans must not alias except where noted.
 ///
 /// Tolerance contract (SIMD vs the scalar reference, per kernel):
-///   stats / residual_add_stats / centered_sum_sq
+///   stats / centered_sum_sq (and their _rows forms, residual_add_stats_rows)
 ///     Reassociated accumulation: |Δsum| <= 1e-12 * Σ|z|, |Δsum_sq| <=
 ///     1e-12 * Σ z^2 (and likewise for the centered moment). The updated `h`
-///     of residual_add_stats is bit-identical (the float adds are elementwise).
+///     of residual_add_stats_rows is bit-identical (the float adds are
+///     elementwise).
 ///   residual_add / residual_add_copy
 ///     Bit-identical: elementwise float adds in both backends.
 ///   normalize_affine
@@ -78,10 +79,6 @@ struct KernelTable {
   void (*residual_add_copy)(float* h, const float* residual, float* dst,
                             std::size_t n);
 
-  /// Fused residual add + statistics: h[i] += residual[i], returning the
-  /// SumStats of the updated h in the same pass.
-  SumStats (*residual_add_stats)(float* h, const float* residual, std::size_t n);
-
   /// out[i] = (float)((z[i] - mean) * isd), then out[i] *= alpha[i] (when
   /// alpha != nullptr) and out[i] += beta[i] (when beta != nullptr), all in
   /// float. Pass mean = 0.0 for the RMSNorm flavour. out may alias z.
@@ -96,10 +93,11 @@ struct KernelTable {
   // --- Row-block kernels -----------------------------------------------
   // One call per norm *layer* instead of one per token row: the backend loops
   // the rows internally (no per-row dispatch), reading a contiguous row-major
-  // block. Each row is processed with exactly the per-row kernel's arithmetic,
-  // so for a given backend the row-block kernels are bit-identical to looping
-  // the per-row entries; the scalar/SIMD tolerance contract above carries
-  // over per row unchanged.
+  // block. Each row is processed with exactly the per-row kernel's arithmetic
+  // (stats, centered_sum_sq, normalize_affine, quantize_dequantize), so for a
+  // given backend the row-block kernels are bit-identical to looping those
+  // entries; the scalar/SIMD tolerance contract above carries over per row
+  // unchanged.
 
   /// out[r] = stats of x[r*stride .. r*stride + n) for r in [0, rows).
   /// n <= stride selects a subsampled prefix of each row (HAAN Nsub).
@@ -231,80 +229,53 @@ std::vector<const KernelTable*> supported_kernels();
 bool force_scalar_requested();
 
 // ---------------------------------------------------------------------------
-// Span-level fused entry points. Each takes the backend explicitly (for tests
-// and benches) and has an active()-dispatched overload (for production code).
+// Span-level row-block norms: one call normalizes a whole contiguous
+// (rows x d) block with exact statistics (the "Original" arithmetic of
+// tensor::rmsnorm / tensor::layernorm), hoisting the per-layer bookkeeping
+// (shape checks, eps math, scratch sizing) out of the row loop. Each takes the
+// backend explicitly. A single vector is the block with rows = 1.
 // ---------------------------------------------------------------------------
 
-/// Fused residual-add + RMSNorm: h[i] += residual[i] (in place; skipped when
-/// `residual` is empty), then out = alpha * (h * isd) + beta with
-/// isd = 1 / sqrt(rms^2 + eps), rms = sqrt(mean(h^2)). Scalar dispatch is
-/// bit-identical to tensor::add_inplace + tensor::rmsnorm on the same data.
-void residual_add_rmsnorm(const KernelTable& kernels, std::span<float> h,
-                          std::span<const float> residual,
-                          std::span<const float> alpha,
-                          std::span<const float> beta, std::span<float> out,
-                          double eps);
-void residual_add_rmsnorm(std::span<float> h, std::span<const float> residual,
-                          std::span<const float> alpha,
-                          std::span<const float> beta, std::span<float> out,
-                          double eps);
-
-/// Fused residual-add + LayerNorm, two-pass variance like the seed reference:
-/// pass 1 adds the residual and accumulates the sums, pass 2 computes the
-/// centered second moment, pass 3 normalizes with the affine parameters.
-void residual_add_layernorm(const KernelTable& kernels, std::span<float> h,
-                            std::span<const float> residual,
-                            std::span<const float> alpha,
-                            std::span<const float> beta, std::span<float> out,
-                            double eps);
-void residual_add_layernorm(std::span<float> h, std::span<const float> residual,
-                            std::span<const float> alpha,
-                            std::span<const float> beta, std::span<float> out,
-                            double eps);
-
-// ---------------------------------------------------------------------------
-// Row-block fused entry points: one call normalizes a whole contiguous
-// (rows x d) block, hoisting the per-layer bookkeeping (shape checks, eps
-// math, scratch sizing) out of the row loop. For a given backend the results
-// are bit-identical to calling the per-row fused entry point on each row.
-// ---------------------------------------------------------------------------
-
-/// Reusable scratch for the row-block fused norms; hold one per thread and
-/// pass it to every call so no allocation happens on the hot path. Its pages
-/// land on the first-touching thread's node, which is the owner's node when
-/// that thread is pinned.
+/// Reusable scratch for the row-block norms; hold one per thread and pass it
+/// to every call so no allocation happens on the hot path. Its pages land on
+/// the first-touching thread's node, which is the owner's node when that
+/// thread is pinned.
 struct RowNormWorkspace {
   std::vector<SumStats> stats;
   std::vector<double> mean;
   std::vector<double> isd;
 };
 
-/// Row-block fused residual-add + RMSNorm over a contiguous (rows x d) block:
-/// h[r] += residual[r] in place (skipped when `residual` is empty), then
-/// out[r] = alpha * (h[r] * isd_r) + beta per row. Bit-identical to calling
-/// residual_add_rmsnorm(kernels, ...) on each row.
+/// RMSNorm of each row of the (rows x d) block `x`:
+/// out[r] = alpha * (x[r] * isd_r) + beta with isd_r = 1 / sqrt(rms^2 + eps),
+/// rms = sqrt(mean(x[r]^2)). Scalar dispatch is bit-identical to
+/// tensor::rmsnorm on each row.
+void rmsnorm_rows(const KernelTable& kernels, std::size_t rows,
+                  std::span<const float> x, std::span<const float> alpha,
+                  std::span<const float> beta, std::span<float> out,
+                  double eps, RowNormWorkspace& ws);
+
+/// LayerNorm of each row, two-pass variance like the seed reference: the row
+/// sums, then the centered second moment, then the affine normalize. Scalar
+/// dispatch is bit-identical to tensor::layernorm on each row.
+void layernorm_rows(const KernelTable& kernels, std::size_t rows,
+                    std::span<const float> x, std::span<const float> alpha,
+                    std::span<const float> beta, std::span<float> out,
+                    double eps, RowNormWorkspace& ws);
+
+/// Fused residual add + rmsnorm_rows: h[r] += residual[r] in place (skipped
+/// when `residual` is empty), with the add sharing its pass with the row
+/// sums. Bit-identical to residual_add followed by rmsnorm_rows.
 void residual_add_rmsnorm_rows(const KernelTable& kernels, std::size_t rows,
                                std::span<float> h,
                                std::span<const float> residual,
                                std::span<const float> alpha,
                                std::span<const float> beta, std::span<float> out,
                                double eps, RowNormWorkspace& ws);
-void residual_add_rmsnorm_rows(std::size_t rows, std::span<float> h,
-                               std::span<const float> residual,
-                               std::span<const float> alpha,
-                               std::span<const float> beta, std::span<float> out,
-                               double eps, RowNormWorkspace& ws);
 
-/// Row-block fused residual-add + LayerNorm (two-pass per-row variance, like
-/// the per-row entry point). Bit-identical to the per-row loop.
+/// Fused residual add + layernorm_rows, likewise.
 void residual_add_layernorm_rows(const KernelTable& kernels, std::size_t rows,
                                  std::span<float> h,
-                                 std::span<const float> residual,
-                                 std::span<const float> alpha,
-                                 std::span<const float> beta,
-                                 std::span<float> out, double eps,
-                                 RowNormWorkspace& ws);
-void residual_add_layernorm_rows(std::size_t rows, std::span<float> h,
                                  std::span<const float> residual,
                                  std::span<const float> alpha,
                                  std::span<const float> beta,

@@ -282,7 +282,6 @@ constexpr KernelTable kNeonTable = {
     centered_sum_sq_neon,
     residual_add_neon,
     residual_add_copy_neon,
-    residual_add_stats_neon,
     normalize_affine_neon,
     quantize_dequantize_neon,
     stats_rows_neon,

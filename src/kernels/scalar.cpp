@@ -235,7 +235,6 @@ constexpr KernelTable kScalarTable = {
     centered_sum_sq_scalar,
     residual_add_scalar,
     residual_add_copy_scalar,
-    residual_add_stats_scalar,
     normalize_affine_scalar,
     quantize_dequantize_scalar,
     stats_rows_scalar,

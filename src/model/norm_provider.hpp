@@ -1,7 +1,8 @@
-// The normalization seam: the transformer calls a NormProvider for every
-// normalization layer, identified by its global execution-order index. The
-// exact provider lives here; the HAAN provider (skipping + subsampling +
-// quantization) lives in `haan::core` and plugs into the same interface.
+// The normalization seam: the transformer makes one row-block NormProvider
+// call per normalization layer, identified by its global execution-order
+// index, over all the rows of the forward. The exact provider lives here; the
+// HAAN provider (skipping + subsampling + quantization) lives in `haan::core`
+// and the accelerator model in `haan::accel`, behind the same interface.
 #pragma once
 
 #include <span>
@@ -32,44 +33,29 @@ class NormProvider {
   /// at storage that outlives the tracer (a string literal).
   virtual const char* trace_label() const { return "norm"; }
 
-  /// Normalizes `z` into `out` (same length) with affine parameters
-  /// alpha/beta (may be empty for identity). `position` is the token index the
-  /// vector belongs to; the HAAN ISD predictor anchors per position.
-  virtual void normalize(std::size_t layer_index, std::size_t position, NormKind kind,
-                         std::span<const float> z, std::span<const float> alpha,
-                         std::span<const float> beta, std::span<float> out) = 0;
-
-  /// Fused residual-add + normalize: updates `h += residual` in place (the
-  /// caller keeps `h` as the residual stream) and normalizes the sum into
-  /// `out`, saving one full pass over the hidden vector versus add-then-
-  /// normalize. The result is bit-identical to calling
-  /// kernels::residual_add(h, residual) followed by normalize(h). Providers
-  /// override this to fuse the add into their statistics pass.
-  virtual void residual_add_normalize(std::size_t layer_index, std::size_t position,
-                                      NormKind kind, std::span<float> h,
-                                      std::span<const float> residual,
-                                      std::span<const float> alpha,
-                                      std::span<const float> beta,
-                                      std::span<float> out);
-
-  // --- Row-block entry points ------------------------------------------
+  // --- Row-block entry points (the one execution path) ---------------------
   // One call per norm layer over a contiguous row-major (rows x d) block;
-  // row r holds the vector of token position `start_position + r`. The
-  // defaults loop the per-row virtuals, so per-row providers (e.g. the
-  // accelerator timing model) work unchanged; batching providers override
-  // them to hoist per-layer work (skip-plan lookup, predictor state, kernel
-  // backend resolution, scratch sizing) out of the row loop. Results must be
-  // bit-identical to the per-row loop for the same provider.
+  // row r holds the vector of token position `start_position + r`. Providers
+  // implement normalize_rows, and may override residual_add_normalize_rows
+  // to fuse the residual add into their statistics pass. Per-layer work
+  // (skip-plan lookup, predictor state, kernel backend resolution, scratch
+  // sizing) is resolved once per call, never per row.
 
-  /// Batched normalize: `x` and `out` are (rows x d) blocks, d = size/rows.
+  /// Normalizes each row of the (rows x d) block `x` into `out` (same size,
+  /// d = size/rows) with affine parameters alpha/beta (each empty for
+  /// identity, or one row wide). The HAAN ISD predictor anchors per position.
   virtual void normalize_rows(std::size_t layer_index, std::size_t start_position,
                               NormKind kind, std::size_t rows,
                               std::span<const float> x,
                               std::span<const float> alpha,
-                              std::span<const float> beta, std::span<float> out);
+                              std::span<const float> beta,
+                              std::span<float> out) = 0;
 
-  /// Batched fused residual-add + normalize: updates the whole `h` block in
-  /// place (h[r] += residual[r]) and normalizes each summed row into `out`.
+  /// Residual add + normalize: updates the whole `h` block in place
+  /// (h[r] += residual[r]; the caller keeps `h` as the residual stream) and
+  /// normalizes each summed row into `out`. Results must be bit-identical to
+  /// kernels::residual_add(h, residual) followed by normalize_rows(h), which
+  /// is what this default does.
   virtual void residual_add_normalize_rows(std::size_t layer_index,
                                            std::size_t start_position,
                                            NormKind kind, std::size_t rows,
@@ -78,6 +64,24 @@ class NormProvider {
                                            std::span<const float> alpha,
                                            std::span<const float> beta,
                                            std::span<float> out);
+
+  // --- One-vector conveniences ----------------------------------------------
+  // A single vector at token `position` is the row block with rows = 1 and
+  // start_position = position. Providers do not override these; they stay
+  // virtual so a wrapping provider can forward them unchanged.
+
+  virtual void normalize(std::size_t layer_index, std::size_t position,
+                         NormKind kind, std::span<const float> z,
+                         std::span<const float> alpha,
+                         std::span<const float> beta, std::span<float> out);
+
+  virtual void residual_add_normalize(std::size_t layer_index,
+                                      std::size_t position, NormKind kind,
+                                      std::span<float> h,
+                                      std::span<const float> residual,
+                                      std::span<const float> alpha,
+                                      std::span<const float> beta,
+                                      std::span<float> out);
 
  protected:
   /// Shared shape validation for row-block entry points (every override
@@ -101,20 +105,8 @@ class ExactNormProvider final : public NormProvider {
 
   const char* trace_label() const override { return "norm/exact"; }
 
-  void normalize(std::size_t layer_index, std::size_t position, NormKind kind,
-                 std::span<const float> z, std::span<const float> alpha,
-                 std::span<const float> beta, std::span<float> out) override;
-
-  /// Single fused kernel call: residual add + statistics share one pass.
-  void residual_add_normalize(std::size_t layer_index, std::size_t position,
-                              NormKind kind, std::span<float> h,
-                              std::span<const float> residual,
-                              std::span<const float> alpha,
-                              std::span<const float> beta,
-                              std::span<float> out) override;
-
-  /// Row-block overrides: one fused kernel call per layer (per-row stats
-  /// resolved inside the backend), bit-identical to the per-row loop.
+  /// One row-block kernel call per layer (kernels::rmsnorm_rows /
+  /// layernorm_rows, or their residual-add forms), split across the pool.
   void normalize_rows(std::size_t layer_index, std::size_t start_position,
                       NormKind kind, std::size_t rows, std::span<const float> x,
                       std::span<const float> alpha, std::span<const float> beta,
@@ -129,11 +121,16 @@ class ExactNormProvider final : public NormProvider {
                                    std::span<float> out) override;
 
  private:
+  /// Runs fn(workspace, r0, nr) over the pool's row chunks of a (rows x d)
+  /// block, each chunk with its own workspace.
+  template <class ChunkFn>
+  void for_row_chunks(std::size_t rows, std::size_t d, ChunkFn&& fn);
+
   double eps_;
   RowPartitionPool pool_;  ///< worker-local row parallelism (lazy threads)
   kernels::RowNormWorkspace workspace_;  ///< chunk-0 scratch, reused
   /// One workspace per extra pool chunk so concurrent chunks never share
-  /// scratch; sized on first partitioned call. The fused kernels resize these
+  /// scratch; sized on first partitioned call. The row kernels resize these
   /// INSIDE pool chunks on pool threads, so a (pinned) pool thread's first
   /// touch places them node-local.
   std::vector<kernels::RowNormWorkspace> chunk_workspaces_;

@@ -134,7 +134,6 @@ common::Json ServeMetrics::to_json() const {
   counters["elements_read"] = norm.elements_read;
   counters["fused_residual_norms"] = norm.fused_residual_norms;
   counters["batched_norm_calls"] = norm.batched_norm_calls;
-  counters["batched_rows"] = norm.batched_rows;
   counters["rows_per_batched_call"] = rows_per_batched_call();
   out["norm_counters"] = counters;
   if (!kernel.backend.empty()) out["kernel"] = kernel.to_json();
@@ -324,7 +323,6 @@ void MetricsCollector::add_norm_counters(const NormCounters& counters) {
   norm_.elements_read += counters.elements_read;
   norm_.fused_residual_norms += counters.fused_residual_norms;
   norm_.batched_norm_calls += counters.batched_norm_calls;
-  norm_.batched_rows += counters.batched_rows;
 }
 
 std::size_t MetricsCollector::completed() const {

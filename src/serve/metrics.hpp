@@ -191,13 +191,13 @@ struct ServeMetrics {
                             static_cast<double>(packs);
   }
 
-  /// Mean rows per batched norm call (0 when the batch path never ran) — the
-  /// row-block execution model's utilization: the rows a whole pack feeds, 1
-  /// if the seam degenerated to token-at-a-time calls.
+  /// Mean rows per norm call (0 when no norm ran) — the row-block execution
+  /// model's utilization: the rows a whole pack feeds, 1 if the seam
+  /// degenerated to token-at-a-time calls.
   double rows_per_batched_call() const {
     return norm.batched_norm_calls == 0
                ? 0.0
-               : static_cast<double>(norm.batched_rows) /
+               : static_cast<double>(norm.norm_calls) /
                      static_cast<double>(norm.batched_norm_calls);
   }
 

@@ -68,12 +68,13 @@ TEST(Evaluator, GarbageNormalizationCollapsesToChance) {
   // falls toward 1/n_choices.
   class BrokenNorm final : public model::NormProvider {
    public:
-    void normalize(std::size_t layer, std::size_t, model::NormKind,
-                   std::span<const float> z, std::span<const float>,
-                   std::span<const float>, std::span<float> out) override {
-      for (std::size_t i = 0; i < z.size(); ++i) {
+    void normalize_rows(std::size_t layer, std::size_t, model::NormKind,
+                        std::size_t, std::span<const float> x,
+                        std::span<const float>, std::span<const float>,
+                        std::span<float> out) override {
+      for (std::size_t i = 0; i < x.size(); ++i) {
         // Early layers amplified, later damped: feature directions scrambled.
-        out[i] = (layer % 2 == 0) ? z[i] * 37.0f : z[i] * 0.01f;
+        out[i] = (layer % 2 == 0) ? x[i] * 37.0f : x[i] * 0.01f;
       }
     }
   };

@@ -173,13 +173,15 @@ TEST_F(KernelParity, ResidualAddFamilyBitIdentical) {
 
         h_scalar = input.values;
         h_simd = input.values;
-        const SumStats expected = scalar_kernels().residual_add_stats(
-            h_scalar.data(), residual.data(), n);
-        const SumStats got =
-            simd->residual_add_stats(h_simd.data(), residual.data(), n);
+        SumStats expected;
+        SumStats got;
+        scalar_kernels().residual_add_stats_rows(
+            h_scalar.data(), residual.data(), 1, n, n, &expected);
+        simd->residual_add_stats_rows(h_simd.data(), residual.data(), 1, n, n,
+                                      &got);
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(h_simd[i], h_scalar[i])
-              << simd->name << " residual_add_stats n=" << n << " "
+              << simd->name << " residual_add_stats_rows n=" << n << " "
               << input.name;
         }
         EXPECT_NEAR(got.sum, expected.sum, 1e-12 * sum_abs(h_scalar) + 1e-300);
@@ -281,16 +283,17 @@ TEST_F(KernelParity, FusedNormsWithinFourUlp) {
         auto h_scalar = base;
         auto h_simd = base;
         std::vector<float> out_scalar(n), out_simd(n);
+        RowNormWorkspace ws;
         if (layernorm) {
-          residual_add_layernorm(scalar_kernels(), h_scalar, residual, alpha,
-                                 beta, out_scalar, 1e-5);
-          residual_add_layernorm(*simd, h_simd, residual, alpha, beta, out_simd,
-                                 1e-5);
+          residual_add_layernorm_rows(scalar_kernels(), 1, h_scalar, residual,
+                                      alpha, beta, out_scalar, 1e-5, ws);
+          residual_add_layernorm_rows(*simd, 1, h_simd, residual, alpha, beta,
+                                      out_simd, 1e-5, ws);
         } else {
-          residual_add_rmsnorm(scalar_kernels(), h_scalar, residual, alpha,
-                               beta, out_scalar, 1e-5);
-          residual_add_rmsnorm(*simd, h_simd, residual, alpha, beta, out_simd,
-                               1e-5);
+          residual_add_rmsnorm_rows(scalar_kernels(), 1, h_scalar, residual,
+                                    alpha, beta, out_scalar, 1e-5, ws);
+          residual_add_rmsnorm_rows(*simd, 1, h_simd, residual, alpha, beta,
+                                    out_simd, 1e-5, ws);
         }
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(h_simd[i], h_scalar[i]);  // float adds are elementwise

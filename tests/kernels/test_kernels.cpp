@@ -1,7 +1,7 @@
 // Kernel-layer semantics: the scalar backend must reproduce the seed
-// norm_ref/subsample arithmetic bit for bit, the fused entry points must
-// equal their unfused seed sequences exactly (scalar dispatch), and the
-// dispatcher must honor HAAN_FORCE_SCALAR.
+// norm_ref/subsample arithmetic bit for bit, the row-block norms (here at
+// rows = 1) must equal their unfused seed sequences exactly (scalar
+// dispatch), and the dispatcher must honor HAAN_FORCE_SCALAR.
 #include "kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -101,8 +101,9 @@ TEST(ScalarKernels, ResidualAddStatsMatchesAddThenStats) {
   auto h = random_vector(123, 6);
   auto h_ref = h;
   const auto r = random_vector(123, 7);
-  const SumStats got =
-      scalar_kernels().residual_add_stats(h.data(), r.data(), h.size());
+  SumStats got;
+  scalar_kernels().residual_add_stats_rows(h.data(), r.data(), 1, h.size(),
+                                           h.size(), &got);
   for (std::size_t i = 0; i < h_ref.size(); ++i) h_ref[i] += r[i];
   const SumStats expected = seed_sums(h_ref);
   EXPECT_EQ(got.sum, expected.sum);
@@ -147,14 +148,16 @@ TEST(ScalarKernels, QuantizeMatchesNumericsElementwise) {
 
 TEST(FusedKernels, ResidualAddRmsnormMatchesSeedSequence) {
   // Seed sequence: h += r; stats; rms = sqrt(sum_sq/n); isd = 1/sqrt(rms^2 +
-  // eps); normalize; affine. The fused scalar path must be bit-identical.
+  // eps); normalize; affine. The fused scalar row kernel must be
+  // bit-identical.
   const double eps = 1e-5;
   auto h = random_vector(301, 11);
   auto h_ref = h;
   const auto r = random_vector(301, 12);
   const auto alpha = random_vector(301, 13, 1.0, 0.1);
   std::vector<float> out(h.size());
-  residual_add_rmsnorm(scalar_kernels(), h, r, alpha, {}, out, eps);
+  RowNormWorkspace ws;
+  residual_add_rmsnorm_rows(scalar_kernels(), 1, h, r, alpha, {}, out, eps, ws);
 
   for (std::size_t i = 0; i < h_ref.size(); ++i) h_ref[i] += r[i];
   const SumStats sums = seed_sums(h_ref);
@@ -174,7 +177,9 @@ TEST(FusedKernels, ResidualAddLayernormMatchesSeedSequence) {
   const auto r = random_vector(301, 15);
   const auto beta = random_vector(301, 16, 0.0, 0.3);
   std::vector<float> out(h.size());
-  residual_add_layernorm(scalar_kernels(), h, r, {}, beta, out, eps);
+  RowNormWorkspace ws;
+  residual_add_layernorm_rows(scalar_kernels(), 1, h, r, {}, beta, out, eps,
+                              ws);
 
   for (std::size_t i = 0; i < h_ref.size(); ++i) h_ref[i] += r[i];
   const double n = static_cast<double>(h_ref.size());
@@ -197,7 +202,8 @@ TEST(FusedKernels, EmptyResidualDegradesToPlainNorm) {
   auto h = random_vector(97, 17);
   const auto h_before = h;
   std::vector<float> out(h.size());
-  residual_add_rmsnorm(scalar_kernels(), h, {}, {}, {}, out, 1e-5);
+  RowNormWorkspace ws;
+  residual_add_rmsnorm_rows(scalar_kernels(), 1, h, {}, {}, {}, out, 1e-5, ws);
   for (std::size_t i = 0; i < h.size(); ++i) EXPECT_EQ(h[i], h_before[i]);
   for (const float v : out) EXPECT_TRUE(std::isfinite(v));
 }

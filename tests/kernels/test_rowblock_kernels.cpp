@@ -2,9 +2,10 @@
 // *_rows kernels must be bit-identical to looping that same backend's per-row
 // entry points (the row-block path adds batching, never new rounding), the
 // scalar rows kernels must therefore be bit-identical to the seed per-row
-// reference, and the fused row-block span entry points must equal a per-row
-// fused loop exactly. Shapes include odd row counts, prime d, and subsampled
-// statistics prefixes (nstats < d).
+// reference, and the span-level row norms must equal an elementwise add
+// followed by the tensor::rmsnorm / layernorm oracle on each row exactly,
+// whether called once over the block or once per row. Shapes include odd row
+// counts, prime d, and subsampled statistics prefixes (nstats < d).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "common/rng.hpp"
 #include "kernels/kernels.hpp"
 #include "numerics/formats.hpp"
+#include "tensor/norm_ref.hpp"
 
 namespace haan::kernels {
 namespace {
@@ -198,7 +200,7 @@ TEST(RowBlockKernels, QuantizeDequantizeRowsMatchesPerRowLoop) {
   }
 }
 
-TEST(RowBlockKernels, FusedRowsEntryPointsMatchPerRowFusedLoop) {
+TEST(RowBlockKernels, RowNormsMatchAddThenPerRowOracle) {
   for (const KernelTable* table : supported_kernels()) {
     for (const auto& block : kBlocks) {
       common::Rng rng(block.d + 7);
@@ -208,40 +210,73 @@ TEST(RowBlockKernels, FusedRowsEntryPointsMatchPerRowFusedLoop) {
       const auto base = random_block(block.rows * block.d, block.d + 8);
       const auto residual =
           random_block(block.rows * block.d, block.d + 9, 0.0, 0.4);
+      const std::size_t d = block.d;
 
       for (const bool layernorm : {false, true}) {
+        const char* label = layernorm ? " layernorm" : " rmsnorm";
+        // Oracle: elementwise float add, then the exact norm on each row
+        // through the same backend.
         auto h_ref = base;
+        for (std::size_t i = 0; i < h_ref.size(); ++i) h_ref[i] += residual[i];
         std::vector<float> out_ref(base.size());
         for (std::size_t r = 0; r < block.rows; ++r) {
-          const auto h_row = std::span(h_ref).subspan(r * block.d, block.d);
-          const auto res_row =
-              std::span(residual).subspan(r * block.d, block.d);
-          const auto out_row =
-              std::span(out_ref).subspan(r * block.d, block.d);
+          const auto row = std::span<const float>(h_ref).subspan(r * d, d);
+          const auto out_row = std::span(out_ref).subspan(r * d, d);
           if (layernorm) {
-            residual_add_layernorm(*table, h_row, res_row, alpha, beta, out_row,
-                                   1e-5);
+            tensor::layernorm(*table, row, alpha, beta, out_row, 1e-5);
           } else {
-            residual_add_rmsnorm(*table, h_row, res_row, alpha, beta, out_row,
-                                 1e-5);
+            tensor::rmsnorm(*table, row, alpha, beta, out_row, 1e-5);
           }
         }
 
-        auto h_got = base;
-        std::vector<float> out_got(base.size());
         RowNormWorkspace ws;
-        if (layernorm) {
-          residual_add_layernorm_rows(*table, block.rows, h_got, residual,
-                                      alpha, beta, out_got, 1e-5, ws);
-        } else {
-          residual_add_rmsnorm_rows(*table, block.rows, h_got, residual, alpha,
-                                    beta, out_got, 1e-5, ws);
+        const auto run = [&](std::size_t rows, std::span<float> h,
+                             std::span<const float> res, std::span<float> out) {
+          if (layernorm) {
+            residual_add_layernorm_rows(*table, rows, h, res, alpha, beta, out,
+                                        1e-5, ws);
+          } else {
+            residual_add_rmsnorm_rows(*table, rows, h, res, alpha, beta, out,
+                                      1e-5, ws);
+          }
+        };
+
+        // One call over the whole block.
+        auto h_block = base;
+        std::vector<float> out_block(base.size());
+        run(block.rows, h_block, residual, out_block);
+
+        // One call per row (rows = 1).
+        auto h_row = base;
+        std::vector<float> out_row(base.size());
+        for (std::size_t r = 0; r < block.rows; ++r) {
+          run(1, std::span(h_row).subspan(r * d, d),
+              std::span(residual).subspan(r * d, d),
+              std::span(out_row).subspan(r * d, d));
         }
+
+        // The const-input form over the already summed block.
+        std::vector<float> out_const(base.size());
+        if (layernorm) {
+          layernorm_rows(*table, block.rows, h_ref, alpha, beta, out_const,
+                         1e-5, ws);
+        } else {
+          rmsnorm_rows(*table, block.rows, h_ref, alpha, beta, out_const, 1e-5,
+                       ws);
+        }
+
         for (std::size_t i = 0; i < base.size(); ++i) {
-          ASSERT_EQ(h_got[i], h_ref[i]);
-          ASSERT_EQ(out_got[i], out_ref[i])
-              << table->name << (layernorm ? " layernorm" : " rmsnorm")
-              << " rows=" << block.rows << " d=" << block.d << " i=" << i;
+          ASSERT_EQ(h_block[i], h_ref[i]) << table->name << label;
+          ASSERT_EQ(h_row[i], h_ref[i]) << table->name << label;
+          ASSERT_EQ(out_block[i], out_ref[i])
+              << table->name << label << " rows=" << block.rows
+              << " d=" << d << " i=" << i;
+          ASSERT_EQ(out_row[i], out_ref[i])
+              << table->name << label << " one row per call, d=" << d
+              << " i=" << i;
+          ASSERT_EQ(out_const[i], out_ref[i])
+              << table->name << label << " const input, rows=" << block.rows
+              << " d=" << d << " i=" << i;
         }
       }
     }

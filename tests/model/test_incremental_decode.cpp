@@ -217,7 +217,6 @@ TEST(IncrementalDecodeParity, HaanPerRowCountersInvariantUnderChunking) {
   EXPECT_EQ(inc->counters().elements_read, ref->counters().elements_read);
   EXPECT_EQ(inc->counters().fused_residual_norms,
             ref->counters().fused_residual_norms);
-  EXPECT_EQ(inc->counters().batched_rows, ref->counters().batched_rows);
   EXPECT_GT(inc->counters().batched_norm_calls,
             ref->counters().batched_norm_calls);
 }

@@ -90,11 +90,9 @@ TEST(MetricsCollector, NormCountersAggregateAcrossWorkers) {
   worker1.elements_read = 640;
   worker1.fused_residual_norms = 8;
   worker1.batched_norm_calls = 2;
-  worker1.batched_rows = 10;
   NormCounters worker2;
   worker2.norm_calls = 5;
   worker2.batched_norm_calls = 1;
-  worker2.batched_rows = 5;
   collector.add_norm_counters(worker1);
   collector.add_norm_counters(worker2);
 
@@ -105,7 +103,6 @@ TEST(MetricsCollector, NormCountersAggregateAcrossWorkers) {
   EXPECT_EQ(metrics.norm.elements_read, 640u);
   EXPECT_EQ(metrics.norm.fused_residual_norms, 8u);
   EXPECT_EQ(metrics.norm.batched_norm_calls, 3u);
-  EXPECT_EQ(metrics.norm.batched_rows, 15u);
   EXPECT_EQ(metrics.rows_per_batched_call(), 5.0);
   const std::string rendered = metrics.to_string();
   EXPECT_NE(rendered.find("batched norms"), std::string::npos);
