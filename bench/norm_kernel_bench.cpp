@@ -440,33 +440,36 @@ int main(int argc, char** argv) {
     exp_results.push_back(entry);
   }
 
-  // --- Causal attention: one head's causal_attention call at the two
-  // perfbench shapes — a prefill_offline prompt block (d_head 16, 144 rows
-  // from position 0) and a chat_decode step (d_head 24, one row at position
-  // 64) — in ns per query row per backend. Gated on identity only. ---------
+  // --- Causal attention: one head's causal_attention call at the perfbench
+  // shapes — a prefill_offline prompt block (d_head 16, 144 rows from
+  // position 0), a chat_decode step (d_head 24, one row at position 64) and
+  // a prefill_offline decode step (d_head 16, one row at position 144) — in
+  // ns per query row per backend, K given transposed as a KvCache holds it.
+  // Gated on identity only. ---------------------------------------------------
   struct AttentionShape {
     std::size_t d_head, rows, start;
   };
-  const AttentionShape attention_shapes[] = {{16, 144, 0}, {24, 1, 64}};
+  const AttentionShape attention_shapes[] = {
+      {16, 144, 0}, {24, 1, 64}, {16, 1, 144}};
   common::Json::Array attention_results;
   bool attention_identical = true;
   std::printf("--- causal_attention, ns per query row per backend ---\n");
   for (const AttentionShape& shape : attention_shapes) {
     const std::size_t keys = shape.start + shape.rows;
     std::vector<float> q(shape.rows * shape.d_head);
-    std::vector<float> k(keys * shape.d_head), v(keys * shape.d_head);
+    std::vector<float> kt(shape.d_head * keys), v(keys * shape.d_head);
     common::Rng rng(keys * shape.d_head);
     rng.fill_gaussian(q, 0.0, 1.0);
-    rng.fill_gaussian(k, 0.0, 1.0);
+    rng.fill_gaussian(kt, 0.0, 1.0);
     rng.fill_gaussian(v, 0.0, 1.0);
     const float scale = 1.0f / std::sqrt(static_cast<float>(shape.d_head));
     std::vector<float> out(q.size()), reference;
     std::vector<std::function<void()>> runs;
     for (const kernels::KernelTable* table : tables) {
       const auto run = [&, table] {
-        table->causal_attention(q.data(), shape.rows, k.data(), v.data(),
-                                shape.d_head, shape.d_head, shape.start, scale,
-                                out.data());
+        table->causal_attention(q.data(), shape.rows, kt.data(), keys,
+                                v.data(), shape.d_head, shape.d_head,
+                                shape.start, scale, out.data());
         sink(out[0]);
       };
       run();

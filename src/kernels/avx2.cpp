@@ -673,10 +673,9 @@ constexpr std::size_t kScoreKeys = 4;
 
 /// Per-thread scratch of causal_attention_avx2, grown on demand.
 struct AttentionScratch {
-  std::vector<double> kd;     // K in double, key j at kd[j*d_head]
+  std::vector<double> kd;     // K^T in double: kd[c*keys + j]
   std::vector<double> qt;     // a tile's Q transposed: qt[c*8 + lane]
   std::vector<float> w;       // a tile's scores, then weights: w[j*8 + lane]
-  std::vector<float> kt;      // K transposed for the per-row kernels
   std::vector<float> scores;  // one row's scores for the per-row kernels
 };
 
@@ -693,12 +692,13 @@ inline __m256 blend(__m256 a, __m256 b, __m256i mask) {
   return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(mask));
 }
 
-/// Scores of keys [j, j + KB) for every lane of a tile, folded into the
-/// lane-wise running max.
+/// Scores of keys [j, j + KB) for every lane of a tile against the double
+/// K^T kd (row stride keys), folded into the lane-wise running max.
 template <std::size_t KB>
-inline void tile_scores(const double* qt, const double* kd, std::size_t d_head,
-                        std::size_t j, __m256 scale, std::size_t first_pos,
-                        __m256i live, float* w, __m256& max_v) {
+inline void tile_scores(const double* qt, const double* kd, std::size_t keys,
+                        std::size_t d_head, std::size_t j, __m256 scale,
+                        std::size_t first_pos, __m256i live, float* w,
+                        __m256& max_v) {
   __m256d lo[KB];
   __m256d hi[KB];
 #pragma GCC unroll 4
@@ -706,13 +706,13 @@ inline void tile_scores(const double* qt, const double* kd, std::size_t d_head,
     lo[b] = _mm256_setzero_pd();
     hi[b] = _mm256_setzero_pd();
   }
-  const double* key = kd + j * d_head;
   for (std::size_t c = 0; c < d_head; ++c) {
     const __m256d q_lo = _mm256_loadu_pd(qt + c * kTileRows);
     const __m256d q_hi = _mm256_loadu_pd(qt + c * kTileRows + 4);
+    const double* key = kd + c * keys + j;
 #pragma GCC unroll 4
     for (std::size_t b = 0; b < KB; ++b) {
-      const __m256d kc = _mm256_broadcast_sd(key + b * d_head + c);
+      const __m256d kc = _mm256_broadcast_sd(key + b);
       lo[b] = _mm256_fmadd_pd(q_lo, kc, lo[b]);
       hi[b] = _mm256_fmadd_pd(q_hi, kc, hi[b]);
     }
@@ -795,11 +795,11 @@ constexpr auto kTileContext =
     make_tile_context_table(std::make_index_sequence<kTileRows>{});
 
 /// One tile: `live` rows from q (row stride ld), the first at first_pos,
-/// against the double keys kd.
+/// against the double K^T kd of the call's kd_keys keys (its row stride).
 void attention_tile(const float* q, std::size_t live, const double* kd,
-                    const float* v, std::size_t ld, std::size_t d_head,
-                    std::size_t first_pos, float scale, AttentionScratch& ws,
-                    float* out) {
+                    std::size_t kd_keys, const float* v, std::size_t ld,
+                    std::size_t d_head, std::size_t first_pos, float scale,
+                    AttentionScratch& ws, float* out) {
   const std::size_t keys = first_pos + live;
   const __m256i live_mask = lane_mask8(live);
   ws.w.resize(keys * kTileRows);
@@ -829,11 +829,12 @@ void attention_tile(const float* q, std::size_t live, const double* kd,
   __m256 max_v = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   std::size_t j = 0;
   for (; j + kScoreKeys <= keys; j += kScoreKeys) {
-    tile_scores<kScoreKeys>(qt, kd, d_head, j, scale_v, first_pos, live_mask,
-                            w, max_v);
+    tile_scores<kScoreKeys>(qt, kd, kd_keys, d_head, j, scale_v, first_pos,
+                            live_mask, w, max_v);
   }
   for (; j < keys; ++j) {
-    tile_scores<1>(qt, kd, d_head, j, scale_v, first_pos, live_mask, w, max_v);
+    tile_scores<1>(qt, kd, kd_keys, d_head, j, scale_v, first_pos, live_mask,
+                   w, max_v);
   }
 
   // e = exp(s - max) with the lanes past a row's context zeroed (so they
@@ -883,10 +884,10 @@ void attention_tile(const float* q, std::size_t live, const double* kd,
   }
 }
 
-void causal_attention_avx2(const float* q, std::size_t rows, const float* k,
-                           const float* v, std::size_t ld, std::size_t d_head,
-                           std::size_t start_position, float scale,
-                           float* out) {
+void causal_attention_avx2(const float* q, std::size_t rows, const float* kt,
+                           std::size_t ldk, const float* v, std::size_t ld,
+                           std::size_t d_head, std::size_t start_position,
+                           float scale, float* out) {
   thread_local AttentionScratch ws;
   // The partial tile goes first, where its rows' contexts are shortest.
   const std::size_t head = rows % kTileRows;
@@ -894,24 +895,60 @@ void causal_attention_avx2(const float* q, std::size_t rows, const float* k,
   if (head != 0 && head < kMinTileRows) {
     detail::attention_rows<attention_scores_row, softmax_avx2,
                            attention_context_row>(
-        q, head, k, v, ld, d_head, start_position, scale, ws.kt, ws.scores,
+        q, head, kt, ldk, v, ld, d_head, start_position, scale, ws.scores,
         out);
     i0 = head;
   }
   if (i0 == rows) return;
+  // K^T widened to double once per call, row c of kt read contiguously.
   const std::size_t keys = start_position + rows;
-  ws.kd.resize(keys * d_head);
-  for (std::size_t j = 0; j < keys; ++j) {
-    for (std::size_t c = 0; c < d_head; ++c) {
-      ws.kd[j * d_head + c] = k[j * ld + c];
+  ws.kd.resize(d_head * keys);
+  for (std::size_t c = 0; c < d_head; ++c) {
+    const float* src = kt + c * ldk;
+    double* dst = ws.kd.data() + c * keys;
+    std::size_t j = 0;
+    for (; j + 4 <= keys; j += 4) {
+      _mm256_storeu_pd(dst + j, _mm256_cvtps_pd(_mm_loadu_ps(src + j)));
     }
+    for (; j < keys; ++j) dst[j] = src[j];
   }
   ws.qt.resize(d_head * kTileRows);
   while (i0 < rows) {
     const std::size_t live = i0 == 0 && head != 0 ? head : kTileRows;
-    attention_tile(q + i0 * ld, live, ws.kd.data(), v, ld, d_head,
+    attention_tile(q + i0 * ld, live, ws.kd.data(), keys, v, ld, d_head,
                    start_position + i0, scale, ws, out + i0 * ld);
     i0 += live;
+  }
+}
+
+/// 8 x 8 blocks through transpose8x8, with masked edges. Calls of a few rows
+/// (a decode step's K) run the scalar loop, which touches only the elements
+/// it copies.
+void transpose_avx2(const float* src, std::size_t rows, std::size_t cols,
+                    std::size_t ld_src, float* dst, std::size_t ld_dst) {
+  constexpr std::size_t kMinBlockRows = 4;
+  if (rows < kMinBlockRows) {
+    detail::transpose_scalar(src, rows, cols, ld_src, dst, ld_dst);
+    return;
+  }
+  for (std::size_t i0 = 0; i0 < rows; i0 += 8) {
+    const std::size_t nr = std::min<std::size_t>(8, rows - i0);
+    const __m256i row_mask = lane_mask8(nr);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 8) {
+      const std::size_t nc = std::min<std::size_t>(8, cols - c0);
+      const __m256i col_mask = lane_mask8(nc);
+      __m256 r[8];
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < 8; ++i) {
+        r[i] = i < nr ? _mm256_maskload_ps(src + (i0 + i) * ld_src + c0,
+                                           col_mask)
+                      : _mm256_setzero_ps();
+      }
+      transpose8x8(r);
+      for (std::size_t c = 0; c < nc; ++c) {
+        _mm256_maskstore_ps(dst + (c0 + c) * ld_dst + i0, row_mask, r[c]);
+      }
+    }
   }
 }
 
@@ -930,6 +967,7 @@ constexpr KernelTable kAvx2Table = {
     quantize_dequantize_rows_avx2,
     linear_avx2,
     causal_attention_avx2,
+    transpose_avx2,
     exp_avx2,
     softmax_avx2,
     silu_avx2,

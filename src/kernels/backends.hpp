@@ -19,11 +19,13 @@ const KernelTable* avx2_table();
 /// them). Callers must verify CPU support before using the table.
 const KernelTable* avx512_table();
 
-/// The scalar backend's matmul entries (the seed loops), shared with backends
-/// that have no vector implementation of their own (NEON).
+/// The scalar backend's matmul and transpose entries (the seed loops), shared
+/// with backends that have no vector implementation of their own (NEON).
 void linear_scalar(const float* x, std::size_t n, std::size_t in,
                    const float* wt, std::size_t out, const float* bias,
                    float* y);
+void transpose_scalar(const float* src, std::size_t rows, std::size_t cols,
+                      std::size_t ld_src, float* dst, std::size_t ld_dst);
 
 /// The scalar backend's exp and gelu entries and causal attention (the seed
 /// loops): the NEON table's own, and what with_checked_libm swaps into a SIMD
@@ -32,10 +34,11 @@ void exp_scalar(const float* x, std::size_t n, float* out);
 void softmax_scalar(float* row, std::size_t n);
 void silu_scalar(float* v, std::size_t n);
 void gelu_scalar(float* v, std::size_t n);
-void causal_attention_scalar(const float* q, std::size_t rows, const float* k,
-                             const float* v, std::size_t ld,
-                             std::size_t d_head, std::size_t start_position,
-                             float scale, float* out);
+void causal_attention_scalar(const float* q, std::size_t rows,
+                             const float* kt, std::size_t ldk, const float* v,
+                             std::size_t ld, std::size_t d_head,
+                             std::size_t start_position, float scale,
+                             float* out);
 
 /// `table` itself when it is null, or when its exp and gelu match the
 /// scalar loops (this process's libm) bit for bit on fixed probe inputs

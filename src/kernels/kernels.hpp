@@ -49,6 +49,8 @@ struct SumStats {
 ///     bits may differ (both backends produce a quiet NaN).
 ///   linear / causal_attention
 ///     Bit-identical (exact-order contract, see the entries below).
+///   transpose
+///     Bit-identical: a copy.
 ///   exp / softmax / silu / gelu
 ///     Bit-identical for every input, inf and NaN included. SIMD lanes run a
 ///     lane-wise model of glibc 2.36's FMA expf (kernels/expf_model.hpp);
@@ -156,13 +158,16 @@ struct KernelTable {
 
   /// Causal attention of one head over `rows` query rows. Query row i (at
   /// q + i*ld) sits at position start_position + i and attends keys
-  /// j in [0, ctx_i), ctx_i = start_position + i + 1, of the row-major K / V
-  /// (key j at k + j*ld / v + j*ld); its d_head outputs go to out + i*ld.
-  /// q, k, v and out share the row stride ld >= d_head, so one head of a
-  /// (rows x d_model) block is addressed by offsetting every pointer. Per row,
-  /// in this order and no other:
-  ///   s[j]  = scale * (float)(Σ_c q[c] * k[j][c])  (double, c ascending
-  ///           from +0.0)
+  /// j in [0, ctx_i), ctx_i = start_position + i + 1; its d_head outputs go
+  /// to out + i*ld. K comes transposed: component c of key j is
+  /// kt[c*ldk + j], with ldk >= keys = start_position + rows, so one head of
+  /// a KvCache block's (d_model x capacity) K^T starts at row h*d_head. V is
+  /// row-major, key j at v + j*ld. q, v and out share the row stride
+  /// ld >= d_head, so one head of a (rows x d_model) block is addressed by
+  /// offsetting those pointers. Only keys [0, keys) of the head's d_head K^T
+  /// rows are read. Per row, in this order and no other:
+  ///   s[j]  = scale * (float)(Σ_c q[c] * kt[c*ldk + j])  (double, c
+  ///           ascending from +0.0)
   ///   max   = std::max(max, s[j]) folded over j ascending from -inf
   ///   e[j]  = std::exp(s[j] - max)                  (float)
   ///   sum   = Σ_j e[j] in double, j ascending from +0.0; asserted > 0, so
@@ -173,10 +178,19 @@ struct KernelTable {
   ///           multiply then add, never fused.
   /// Every output depends only on its row's own prefix, never on how many
   /// rows share the call or which tile a row lands in. out must not alias
-  /// q, k or v.
-  void (*causal_attention)(const float* q, std::size_t rows, const float* k,
-                           const float* v, std::size_t ld, std::size_t d_head,
-                           std::size_t start_position, float scale, float* out);
+  /// q, kt or v.
+  void (*causal_attention)(const float* q, std::size_t rows, const float* kt,
+                           std::size_t ldk, const float* v, std::size_t ld,
+                           std::size_t d_head, std::size_t start_position,
+                           float scale, float* out);
+
+  /// dst[c*ld_dst + i] = src[i*ld_src + c] for i < rows, c < cols: the
+  /// (rows x cols) block at src, stride ld_src, written transposed at dst,
+  /// stride ld_dst. A bit copy on every backend; dst must not overlap src.
+  /// Writes K rows into a KvCache's K^T and causal_attention's cache-free
+  /// K^T, and W^T for tensor::linear.
+  void (*transpose)(const float* src, std::size_t rows, std::size_t cols,
+                    std::size_t ld_src, float* dst, std::size_t ld_dst);
 
   // --- Exp and tanh kernels ---------------------------------------------
   // The scalar entries are the seed loops of tensor::softmax / silu_inplace /

@@ -199,18 +199,25 @@ void softmax_scalar(float* row, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) row[i] = static_cast<float>(row[i] / sum);
 }
 
-void causal_attention_scalar(const float* q, std::size_t rows, const float* k,
-                             const float* v, std::size_t ld,
-                             std::size_t d_head, std::size_t start_position,
-                             float scale, float* out) {
-  // Per-thread buffers reused across calls: K transposed and one query row's
-  // scores.
-  thread_local std::vector<float> kt;
+void causal_attention_scalar(const float* q, std::size_t rows,
+                             const float* kt, std::size_t ldk, const float* v,
+                             std::size_t ld, std::size_t d_head,
+                             std::size_t start_position, float scale,
+                             float* out) {
+  // One query row's scores, a per-thread buffer reused across calls.
   thread_local std::vector<float> scores;
   attention_rows<attention_scores_scalar, softmax_scalar,
-                 attention_context_scalar>(q, rows, k, v, ld, d_head,
-                                           start_position, scale, kt, scores,
-                                           out);
+                 attention_context_scalar>(q, rows, kt, ldk, v, ld, d_head,
+                                           start_position, scale, scores, out);
+}
+
+void transpose_scalar(const float* src, std::size_t rows, std::size_t cols,
+                      std::size_t ld_src, float* dst, std::size_t ld_dst) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * ld_dst + i] = src[i * ld_src + c];
+    }
+  }
 }
 
 void silu_scalar(float* v, std::size_t n) {
@@ -244,6 +251,7 @@ constexpr KernelTable kScalarTable = {
     quantize_dequantize_rows_scalar,
     detail::linear_scalar,
     detail::causal_attention_scalar,
+    detail::transpose_scalar,
     detail::exp_scalar,
     detail::softmax_scalar,
     detail::silu_scalar,

@@ -78,9 +78,8 @@ tensor::Tensor run_mlp(const tensor::Tensor& x, const BlockWeights& block,
   return tensor::linear_input_major(up, block.w_down, {});
 }
 
-/// Copies span rows out of the packed block, applies `fn` (sub-block + span
-/// index in, same shape out), and writes the result back into the span's rows
-/// of `out`.
+/// Copies span rows out of the packed block, applies `fn` (sub-block in, same
+/// shape out), and writes the result back into the span's rows of `out`.
 template <typename Fn>
 void apply_to_span(const tensor::Tensor& x, const BatchLayout& layout,
                    std::size_t s, std::size_t d, tensor::Tensor& out,
@@ -89,7 +88,7 @@ void apply_to_span(const tensor::Tensor& x, const BatchLayout& layout,
   tensor::Tensor sub(tensor::Shape{span.rows, d});
   std::copy_n(x.data().data() + span.row_begin * d, span.rows * d,
               sub.data().data());
-  const tensor::Tensor result = fn(sub, s);
+  const tensor::Tensor result = fn(sub);
   std::copy_n(result.data().data(), span.rows * d,
               out.data().data() + span.row_begin * d);
 }
@@ -118,18 +117,8 @@ tensor::Tensor map_spans(const tensor::Tensor& x, const BatchLayout& layout,
   return out;
 }
 
-/// Causal attention over a packed block: each sequence span attends only
-/// within itself (the causal mask never crosses sequences). The single-span
-/// case passes the block straight through; multi-span packings materialize
-/// each span once for the attention call — attention itself is a pure per-
-/// sequence function, so the packed result is bit-identical to running every
-/// sequence through multi_head_attention on its own.
-///
-/// With `caches`, span s runs the incremental path: its rows continue at
-/// span(s).start_position and attend over caches[s]'s prefix plus themselves
-/// (appending this block's K/V rows as a side effect). Each span appends only
-/// to its own cache, so spans run concurrently on the pool exactly as in the
-/// cache-free case.
+/// Causal attention over a packed block (packed_attention): one Q/K/V and one
+/// output projection over the whole pack, the kernel per span and head.
 tensor::Tensor run_attention(const tensor::Tensor& x, const BatchLayout& layout,
                              const BlockWeights& block, const ModelConfig& config,
                              std::size_t block_index,
@@ -137,26 +126,8 @@ tensor::Tensor run_attention(const tensor::Tensor& x, const BatchLayout& layout,
                              RowPartitionPool* span_pool) {
   HAAN_TRACE_SPAN("attn", "model", static_cast<std::uint32_t>(x.shape().dim(0)),
                   static_cast<std::uint32_t>(layout.sequences()));
-  if (!caches.empty()) {
-    HAAN_EXPECTS(caches.size() == layout.sequences());
-    return map_spans(x, layout, span_pool,
-                     [&](const tensor::Tensor& sub, std::size_t s) {
-      if (caches[s] == nullptr) {
-        HAAN_EXPECTS(layout.span(s).start_position == 0);
-        return multi_head_attention(sub, block, config.n_heads);
-      }
-      return multi_head_attention_cached(sub, block, config.n_heads, *caches[s],
-                                         block_index,
-                                         layout.span(s).start_position);
-    });
-  }
-  if (layout.sequences() == 1) {
-    return multi_head_attention(x, block, config.n_heads);
-  }
-  return map_spans(x, layout, span_pool,
-                   [&](const tensor::Tensor& sub, std::size_t) {
-    return multi_head_attention(sub, block, config.n_heads);
-  });
+  return packed_attention(x, layout, block, config.n_heads, caches,
+                          block_index, span_pool);
 }
 
 /// MLP over a packed block. The MLP is row-wise (linear + activation), so the
@@ -172,8 +143,7 @@ tensor::Tensor run_mlp_packed(const tensor::Tensor& x, const BatchLayout& layout
       layout.sequences() == 1) {
     return run_mlp(x, block, config);
   }
-  return map_spans(x, layout, span_pool,
-                   [&](const tensor::Tensor& sub, std::size_t) {
+  return map_spans(x, layout, span_pool, [&](const tensor::Tensor& sub) {
     return run_mlp(sub, block, config);
   });
 }

@@ -4,10 +4,11 @@
 // Blocks execute over a PACKED hidden block: `h` holds the concatenated rows
 // of every sequence in the batch (a BatchLayout describes the spans; the
 // per-request path uses a degenerate single-span layout). Attention — the only
-// sub-layer with cross-row state — runs per sequence span; the MLP, residual
-// adds and normalization layers are row-wise and run over the whole packed
-// block, so every norm layer is ONE row-block provider call covering all
-// sequences in the batch.
+// sub-layer with cross-row state — runs its projections over the whole packed
+// block and its causal kernel per sequence span; the MLP, residual adds and
+// normalization layers are row-wise and run over the whole packed block, so
+// every norm layer is ONE row-block provider call covering all sequences in
+// the batch.
 #pragma once
 
 #include <functional>
@@ -60,12 +61,13 @@ tensor::Tensor apply_residual_norm_layer(tensor::Tensor& x,
 /// 2*block_index and 2*block_index + 1 and execute as one row-block call over
 /// the whole packed block; attention runs causally per sequence span.
 ///
-/// `span_pool` (optional) executes the attention and MLP sub-layers of a
-/// multi-sequence packing span-parallel on the worker-local pool — sequences
-/// are independent given the normed input, so results are bit-identical to
-/// the serial span loop for any thread count. Cross-request packing is what
-/// makes this profitable: a single request rarely carries enough rows to
-/// amortize intra-forward threading, a packed scheduler batch does.
+/// `span_pool` (optional) executes the per-span attention kernels and the MLP
+/// sub-layer of a multi-sequence packing span-parallel on the worker-local
+/// pool — sequences are independent given the normed input, so results are
+/// bit-identical to the serial span loop for any thread count. Cross-request
+/// packing is what makes this profitable: a single request rarely carries
+/// enough rows to amortize intra-forward threading, a packed scheduler batch
+/// does.
 ///
 /// `pending` threads the deferred residual between norm layers: on entry it
 /// holds a sub-layer output not yet added to `h` (empty when none), and the

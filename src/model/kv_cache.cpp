@@ -1,6 +1,9 @@
 #include "model/kv_cache.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
+#include "kernels/kernels.hpp"
 
 namespace haan::model {
 
@@ -10,19 +13,27 @@ KvCache::KvCache(std::size_t n_blocks, std::size_t d_model,
   HAAN_EXPECTS(d_model > 0);
   if (reserve_rows == 0) return;
   for (LayerKV& layer : layers_) {
-    layer.k.reserve(reserve_rows * d_model_);
+    // Not value-initialised: a session's reservation costs one malloc, and
+    // its pages are touched only as rows arrive.
+    layer.kt = std::make_unique_for_overwrite<float[]>(d_model_ * reserve_rows);
+    layer.capacity = reserve_rows;
     layer.v.reserve(reserve_rows * d_model_);
   }
 }
 
 std::size_t KvCache::rows(std::size_t block) const {
   HAAN_EXPECTS(block < layers_.size());
-  return layers_[block].k.size() / d_model_;
+  return layers_[block].rows;
 }
 
-std::span<const float> KvCache::k(std::size_t block) const {
+const float* KvCache::kt(std::size_t block) const {
   HAAN_EXPECTS(block < layers_.size());
-  return layers_[block].k;
+  return layers_[block].kt.get();
+}
+
+std::size_t KvCache::ldk(std::size_t block) const {
+  HAAN_EXPECTS(block < layers_.size());
+  return layers_[block].capacity;
 }
 
 std::span<const float> KvCache::v(std::size_t block) const {
@@ -30,14 +41,29 @@ std::span<const float> KvCache::v(std::size_t block) const {
   return layers_[block].v;
 }
 
+void KvCache::grow(LayerKV& layer, std::size_t rows) {
+  const std::size_t capacity = std::max(rows, 2 * layer.capacity);
+  auto kt = std::make_unique_for_overwrite<float[]>(d_model_ * capacity);
+  for (std::size_t c = 0; c < d_model_; ++c) {
+    std::copy_n(layer.kt.get() + c * layer.capacity, layer.rows,
+                kt.get() + c * capacity);
+  }
+  layer.kt = std::move(kt);
+  layer.capacity = capacity;
+}
+
 void KvCache::append(std::size_t block, std::span<const float> k_rows,
                      std::span<const float> v_rows) {
   HAAN_EXPECTS(block < layers_.size());
   HAAN_EXPECTS(k_rows.size() == v_rows.size());
   HAAN_EXPECTS(k_rows.size() % d_model_ == 0);
+  const std::size_t n = k_rows.size() / d_model_;
   LayerKV& layer = layers_[block];
-  layer.k.insert(layer.k.end(), k_rows.begin(), k_rows.end());
+  if (layer.rows + n > layer.capacity) grow(layer, layer.rows + n);
+  kernels::active().transpose(k_rows.data(), n, d_model_, d_model_,
+                              layer.kt.get() + layer.rows, layer.capacity);
   layer.v.insert(layer.v.end(), v_rows.begin(), v_rows.end());
+  layer.rows += n;
 }
 
 void KvCache::commit(std::size_t rows) {
@@ -51,7 +77,7 @@ void KvCache::commit(std::size_t rows) {
 std::size_t KvCache::memory_bytes() const {
   std::size_t bytes = 0;
   for (const LayerKV& layer : layers_) {
-    bytes += (layer.k.capacity() + layer.v.capacity()) * sizeof(float);
+    bytes += (layer.capacity * d_model_ + layer.v.capacity()) * sizeof(float);
   }
   return bytes;
 }
@@ -59,7 +85,7 @@ std::size_t KvCache::memory_bytes() const {
 std::size_t KvCache::logical_bytes() const {
   std::size_t bytes = 0;
   for (const LayerKV& layer : layers_) {
-    bytes += (layer.k.size() + layer.v.size()) * sizeof(float);
+    bytes += (layer.rows * d_model_ + layer.v.size()) * sizeof(float);
   }
   return bytes;
 }

@@ -3,13 +3,19 @@
 // seed's per-row attention — the score loop over transposed keys, the stable
 // softmax and the P·V loop that skips exact-zero weights — for every head
 // width, start position and row count, including the row counts that leave
-// partial tiles and the few-row tiles that run per-row kernels. A row
-// computed alone must equal the same row inside a long call. Non-finite
-// values must land in the same positions, scores far below the row max or
-// overflowing to -Inf must take the same zero-weight skips, a NaN or +Inf
-// score (an infinite key, or a finite product past the float range) must
-// abort every table, and a table patched for an expf mismatch must carry the
-// scalar attention (and one patched for a tanhf mismatch the scalar gelu).
+// partial tiles and the few-row tiles that run per-row kernels, and for
+// decode-shaped calls of 1-3 rows over a long cache. Keys reach the kernels
+// as K^T with slack columns past the keys, inside a K^T of the whole row
+// width; everything the head must not read (the slack, the other heads' rows
+// and a guard row on either side) is NaN, so a kernel that reads outside its
+// keys or its head fails. A row computed alone must equal the same row inside
+// a long call. Non-finite values must land in the same positions, scores far
+// below the row max or overflowing to -Inf must take the same zero-weight
+// skips, a NaN or +Inf score (an infinite key, or a finite product past the
+// float range) must abort every table, and a table patched for an expf
+// mismatch must carry the scalar attention (and one patched for a tanhf
+// mismatch the scalar gelu). Every table's transpose, which writes K^T, must
+// copy exactly the block it is given.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,6 +92,8 @@ void seed_context(const std::vector<float>& p, const std::vector<float>& v,
 
 /// One head of a causal attention call: q holds `rows` rows and k / v hold
 /// start + rows keys, all with row stride ld and the head at column `off`.
+/// k is the row-major record the seed loop reads; run() hands the kernels
+/// its transpose.
 struct Case {
   std::size_t d_head = 0;
   std::size_t start = 0;
@@ -147,11 +155,37 @@ std::vector<float> seed_attention(const Case& c,
   return out;
 }
 
+/// Columns past the keys in every K^T the tests build (ldk = keys + kSlack).
+constexpr std::size_t kSlack = 5;
+
+/// The case's keys as causal_attention reads them: all ld columns of k
+/// transposed into (ld + 2) rows of ldk = keys + kSlack, column j holding key
+/// j and row 1 + col holding component col, with a guard row on either side.
+/// Only the head's d_head rows over the keys hold values; the slack columns,
+/// the other columns' rows and the guard rows are NaN.
+struct TransposedKeys {
+  std::size_t ldk = 0;
+  std::vector<float> kt;
+
+  explicit TransposedKeys(const Case& c)
+      : ldk(c.keys() + kSlack), kt((c.ld + 2) * ldk, kNaN) {
+    for (std::size_t j = 0; j < c.keys(); ++j) {
+      for (std::size_t col = c.off; col < c.off + c.d_head; ++col) {
+        kt[(1 + col) * ldk + j] = c.k[j * c.ld + col];
+      }
+    }
+  }
+
+  /// The first K^T row of the head at column `off`.
+  const float* head(std::size_t off) const { return kt.data() + (1 + off) * ldk; }
+};
+
 std::vector<float> run(const KernelTable& table, const Case& c) {
+  const TransposedKeys keys(c);
   std::vector<float> out(c.rows * c.ld, kSentinel);
-  table.causal_attention(c.q.data() + c.off, c.rows, c.k.data() + c.off,
-                         c.v.data() + c.off, c.ld, c.d_head, c.start, c.scale,
-                         out.data() + c.off);
+  table.causal_attention(c.q.data() + c.off, c.rows, keys.head(c.off),
+                         keys.ldk, c.v.data() + c.off, c.ld, c.d_head, c.start,
+                         c.scale, out.data() + c.off);
   return out;
 }
 
@@ -223,6 +257,23 @@ TEST(CausalAttentionParity, AHeadInsideAWiderRowLeavesItsNeighboursAlone) {
   }
 }
 
+TEST(CausalAttentionParity, DecodeStepsOverALongCacheMatchTheSeedLoop) {
+  // Decode-shaped calls: 1-3 new rows over a long cached prefix, the head
+  // under test the second of four, as in a served decode step.
+  for (const std::size_t d_head : {16u, 24u}) {
+    for (const std::size_t start : {40u, 144u, 190u}) {
+      for (const std::size_t rows : {1u, 2u, 3u}) {
+        const Case c(d_head, start, rows, 4 * d_head, d_head,
+                     d_head * 31 + start + rows);
+        const auto want = seed_attention(c);
+        for (const KernelTable* table : supported_kernels()) {
+          ASSERT_TRUE(same_bits(run(*table, c), want)) << describe(*table, c);
+        }
+      }
+    }
+  }
+}
+
 /// Makes every score order-sensitive: the first and last terms of each
 /// dot product are a huge product (~2^50) and its exact negation, so every
 /// term in between is added to a partial sum whose double ulp (~1/8) is
@@ -273,14 +324,15 @@ TEST(CausalAttentionParity, ARowAloneEqualsTheSameRowInsideA193RowCall) {
   constexpr std::size_t kRows = 193;
   for (const std::size_t d_head : {16u, 24u}) {
     const Case full(d_head, 0, kRows, d_head, 0, d_head + 5);
+    const TransposedKeys keys(full);
     for (const KernelTable* table : supported_kernels()) {
       const auto all = run(*table, full);
       // Every row alone, as a decode step at its own position.
       for (std::size_t i = 0; i < kRows; ++i) {
         std::vector<float> alone(d_head, kSentinel);
-        table->causal_attention(full.q.data() + i * d_head, 1, full.k.data(),
-                                full.v.data(), d_head, d_head, i, full.scale,
-                                alone.data());
+        table->causal_attention(full.q.data() + i * d_head, 1, keys.head(0),
+                                keys.ldk, full.v.data(), d_head, d_head, i,
+                                full.scale, alone.data());
         ASSERT_EQ(std::memcmp(alone.data(), all.data() + i * d_head,
                               d_head * sizeof(float)),
                   0)
@@ -292,8 +344,8 @@ TEST(CausalAttentionParity, ARowAloneEqualsTheSameRowInsideA193RowCall) {
           const std::size_t n = std::min(chunk, kRows - i0);
           std::vector<float> part(n * d_head, kSentinel);
           table->causal_attention(full.q.data() + i0 * d_head, n,
-                                  full.k.data(), full.v.data(), d_head, d_head,
-                                  i0, full.scale, part.data());
+                                  keys.head(0), keys.ldk, full.v.data(),
+                                  d_head, d_head, i0, full.scale, part.data());
           ASSERT_EQ(std::memcmp(part.data(), all.data() + i0 * d_head,
                                 part.size() * sizeof(float)),
                     0)
@@ -458,6 +510,33 @@ TEST(CausalAttentionParityDeathTest, ANaNOrInfiniteScoreAbortsEveryTable) {
       overflow.k_at(1, 4) = 1.0e30f;
       EXPECT_DEATH(run(*table, overflow), "assertion failed")
           << table->name << " rows=" << rows;
+    }
+  }
+}
+
+TEST(TransposeParity, EveryTableCopiesExactlyTheBlock) {
+  // Row counts below, at and past the SIMD block heights, column counts
+  // with partial blocks, and strides wider than the block on both sides.
+  for (const std::size_t rows : {1u, 2u, 3u, 4u, 7u, 8u, 9u, 16u, 17u, 40u}) {
+    for (const std::size_t cols : {1u, 5u, 8u, 16u, 24u, 33u, 64u}) {
+      const std::size_t ld_src = cols + 3;
+      const std::size_t ld_dst = rows + 6;
+      const std::vector<float> src =
+          random_values(rows * ld_src, rows * 100 + cols);
+      for (const KernelTable* table : supported_kernels()) {
+        std::vector<float> dst(cols * ld_dst + 1, kSentinel);
+        table->transpose(src.data(), rows, cols, ld_src, dst.data(), ld_dst);
+        for (std::size_t c = 0; c < cols; ++c) {
+          for (std::size_t j = 0; j < ld_dst; ++j) {
+            const float want = j < rows ? src[j * ld_src + c] : kSentinel;
+            ASSERT_EQ(std::memcmp(&dst[c * ld_dst + j], &want, sizeof(float)),
+                      0)
+                << table->name << " rows=" << rows << " cols=" << cols
+                << " at (" << c << ", " << j << ")";
+          }
+        }
+        ASSERT_EQ(dst.back(), kSentinel) << table->name;
+      }
     }
   }
 }

@@ -67,7 +67,8 @@ TEST(Attention, OutputShapeMatches) {
   common::Rng rng(1);
   const tensor::Tensor x = tensor::Tensor::randn(
       tensor::Shape{8, config.d_model}, rng);
-  const tensor::Tensor out = multi_head_attention(x, w.blocks[0], config.n_heads);
+  const tensor::Tensor out = packed_attention(x, BatchLayout::single(8),
+                                              w.blocks[0], config.n_heads);
   EXPECT_EQ(out.shape(), x.shape());
 }
 
@@ -77,9 +78,12 @@ TEST(Attention, CausalityFirstTokenUnaffectedByLater) {
   const ModelWeights w = make_weights(config);
   common::Rng rng(2);
   tensor::Tensor x = tensor::Tensor::randn(tensor::Shape{4, config.d_model}, rng);
-  const tensor::Tensor out1 = multi_head_attention(x, w.blocks[0], config.n_heads);
+  const BatchLayout layout = BatchLayout::single(4);
+  const tensor::Tensor out1 =
+      packed_attention(x, layout, w.blocks[0], config.n_heads);
   for (std::size_t c = 0; c < config.d_model; ++c) x.at(3, c) += 10.0f;
-  const tensor::Tensor out2 = multi_head_attention(x, w.blocks[0], config.n_heads);
+  const tensor::Tensor out2 =
+      packed_attention(x, layout, w.blocks[0], config.n_heads);
   for (std::size_t c = 0; c < config.d_model; ++c) {
     EXPECT_FLOAT_EQ(out1.at(0, c), out2.at(0, c));
   }
