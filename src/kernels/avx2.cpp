@@ -921,37 +921,6 @@ void causal_attention_avx2(const float* q, std::size_t rows, const float* kt,
   }
 }
 
-/// 8 x 8 blocks through transpose8x8, with masked edges. Calls of a few rows
-/// (a decode step's K) run the scalar loop, which touches only the elements
-/// it copies.
-void transpose_avx2(const float* src, std::size_t rows, std::size_t cols,
-                    std::size_t ld_src, float* dst, std::size_t ld_dst) {
-  constexpr std::size_t kMinBlockRows = 4;
-  if (rows < kMinBlockRows) {
-    detail::transpose_scalar(src, rows, cols, ld_src, dst, ld_dst);
-    return;
-  }
-  for (std::size_t i0 = 0; i0 < rows; i0 += 8) {
-    const std::size_t nr = std::min<std::size_t>(8, rows - i0);
-    const __m256i row_mask = lane_mask8(nr);
-    for (std::size_t c0 = 0; c0 < cols; c0 += 8) {
-      const std::size_t nc = std::min<std::size_t>(8, cols - c0);
-      const __m256i col_mask = lane_mask8(nc);
-      __m256 r[8];
-#pragma GCC unroll 8
-      for (std::size_t i = 0; i < 8; ++i) {
-        r[i] = i < nr ? _mm256_maskload_ps(src + (i0 + i) * ld_src + c0,
-                                           col_mask)
-                      : _mm256_setzero_ps();
-      }
-      transpose8x8(r);
-      for (std::size_t c = 0; c < nc; ++c) {
-        _mm256_maskstore_ps(dst + (c0 + c) * ld_dst + i0, row_mask, r[c]);
-      }
-    }
-  }
-}
-
 constexpr KernelTable kAvx2Table = {
     "avx2",
     stats_avx2,
@@ -967,7 +936,6 @@ constexpr KernelTable kAvx2Table = {
     quantize_dequantize_rows_avx2,
     linear_avx2,
     causal_attention_avx2,
-    transpose_avx2,
     exp_avx2,
     softmax_avx2,
     silu_avx2,

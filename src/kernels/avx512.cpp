@@ -998,37 +998,6 @@ void causal_attention_avx512(const float* q, std::size_t rows,
   }
 }
 
-/// 16 x 16 blocks through transpose16x16, with masked edges. Calls of a few
-/// rows (a decode step's K) run the scalar loop, which touches only the
-/// elements it copies.
-void transpose_avx512(const float* src, std::size_t rows, std::size_t cols,
-                      std::size_t ld_src, float* dst, std::size_t ld_dst) {
-  constexpr std::size_t kMinBlockRows = 4;
-  if (rows < kMinBlockRows) {
-    detail::transpose_scalar(src, rows, cols, ld_src, dst, ld_dst);
-    return;
-  }
-  for (std::size_t i0 = 0; i0 < rows; i0 += 16) {
-    const std::size_t nr = std::min<std::size_t>(16, rows - i0);
-    const __mmask16 row_mask = column_mask16(nr);
-    for (std::size_t c0 = 0; c0 < cols; c0 += 16) {
-      const std::size_t nc = std::min<std::size_t>(16, cols - c0);
-      const __mmask16 col_mask = column_mask16(nc);
-      __m512 r[16];
-#pragma GCC unroll 16
-      for (std::size_t i = 0; i < 16; ++i) {
-        r[i] = i < nr ? _mm512_maskz_loadu_ps(col_mask,
-                                              src + (i0 + i) * ld_src + c0)
-                      : _mm512_setzero_ps();
-      }
-      transpose16x16(r);
-      for (std::size_t c = 0; c < nc; ++c) {
-        _mm512_mask_storeu_ps(dst + (c0 + c) * ld_dst + i0, row_mask, r[c]);
-      }
-    }
-  }
-}
-
 constexpr KernelTable kAvx512Table = {
     "avx512",
     stats_avx512,
@@ -1044,7 +1013,6 @@ constexpr KernelTable kAvx512Table = {
     quantize_dequantize_rows_avx512,
     linear_avx512,
     causal_attention_avx512,
-    transpose_avx512,
     exp_avx512,
     softmax_avx512,
     silu_avx512,

@@ -19,13 +19,11 @@ const KernelTable* avx2_table();
 /// them). Callers must verify CPU support before using the table.
 const KernelTable* avx512_table();
 
-/// The scalar backend's matmul and transpose entries (the seed loops), shared
-/// with backends that have no vector implementation of their own (NEON).
+/// The scalar backend's matmul entries (the seed loops), shared with backends
+/// that have no vector implementation of their own (NEON).
 void linear_scalar(const float* x, std::size_t n, std::size_t in,
                    const float* wt, std::size_t out, const float* bias,
                    float* y);
-void transpose_scalar(const float* src, std::size_t rows, std::size_t cols,
-                      std::size_t ld_src, float* dst, std::size_t ld_dst);
 
 /// The scalar backend's exp and gelu entries and causal attention (the seed
 /// loops): the NEON table's own, and what with_checked_libm swaps into a SIMD

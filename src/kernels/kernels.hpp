@@ -49,8 +49,6 @@ struct SumStats {
 ///     bits may differ (both backends produce a quiet NaN).
 ///   linear / causal_attention
 ///     Bit-identical (exact-order contract, see the entries below).
-///   transpose
-///     Bit-identical: a copy.
 ///   exp / softmax / silu / gelu
 ///     Bit-identical for every input, inf and NaN included. SIMD lanes run a
 ///     lane-wise model of glibc 2.36's FMA expf (kernels/expf_model.hpp);
@@ -183,14 +181,6 @@ struct KernelTable {
                            std::size_t ldk, const float* v, std::size_t ld,
                            std::size_t d_head, std::size_t start_position,
                            float scale, float* out);
-
-  /// dst[c*ld_dst + i] = src[i*ld_src + c] for i < rows, c < cols: the
-  /// (rows x cols) block at src, stride ld_src, written transposed at dst,
-  /// stride ld_dst. A bit copy on every backend; dst must not overlap src.
-  /// Writes K rows into a KvCache's K^T and causal_attention's cache-free
-  /// K^T, and W^T for tensor::linear.
-  void (*transpose)(const float* src, std::size_t rows, std::size_t cols,
-                    std::size_t ld_src, float* dst, std::size_t ld_dst);
 
   // --- Exp and tanh kernels ---------------------------------------------
   // The scalar entries are the seed loops of tensor::softmax / silu_inplace /

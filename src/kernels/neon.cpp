@@ -293,7 +293,6 @@ constexpr KernelTable kNeonTable = {
     // serve, bit-identical to every other backend by the exact-order contract.
     detail::linear_scalar,
     detail::causal_attention_scalar,
-    detail::transpose_scalar,
     // The expf model needs double-lane FMA and a 32-entry table lookup; no
     // NEON version has been written, so the scalar libm loops serve.
     detail::exp_scalar,

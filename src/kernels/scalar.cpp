@@ -211,15 +211,6 @@ void causal_attention_scalar(const float* q, std::size_t rows,
                                            start_position, scale, scores, out);
 }
 
-void transpose_scalar(const float* src, std::size_t rows, std::size_t cols,
-                      std::size_t ld_src, float* dst, std::size_t ld_dst) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      dst[c * ld_dst + i] = src[i * ld_src + c];
-    }
-  }
-}
-
 void silu_scalar(float* v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] = v[i] / (1.0f + std::exp(-v[i]));
 }
@@ -251,7 +242,6 @@ constexpr KernelTable kScalarTable = {
     quantize_dequantize_rows_scalar,
     detail::linear_scalar,
     detail::causal_attention_scalar,
-    detail::transpose_scalar,
     detail::exp_scalar,
     detail::softmax_scalar,
     detail::silu_scalar,

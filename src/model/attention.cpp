@@ -50,8 +50,8 @@ tensor::Tensor packed_attention(const tensor::Tensor& x,
       HAAN_EXPECTS(span.start_position == 0);
       thread_local std::vector<float> k_transposed;
       k_transposed.resize(count);
-      table.transpose(k.data().data() + begin, span.rows, d_model, d_model,
-                      k_transposed.data(), span.rows);
+      transpose_keys(k.data().data() + begin, span.rows, d_model,
+                     k_transposed.data(), span.rows);
       kt = k_transposed.data();
       ldk = span.rows;
       v_rows = v.data().data() + begin;

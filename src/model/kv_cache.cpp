@@ -3,9 +3,17 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "kernels/kernels.hpp"
 
 namespace haan::model {
+
+void transpose_keys(const float* k_rows, std::size_t rows, std::size_t d_model,
+                    float* kt, std::size_t ldk) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < d_model; ++c) {
+      kt[c * ldk + i] = k_rows[i * d_model + c];
+    }
+  }
+}
 
 KvCache::KvCache(std::size_t n_blocks, std::size_t d_model,
                  std::size_t reserve_rows)
@@ -60,8 +68,8 @@ void KvCache::append(std::size_t block, std::span<const float> k_rows,
   const std::size_t n = k_rows.size() / d_model_;
   LayerKV& layer = layers_[block];
   if (layer.rows + n > layer.capacity) grow(layer, layer.rows + n);
-  kernels::active().transpose(k_rows.data(), n, d_model_, d_model_,
-                              layer.kt.get() + layer.rows, layer.capacity);
+  transpose_keys(k_rows.data(), n, d_model_, layer.kt.get() + layer.rows,
+                 layer.capacity);
   layer.v.insert(layer.v.end(), v_rows.begin(), v_rows.end());
   layer.rows += n;
 }

@@ -10,8 +10,8 @@
 // K is stored once, transposed, in the layout causal_attention reads
 // (kernels.hpp): each block keeps K^T as a (d_model x capacity) buffer, key j
 // in column j, so head h is rows [h*d_head, (h+1)*d_head) and a decode step
-// attends over it without copying. append() writes new K rows transposed. V
-// stays row-major (rows x d_model).
+// attends over it without copying. append() writes new K rows transposed
+// (transpose_keys). V stays row-major (rows x d_model).
 //
 // The serve-side SessionTable builds each session's cache with a row
 // reservation covering the session's whole lifetime, so every layer allocates
@@ -26,6 +26,13 @@
 #include <vector>
 
 namespace haan::model {
+
+/// Writes `rows` row-major K rows (row stride d_model) into K^T at `kt`, row
+/// stride ldk >= rows: component c of row i goes to kt[c * ldk + i]. A bit
+/// copy; kt must not overlap k_rows. KvCache::append and a cache-free span's
+/// attention write the K^T layout causal_attention reads through it.
+void transpose_keys(const float* k_rows, std::size_t rows, std::size_t d_model,
+                    float* kt, std::size_t ldk);
 
 /// Append-only K/V storage, one K^T / V pair per transformer block.
 class KvCache {

@@ -31,13 +31,15 @@ Tensor linear(const Tensor& x, const Tensor& w, std::span<const float> bias) {
   HAAN_EXPECTS(w.shape().dim(1) == in);
   HAAN_EXPECTS(bias.empty() || bias.size() == out);
   // W^T into per-thread scratch, the layout the kernel reads.
-  const kernels::KernelTable& table = kernels::active();
   thread_local std::vector<float> wt;
   wt.resize(in * out);
-  table.transpose(w.data().data(), out, in, in, wt.data(), out);
+  const float* w_data = w.data().data();
+  for (std::size_t o = 0; o < out; ++o) {
+    for (std::size_t p = 0; p < in; ++p) wt[p * out + o] = w_data[o * in + p];
+  }
   Tensor y(Shape{n, out});
-  table.linear(x.data().data(), n, in, wt.data(), out,
-               kernels::data_or_null(bias), y.data().data());
+  kernels::active().linear(x.data().data(), n, in, wt.data(), out,
+                           kernels::data_or_null(bias), y.data().data());
   return y;
 }
 

@@ -14,8 +14,7 @@
 // skips, a NaN or +Inf score (an infinite key, or a finite product past the
 // float range) must abort every table, and a table patched for an expf
 // mismatch must carry the scalar attention (and one patched for a tanhf
-// mismatch the scalar gelu). Every table's transpose, which writes K^T, must
-// copy exactly the block it is given.
+// mismatch the scalar gelu).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -510,33 +509,6 @@ TEST(CausalAttentionParityDeathTest, ANaNOrInfiniteScoreAbortsEveryTable) {
       overflow.k_at(1, 4) = 1.0e30f;
       EXPECT_DEATH(run(*table, overflow), "assertion failed")
           << table->name << " rows=" << rows;
-    }
-  }
-}
-
-TEST(TransposeParity, EveryTableCopiesExactlyTheBlock) {
-  // Row counts below, at and past the SIMD block heights, column counts
-  // with partial blocks, and strides wider than the block on both sides.
-  for (const std::size_t rows : {1u, 2u, 3u, 4u, 7u, 8u, 9u, 16u, 17u, 40u}) {
-    for (const std::size_t cols : {1u, 5u, 8u, 16u, 24u, 33u, 64u}) {
-      const std::size_t ld_src = cols + 3;
-      const std::size_t ld_dst = rows + 6;
-      const std::vector<float> src =
-          random_values(rows * ld_src, rows * 100 + cols);
-      for (const KernelTable* table : supported_kernels()) {
-        std::vector<float> dst(cols * ld_dst + 1, kSentinel);
-        table->transpose(src.data(), rows, cols, ld_src, dst.data(), ld_dst);
-        for (std::size_t c = 0; c < cols; ++c) {
-          for (std::size_t j = 0; j < ld_dst; ++j) {
-            const float want = j < rows ? src[j * ld_src + c] : kSentinel;
-            ASSERT_EQ(std::memcmp(&dst[c * ld_dst + j], &want, sizeof(float)),
-                      0)
-                << table->name << " rows=" << rows << " cols=" << cols
-                << " at (" << c << ", " << j << ")";
-          }
-        }
-        ASSERT_EQ(dst.back(), kSentinel) << table->name;
-      }
     }
   }
 }

@@ -3,7 +3,8 @@
 // time, or in uneven blocks, past several capacity doublings must keep every
 // K and V bit, checked against a row-major record of what was appended; a
 // reserved cache must never reallocate up to its reservation; memory_bytes
-// reports capacity and logical_bytes the rows stored.
+// reports capacity and logical_bytes the rows stored. transpose_keys, which
+// writes K^T, must copy exactly the block it is given.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -132,6 +133,31 @@ TEST(KvCache, MemoryBytesCountCapacityAndLogicalBytesCountRows) {
   EXPECT_EQ(reserved.logical_bytes(), logical);
   EXPECT_GE(bare.memory_bytes(), logical);
   EXPECT_EQ(reserved.memory_bytes(), kBlocks * 2 * 64 * kDModel * sizeof(float));
+}
+
+TEST(KvCache, TransposeKeysCopiesExactlyTheBlock) {
+  constexpr float kSentinel = -12345.5f;
+  // Row counts around the widths the attention tiles use, widths with and
+  // without a SIMD-width multiple, and a K^T stride wider than the rows.
+  for (const std::size_t rows : {1u, 2u, 3u, 4u, 7u, 8u, 9u, 16u, 17u, 40u}) {
+    for (const std::size_t d_model : {1u, 5u, 8u, 16u, 24u, 33u, 64u}) {
+      const std::size_t ldk = rows + 6;
+      common::Rng rng(rows * 100 + d_model);
+      std::vector<float> k(rows * d_model);
+      rng.fill_gaussian(k, 0.0, 1.0);
+      std::vector<float> kt(d_model * ldk + 1, kSentinel);
+      transpose_keys(k.data(), rows, d_model, kt.data(), ldk);
+      for (std::size_t c = 0; c < d_model; ++c) {
+        for (std::size_t j = 0; j < ldk; ++j) {
+          const float want = j < rows ? k[j * d_model + c] : kSentinel;
+          ASSERT_EQ(std::memcmp(&kt[c * ldk + j], &want, sizeof(float)), 0)
+              << "rows=" << rows << " d_model=" << d_model << " at (" << c
+              << ", " << j << ")";
+        }
+      }
+      ASSERT_EQ(kt.back(), kSentinel);
+    }
+  }
 }
 
 }  // namespace
