@@ -68,6 +68,7 @@
 #include "core/provider_factory.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/topology.hpp"
+#include "model/row_partition.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 
@@ -371,6 +372,20 @@ double min_closed_loop_wall_us(serve::ServerConfig config,
   return best;
 }
 
+/// Reads a thread-count flag, or prints why it is out of [min, kMaxThreads]
+/// and returns nullopt (a negative value would otherwise wrap to ~2^64).
+std::optional<std::size_t> thread_count_flag(const common::CliParser& cli,
+                                             const char* name, long long min) {
+  const long long value = cli.get_int(name);
+  const auto max = static_cast<long long>(model::kMaxThreads);
+  if (value < min || value > max) {
+    std::fprintf(stderr, "--%s must be in [%lld, %lld], got %lld\n", name, min,
+                 max, value);
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(value);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -453,7 +468,8 @@ int main(int argc, char** argv) {
                "bit-for-bit against the reference oracle (gates the exit "
                "code)");
   cli.add_flag("norm-threads", "0",
-               "row-partition threads per worker (0 = auto, 1 = serial)");
+               "row-partition threads per worker (0 = clamp(cpus / workers, "
+               "1, 4), 1 = serial)");
   cli.add_flag("verify", "true",
                "compare against a single-threaded reference, bit-for-bit");
   cli.add_flag("compare-requests", "240", "requests per sweep cell");
@@ -492,7 +508,10 @@ int main(int argc, char** argv) {
                  config.norm.c_str(), core::norm_provider_help().c_str());
     return 1;
   }
-  config.workers = static_cast<std::size_t>(cli.get_int("workers"));
+  const auto workers = thread_count_flag(cli, "workers", 1);
+  const auto norm_threads = thread_count_flag(cli, "norm-threads", 0);
+  if (!workers || !norm_threads) return 1;
+  config.workers = *workers;
   config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue-cap"));
   config.scheduler.max_batch = static_cast<std::size_t>(cli.get_int("max-batch"));
   config.scheduler.max_wait =
@@ -536,7 +555,7 @@ int main(int argc, char** argv) {
   config.calibrate = cli.get_bool("calibrate");
   config.prefill_chunk =
       static_cast<std::size_t>(cli.get_int("prefill-chunk"));
-  config.norm_threads = static_cast<std::size_t>(cli.get_int("norm-threads"));
+  config.norm_threads = *norm_threads;
   config.stats_interval_ms =
       static_cast<std::size_t>(cli.get_int("stats-interval"));
   config.stats_json_path = cli.get("stats-json");
@@ -598,15 +617,15 @@ int main(int argc, char** argv) {
   workload_config.tenant_rate_rps = cli.get_double("tenant-rate");
   workload_config.deadline_us = cli.get_double("deadline-us");
 
+  serve::Server server(config);
   std::printf(
-      "=== serve_throughput — %s, norm=%s, %zu workers, %s traffic, "
-      "decode=%s, %s kernels ===\n",
+      "=== serve_throughput — %s, norm=%s, %zu workers x %zu norm threads, "
+      "%s traffic, decode=%s, %s kernels ===\n",
       config.model.name.c_str(), config.norm.c_str(), config.workers,
+      server.config().norm_threads,
       serve::to_string(workload_config.scenario).c_str(),
       serve::to_string(workload_config.decode_model).c_str(),
       kernels::active_name());
-
-  serve::Server server(config);
   if (config.norm != "exact") {
     std::printf("skip plan : %s\n", server.plan().to_string().c_str());
   }
@@ -1095,7 +1114,7 @@ int main(int argc, char** argv) {
     cfg["decode_model"] = serve::to_string(workload_config.decode_model);
     cfg["decode_tokens"] = workload_config.decode_tokens;
     cfg["max_decode"] = workload_config.max_decode;
-    cfg["norm_threads"] = config.norm_threads;
+    cfg["norm_threads"] = server.config().norm_threads;
     cfg["numa_nodes"] = mem::topology().nodes();
     cfg["topology"] = mem::topology().describe();
     cfg["seed"] = static_cast<std::size_t>(workload_config.seed);

@@ -13,7 +13,7 @@ namespace haan::core {
 HaanNormProvider::HaanNormProvider(HaanConfig config, std::size_t norm_threads)
     : config_(config),
       predictor_(config.plan, config.predictor_fp16),
-      pool_(norm_threads) {}
+      pool_(norm_threads == 0 ? model::threads_per_worker(1) : norm_threads) {}
 
 void HaanNormProvider::begin_sequence() { predictor_.begin_sequence(); }
 

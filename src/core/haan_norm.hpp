@@ -17,8 +17,8 @@ namespace haan::core {
 class HaanNormProvider final : public model::NormProvider {
  public:
   /// `norm_threads` sizes the worker-local RowPartitionPool that splits large
-  /// row blocks across threads (0 = HAAN_NORM_THREADS / hardware default,
-  /// 1 = fully serial). Row kernels are row-wise and the ISD predictor's
+  /// row blocks across threads (0 = model::threads_per_worker(1), 1 = fully
+  /// serial). Row kernels are row-wise and the ISD predictor's
   /// record/predict bookkeeping stays serial, so results are bit-identical
   /// for any thread count.
   explicit HaanNormProvider(HaanConfig config, std::size_t norm_threads = 0);

@@ -33,8 +33,9 @@ struct ProviderOptions {
   std::string model_name;
 
   /// Worker-local RowPartitionPool size for the row-block entry points
-  /// (0 = HAAN_NORM_THREADS / hardware default, 1 = fully serial). Outputs
-  /// are bit-identical for any value.
+  /// (0 = model::threads_per_worker(1), 1 = fully serial). Outputs are
+  /// bit-identical for any value. A Server passes its resolved count; the
+  /// serving benchmark (perfbench/) sets it directly.
   std::size_t norm_threads = 0;
 };
 

@@ -241,9 +241,7 @@ bool force_scalar_requested();
 // ---------------------------------------------------------------------------
 
 /// Reusable scratch for the row-block norms; hold one per thread and pass it
-/// to every call so no allocation happens on the hot path. Its pages land on
-/// the first-touching thread's node, which is the owner's node when that
-/// thread is pinned.
+/// to every call so no allocation happens on the hot path.
 struct RowNormWorkspace {
   std::vector<SumStats> stats;
   std::vector<double> mean;

@@ -13,8 +13,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/assert.hpp"
-
 namespace haan::mem {
 
 namespace {
@@ -103,8 +101,8 @@ Topology Topology::from_sysfs(const std::string& root) {
       std::stringstream buffer;
       buffer << cpulist.rdbuf();
       std::vector<int> cpus = parse_cpu_list(buffer.str());
-      // Memory-only nodes (no CPUs) exist on some hosts; they cannot home a
-      // worker, so they are dropped from the placement map.
+      // Memory-only nodes (no CPUs) exist on some hosts; they are dropped
+      // from the map.
       if (cpus.empty()) continue;
       t.nodes_.push_back(NumaNode{id, std::move(cpus)});
     }
@@ -124,23 +122,6 @@ std::size_t Topology::total_cpus() const {
   std::size_t n = 0;
   for (const NumaNode& node : nodes_) n += node.cpus.size();
   return n;
-}
-
-int Topology::node_of_cpu(int cpu) const {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const std::vector<int>& cpus = nodes_[i].cpus;
-    if (std::binary_search(cpus.begin(), cpus.end(), cpu)) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-int Topology::cpu_for_slot(std::size_t index, std::size_t slot) const {
-  HAAN_EXPECTS(index < nodes_.size());
-  const std::vector<int>& cpus = nodes_[index].cpus;
-  HAAN_EXPECTS(!cpus.empty());
-  return cpus[slot % cpus.size()];
 }
 
 std::string Topology::describe() const {
@@ -168,21 +149,6 @@ std::string Topology::describe() const {
 const Topology& topology() {
   static const Topology t = Topology::from_sysfs("/sys/devices/system/node");
   return t;
-}
-
-int current_cpu() {
-#ifdef __linux__
-  return sched_getcpu();
-#else
-  return -1;
-#endif
-}
-
-int current_node() {
-  const int cpu = current_cpu();
-  if (cpu < 0) return 0;
-  const int node = topology().node_of_cpu(cpu);
-  return node < 0 ? 0 : node;
 }
 
 }  // namespace haan::mem

@@ -1,11 +1,9 @@
-// NUMA topology discovery for the serving runtime's thread pinning.
-// Nodes and their CPU lists are read from sysfs (/sys/devices/system/node)
-// with no libnuma dependency; hosts without that tree (non-Linux, containers
-// with a masked sysfs, single-socket machines exposing no node directories)
-// degrade to a single synthetic node covering every online CPU. On a
-// multi-node host, serving workers and row-pool threads are pinned
-// node-local; topology only ever steers which CPU a thread prefers — it never
-// changes computed values (the repo's bit-identity guarantee).
+// NUMA topology discovery for report headers and serve metrics. Nodes and
+// their CPU lists are read from sysfs (/sys/devices/system/node) with no
+// libnuma dependency; hosts without that tree (non-Linux, containers with a
+// masked sysfs, single-socket machines exposing no node directories) degrade
+// to a single synthetic node covering every online CPU. Serving pins no
+// thread: topology is described, never acted on.
 #pragma once
 
 #include <cstddef>
@@ -43,13 +41,6 @@ class Topology {
 
   std::size_t total_cpus() const;
 
-  /// Node INDEX (not sysfs id) owning `cpu`; -1 when unknown.
-  int node_of_cpu(int cpu) const;
-
-  /// CPU for round-robin slot `slot` within node `index` (wraps around the
-  /// node's CPU list, never leaving the node).
-  int cpu_for_slot(std::size_t index, std::size_t slot) const;
-
   /// "nodes=2 cpus=[0-23][24-47]" — for bench/report headers and logs.
   std::string describe() const;
 
@@ -65,13 +56,5 @@ const Topology& topology();
 /// segments, and segments reaching past the ids a cpu_set_t can hold, are
 /// skipped; exposed for tests.
 std::vector<int> parse_cpu_list(std::string_view text);
-
-/// CPU the calling thread is currently on (sched_getcpu), -1 when
-/// unavailable.
-int current_cpu();
-
-/// Node index of the calling thread's CPU; 0 when it cannot be determined
-/// (callers use it to pick a pinning home, where node 0 is a safe default).
-int current_node();
 
 }  // namespace haan::mem

@@ -48,7 +48,7 @@ void NormProvider::residual_add_normalize(std::size_t layer_index,
 
 ExactNormProvider::ExactNormProvider(double eps, std::size_t norm_threads)
     : eps_(eps),
-      pool_(norm_threads) {}
+      pool_(norm_threads == 0 ? threads_per_worker(1) : norm_threads) {}
 
 template <class ChunkFn>
 void ExactNormProvider::for_row_chunks(std::size_t rows, std::size_t d,

@@ -99,8 +99,8 @@ class ExactNormProvider final : public NormProvider {
  public:
   /// `eps` matches the framework epsilon added to the variance.
   /// `norm_threads` sizes the worker-local RowPartitionPool that splits large
-  /// row blocks across threads (0 = HAAN_NORM_THREADS / hardware default,
-  /// 1 = fully serial); results are bit-identical for any value.
+  /// row blocks across threads (0 = threads_per_worker(1), 1 = fully
+  /// serial); results are bit-identical for any value.
   explicit ExactNormProvider(double eps = 1e-5, std::size_t norm_threads = 0);
 
   const char* trace_label() const override { return "norm/exact"; }
@@ -130,9 +130,7 @@ class ExactNormProvider final : public NormProvider {
   RowPartitionPool pool_;  ///< worker-local row parallelism (lazy threads)
   kernels::RowNormWorkspace workspace_;  ///< chunk-0 scratch, reused
   /// One workspace per extra pool chunk so concurrent chunks never share
-  /// scratch; sized on first partitioned call. The row kernels resize these
-  /// INSIDE pool chunks on pool threads, so a (pinned) pool thread's first
-  /// touch places them node-local.
+  /// scratch; sized on first partitioned call.
   std::vector<kernels::RowNormWorkspace> chunk_workspaces_;
 };
 

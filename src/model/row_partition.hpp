@@ -5,11 +5,13 @@
 // chunks executed on a small private thread pool. Chunk boundaries depend only
 // on (rows, min_rows, threads) and every kernel in the seam is row-wise, so
 // results are bit-identical for ANY thread count — including 1, which runs
-// everything inline on the calling thread (the HAAN_NORM_THREADS=1 CI mode).
+// everything inline on the calling thread.
 //
 // The pool is deliberately worker-local (one per NormProvider, which is one
 // per serving worker): chunks never contend with another provider's work, and
-// no cross-worker synchronization is introduced on the norm hot path.
+// no cross-worker synchronization is introduced on the norm hot path. Its
+// size comes from threads_per_worker(), so workers x pool threads stays
+// within the online CPUs; threads are never pinned.
 #pragma once
 
 #include <condition_variable>
@@ -24,6 +26,17 @@
 
 namespace haan::model {
 
+/// Upper bound on a pool's thread count (and on serving workers): callers
+/// validate outside input against it before building pools.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Row-partition threads per serving worker: clamp(cpus / workers, 1, 4), so
+/// `workers` pools together never ask for more threads than there are online
+/// CPUs (the cap of 4 is the largest pool measured to pay). The one place a
+/// norm thread count of 0 ("auto") is resolved.
+std::size_t threads_per_worker(
+    std::size_t workers, std::size_t cpus = std::thread::hardware_concurrency());
+
 /// Splits contiguous row ranges across a private thread pool. Not reentrant:
 /// one for_rows() at a time per pool (providers are single-caller by design).
 class RowPartitionPool {
@@ -34,34 +47,13 @@ class RowPartitionPool {
   using ChunkFn =
       std::function<void(std::size_t chunk, std::size_t row_begin, std::size_t rows)>;
 
-  /// `threads` = 0 picks default_threads(). Threads are started lazily on the
-  /// first partitioned call, so serial users never pay for them.
-  explicit RowPartitionPool(std::size_t threads = 0);
+  /// `threads` in [1, kMaxThreads]. Threads are started lazily on the first
+  /// partitioned call, so serial users never pay for them.
+  explicit RowPartitionPool(std::size_t threads);
   ~RowPartitionPool();
 
   RowPartitionPool(const RowPartitionPool&) = delete;
   RowPartitionPool& operator=(const RowPartitionPool&) = delete;
-
-  /// HAAN_NORM_THREADS from the environment when set to a positive integer
-  /// (1 forces fully serial execution); otherwise min(4, hardware threads).
-  static std::size_t default_threads();
-
-  /// HAAN_NORM_AFFINITY from the environment: when set to a non-negative
-  /// integer, pool WORKER threads are pinned round-robin WITHIN THE NUMA NODE
-  /// owning that CPU (worker w -> the node's CPU list at (base_slot + 1 + w)
-  /// mod node size; the calling thread — which runs chunk 0 — is never
-  /// touched, its placement belongs to the serving runtime). The env var
-  /// predates the topology module and used to walk ALL online CPUs linearly,
-  /// silently splitting a pool across sockets; it now routes through
-  /// mem::topology() and never leaves the base CPU's node. Returns -1 when
-  /// unset/invalid or on non-Linux builds, where pinning is a no-op.
-  ///
-  /// Without the env var, a multi-node host pins workers
-  /// round-robin within the node the pool's OWNER was on when threads
-  /// started, keeping every chunk's stats/normalize pass node-local to the
-  /// block the caller first touched. Pinning changes scheduling only, never
-  /// results.
-  static int affinity_base();
 
   std::size_t threads() const { return threads_; }
 
@@ -72,10 +64,6 @@ class RowPartitionPool {
   /// calling thread. If a chunk throws, the rest still finish and the first
   /// exception is rethrown to the caller.
   void for_rows(std::size_t rows, std::size_t min_rows, const ChunkFn& fn);
-
-  /// Process-wide count of rows whose chunk executed on a different NUMA node
-  /// than the pool owner's home node (0 on single-node hosts). Observability only — sampled by ServeMetrics.
-  static std::uint64_t global_cross_node_rows();
 
   /// Number of chunks for_rows would use (pure partition arithmetic).
   static std::size_t plan_chunks(std::size_t rows, std::size_t min_rows,
@@ -94,10 +82,6 @@ class RowPartitionPool {
   std::size_t threads_;
   std::vector<std::thread> workers_;
   bool started_ = false;
-  /// Topology node index of the owning thread when workers started (-1 until
-  /// then / on single-node hosts); workers compare their own node
-  /// against it for the cross-node row counter and node pinning.
-  int home_node_ = -1;
 
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for a new generation

@@ -82,7 +82,6 @@ common::Json KernelTuningInfo::to_json() const {
 common::Json MemPlacementInfo::to_json() const {
   common::Json::Object out;
   out["nodes"] = nodes;
-  out["cross_node_rows"] = static_cast<std::size_t>(cross_node_rows);
   return out;
 }
 
@@ -216,11 +215,7 @@ std::string ServeMetrics::to_string() const {
   }
   if (mem.nodes > 0) {
     out << "memory placement : " << mem.nodes << " node"
-        << (mem.nodes == 1 ? "" : "s");
-    if (mem.nodes > 1) {
-      out << ", cross-node rows " << mem.cross_node_rows;
-    }
-    out << "\n";
+        << (mem.nodes == 1 ? "" : "s") << "\n";
   }
   return out.str();
 }

@@ -63,16 +63,13 @@ struct KernelTuningInfo {
   common::Json to_json() const;
 };
 
-/// Thread-placement accounting for ONE Server::run, stamped by the server:
-/// the NUMA nodes the topology discovered (0 = not stamped) and the run's
-/// cross-node row delta. Serving allocates from the heap, so the arena_*
-/// fields always read 0; they remain only because the serving benchmark
-/// (perfbench/) reads them, and are not rendered.
+/// Memory placement of ONE Server::run, stamped by the server: the NUMA nodes
+/// the topology discovered (0 = not stamped). Serving allocates from the heap
+/// and pins no thread, so the arena_* fields always read 0; they remain only
+/// because the serving benchmark (perfbench/) reads them, and are not
+/// rendered.
 struct MemPlacementInfo {
   int nodes = 0;  ///< NUMA nodes the topology discovered
-  /// Rows whose row-partition chunk executed off its pool's home node during
-  /// the run (0 on single-node hosts).
-  std::uint64_t cross_node_rows = 0;
   std::size_t arena_bytes = 0;
   std::uint64_t arena_allocations = 0;
   std::uint64_t arena_slab_allocations = 0;

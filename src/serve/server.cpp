@@ -32,7 +32,6 @@ obs::Snapshot live_snapshot(const MetricsCollector& metrics,
                             std::size_t pack_capacity,
                             const KernelTuningInfo& kernel,
                             Clock::time_point started,
-                            std::uint64_t xnode_rows_base,
                             std::size_t& last_completed) {
   const double elapsed = elapsed_us(started, Clock::now());
   ServeMetrics live = metrics.finalize(elapsed);
@@ -65,10 +64,7 @@ obs::Snapshot live_snapshot(const MetricsCollector& metrics,
   json["p95_us"] = live.total.p95_us;
   json["p99_us"] = live.total.p99_us;
   json["kernel_backend"] = kernel.backend;
-  // Placement gauges: process-global, so always current mid-run.
   json["numa_nodes"] = mem::topology().nodes();
-  json["cross_node_rows"] = static_cast<std::size_t>(
-      model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base);
   snapshot.json = json;
   return snapshot;
 }
@@ -127,6 +123,10 @@ Server::Server(ServerConfig config)
   HAAN_EXPECTS(config_.workers > 0);
 
   HAAN_EXPECTS(config_.numa.empty() || config_.numa == "auto");
+  HAAN_EXPECTS(config_.norm_threads <= model::kMaxThreads);
+  if (config_.norm_threads == 0) {
+    config_.norm_threads = model::threads_per_worker(config_.workers);
+  }
 
   provider_options_.width = config_.model.d_model;
   provider_options_.model_name = config_.model.name;
@@ -179,10 +179,6 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   StepScheduler scheduler(queue, sessions, step_config);
   WorkerPool pool(model_, scheduler, sessions,
                   [this] { return make_provider(); }, metrics, pool_options);
-  // Cross-node rows are a process-global counter (pools are created and
-  // destroyed with workers); the run's contribution is the delta.
-  const std::uint64_t xnode_rows_base =
-      model::RowPartitionPool::global_cross_node_rows();
   pool.start();
 
   const Clock::time_point start = Clock::now();
@@ -196,10 +192,9 @@ ServeReport Server::run(const std::vector<Request>& workload) {
     // finalize() is a constant-cost histogram walk.
     emitter = std::make_unique<obs::SnapshotEmitter>(
         [&metrics, &queue, start, capacity = config_.scheduler.max_batch,
-         kernel = kernel_tuning_info(config_.model), xnode_rows_base,
+         kernel = kernel_tuning_info(config_.model),
          last = std::size_t{0}]() mutable {
-          return live_snapshot(metrics, queue, capacity, kernel, start,
-                               xnode_rows_base, last);
+          return live_snapshot(metrics, queue, capacity, kernel, start, last);
         },
         options);
     emitter->start();
@@ -259,8 +254,6 @@ ServeReport Server::run(const std::vector<Request>& workload) {
   trace_kernel_choice(report.metrics.kernel);
 
   report.metrics.mem.nodes = static_cast<int>(mem::topology().nodes());
-  report.metrics.mem.cross_node_rows =
-      model::RowPartitionPool::global_cross_node_rows() - xnode_rows_base;
   HAAN_ENSURES(report.metrics.accounted_requests() == workload.size());
   return report;
 }

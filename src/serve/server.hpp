@@ -7,7 +7,9 @@
 // scheduler forms — prefill chunks and decode steps of different requests —
 // runs as ONE packed forward over a (Σ rows × d) block, so every norm layer
 // is a single row-block provider call spanning all of them, optionally split
-// across a worker-local row-partition pool. run_reference() executes the same
+// across a worker-local row-partition pool. Construction resolves the pool
+// size once (ServerConfig::norm_threads 0 -> model::threads_per_worker of the
+// worker count); no thread is pinned. run_reference() executes the same
 // workload single-threaded, request-at-a-time, with one provider — the
 // determinism oracle. Multi-worker runs are compared against it bit-for-bit:
 // per-request hidden states are identical for any worker count, packing,
@@ -62,13 +64,16 @@ struct ServerConfig {
   /// Prompt rows per prefill step (0 = whole remaining prompt in one step).
   std::size_t prefill_chunk = 0;
 
-  /// Row-partition threads per worker provider (0 = HAAN_NORM_THREADS /
-  /// hardware default, 1 = serial). Outputs are bit-identical regardless.
+  /// Row-partition threads per worker provider, at most model::kMaxThreads
+  /// (0 = model::threads_per_worker(workers), resolved once by the Server
+  /// and stored, so Server::config() reports the count that ran; 1 =
+  /// serial). Outputs are bit-identical regardless.
   std::size_t norm_threads = 0;
 
-  /// Must be empty or "auto": serving has one memory path (the heap, with
-  /// node pinning on multi-node hosts). The field remains because the
-  /// serving benchmark (perfbench/) sets and prints it.
+  /// Must be empty or "auto": serving has one memory path (the heap) and
+  /// pins no thread. The field remains because the serving benchmark
+  /// (perfbench/) sets and prints it, as it does
+  /// core::ProviderOptions::norm_threads.
   std::string numa;
 
   /// Honor workload arrival offsets (open-loop). False = closed-loop: feed as
@@ -104,10 +109,11 @@ struct ServeReport {
 /// Batched multi-threaded inference server.
 class Server {
  public:
-  /// Builds the model, validates the provider name (aborts on unknown) and
-  /// calibrates the skip plan when configured.
+  /// Builds the model, validates the provider name (aborts on unknown),
+  /// resolves norm_threads and calibrates the skip plan when configured.
   explicit Server(ServerConfig config);
 
+  /// The configuration as resolved at construction (norm_threads >= 1).
   const ServerConfig& config() const { return config_; }
   const model::Transformer& model() const { return model_; }
 
@@ -135,8 +141,7 @@ class Server {
   ///
   /// Overlapping calls on one Server are safe: each run builds its own
   /// queue, scheduler, session table and workers. Results stay
-  /// bit-identical; only mem.cross_node_rows then includes the other run's
-  /// rows.
+  /// bit-identical.
   ServeReport run(const std::vector<Request>& workload);
 
   /// Single-threaded in-order execution with one provider; no queue, no

@@ -6,15 +6,9 @@
 #include <stdexcept>
 #include <string>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "core/provider_factory.hpp"
-#include "mem/topology.hpp"
 #include "model/batch_layout.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -22,29 +16,6 @@
 
 namespace haan::serve {
 namespace {
-
-/// On a multi-node host, serve workers spread round-robin across nodes:
-/// worker w is confined to node (w % nodes) — the whole node's CPU set, not
-/// one CPU, so the OS still schedules freely within the socket. The memory
-/// the worker first touches and its pool threads (RowPartitionPool's own node
-/// capture) then stay on that node. No-op (OS placement) on a single-node
-/// host.
-void pin_worker_to_node(std::size_t worker_index) {
-#ifdef __linux__
-  const mem::Topology& topo = mem::topology();
-  if (topo.nodes() < 2) return;
-  const mem::NumaNode& node = topo.node(worker_index % topo.nodes());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const int cpu : node.cpus) CPU_SET(cpu, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    HAAN_LOG_WARN_C("serve") << "worker " << worker_index
-                             << ": failed to bind to node " << node.id;
-  }
-#else
-  (void)worker_index;
-#endif
-}
 
 /// The completion record of `request` as of `done`, with the fields every
 /// outcome (served, shed, failed) shares; callers fill in the rest.
@@ -171,10 +142,6 @@ void WorkerPool::fail_pack(std::size_t worker_index, StepPack& pack,
 
 void WorkerPool::worker_main(std::size_t worker_index) {
   obs::set_thread_name("worker-" + std::to_string(worker_index));
-  // Placement first: everything the worker allocates or spawns below
-  // (provider state first touch, provider pools' home-node capture) keys off
-  // where this thread runs.
-  pin_worker_to_node(worker_index);
   Lane primary = build_lane(provider_factory_);
   // The degrade lane's provider is built lazily: runs that never degrade
   // never pay for it.

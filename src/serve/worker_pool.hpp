@@ -43,10 +43,10 @@ class WorkerPool {
     /// Keep the full final hidden states in each RequestResult (tests /
     /// verification); checksums are always kept.
     bool keep_hidden = false;
-    /// Worker-local span/row parallelism inside a packed forward (0 =
-    /// HAAN_NORM_THREADS / hardware default, 1 = serial). Bit-identical for
-    /// any value.
-    std::size_t norm_threads = 0;
+    /// Worker-local span/row parallelism inside a packed forward, at least 1
+    /// (1 = serial; Server passes its resolved count). Bit-identical for any
+    /// value.
+    std::size_t norm_threads = 1;
     /// Provider for degraded packs (admission control's cheap lane). Built
     /// lazily per worker on the first degraded pack. Empty = fall
     /// back to the primary factory (degrade becomes a no-op reroute).

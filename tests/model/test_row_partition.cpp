@@ -1,13 +1,12 @@
 // RowPartitionPool: partition arithmetic (full coverage, no overlap, min-rows
 // respected), parallel execution correctness across thread counts, inline
-// degeneration for serial pools and small blocks, and the HAAN_NORM_THREADS
-// environment override.
+// degeneration for serial pools and small blocks, and the threads-per-worker
+// rule that sizes pools.
 #include "model/row_partition.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -119,57 +118,16 @@ TEST(RowPartitionPool, ZeroRowsIsANoop) {
   EXPECT_FALSE(called);
 }
 
-TEST(RowPartitionPool, DefaultThreadsHonorsEnvironment) {
-  ::setenv("HAAN_NORM_THREADS", "3", 1);
-  EXPECT_EQ(RowPartitionPool::default_threads(), 3u);
-  ::setenv("HAAN_NORM_THREADS", "1", 1);
-  EXPECT_EQ(RowPartitionPool::default_threads(), 1u);
-  ::unsetenv("HAAN_NORM_THREADS");
-  EXPECT_GE(RowPartitionPool::default_threads(), 1u);
-  EXPECT_LE(RowPartitionPool::default_threads(), 4u);
-}
-
-TEST(RowPartitionPool, AffinityBaseParsesEnvironment) {
-  ::setenv("HAAN_NORM_AFFINITY", "0", 1);
-#ifdef __linux__
-  EXPECT_EQ(RowPartitionPool::affinity_base(), 0);
-  ::setenv("HAAN_NORM_AFFINITY", "2", 1);
-  EXPECT_EQ(RowPartitionPool::affinity_base(), 2);
-#else
-  EXPECT_EQ(RowPartitionPool::affinity_base(), -1);
-#endif
-  ::setenv("HAAN_NORM_AFFINITY", "garbage", 1);
-  EXPECT_EQ(RowPartitionPool::affinity_base(), -1);
-  ::setenv("HAAN_NORM_AFFINITY", "-3", 1);
-  EXPECT_EQ(RowPartitionPool::affinity_base(), -1);
-  ::unsetenv("HAAN_NORM_AFFINITY");
-  EXPECT_EQ(RowPartitionPool::affinity_base(), -1);
-}
-
-TEST(RowPartitionPool, PinnedWorkersProduceIdenticalResults) {
-  // Pinning is a placement hint only: a pool built with affinity enabled must
-  // partition and execute exactly like an unpinned one (and must not crash on
-  // machines with fewer CPUs than workers — pins wrap modulo the online
-  // count, and pin failures are logged and ignored).
-  const std::size_t rows = 61;
-  std::vector<int> unpinned(rows, 0);
-  {
-    RowPartitionPool pool(3);
-    pool.for_rows(rows, 1, [&](std::size_t, std::size_t r0, std::size_t nr) {
-      for (std::size_t r = r0; r < r0 + nr; ++r) unpinned[r] = static_cast<int>(r);
-    });
-  }
-
-  ::setenv("HAAN_NORM_AFFINITY", "0", 1);
-  std::vector<int> pinned(rows, -1);
-  {
-    RowPartitionPool pool(3);  // workers pin at spawn from the env
-    pool.for_rows(rows, 1, [&](std::size_t, std::size_t r0, std::size_t nr) {
-      for (std::size_t r = r0; r < r0 + nr; ++r) pinned[r] = static_cast<int>(r);
-    });
-  }
-  ::unsetenv("HAAN_NORM_AFFINITY");
-  EXPECT_EQ(pinned, unpinned);
+TEST(RowPartitionPool, ThreadsPerWorkerSplitsCpusAcrossWorkers) {
+  EXPECT_EQ(threads_per_worker(/*workers=*/4, /*cpus=*/4), 1u);
+  EXPECT_EQ(threads_per_worker(1, 4), 4u);
+  EXPECT_EQ(threads_per_worker(2, 64), 4u);  // capped at 4 per worker
+  EXPECT_EQ(threads_per_worker(8, 3), 1u);   // never below 1
+  EXPECT_EQ(threads_per_worker(2, 6), 3u);
+  EXPECT_EQ(threads_per_worker(1, 0), 1u);  // unknown CPU count
+  const std::size_t host = threads_per_worker(1);
+  EXPECT_GE(host, 1u);
+  EXPECT_LE(host, 4u);
 }
 
 TEST(RowPartitionPool, MinPartitionRowsScalesInverselyWithWidth) {

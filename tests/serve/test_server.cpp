@@ -208,6 +208,20 @@ TEST(Server, OverlappingRunsOnOneServerStayBitIdentical) {
   }
 }
 
+TEST(Server, ReportsTheResolvedNormThreadCount) {
+  // norm_threads = 0 resolves once, at construction, from the worker count;
+  // an explicit count is kept as given.
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    Server server(tiny_server("exact", workers));
+    EXPECT_EQ(server.config().norm_threads,
+              model::threads_per_worker(workers))
+        << workers << " workers";
+  }
+  auto config = tiny_server("exact", 4);
+  config.norm_threads = 3;
+  EXPECT_EQ(Server(config).config().norm_threads, 3u);
+}
+
 TEST(Server, ExactProviderReportsZeroNormCounters) {
   Server server(tiny_server("exact", 2));
   const auto workload = generate_workload(small_workload(8, server.config().model));
