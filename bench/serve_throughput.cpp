@@ -9,22 +9,12 @@
 // --prefill-chunk bounds prompt rows per prefill step; --decode /
 // --decode-tokens add per-request decode budgets to the workload.
 //
-// With --min-pack-amortization it additionally sweeps batch size × prompt
-// length × workers closed-loop on fixed-length prompts and gates the batch
-// >= 8 geomean of rows per batched norm call over the prompt length — the
-// cross-request amortization packing buys over a one-request-per-forward
-// execution, which would feed exactly one prompt per call. With
-// --decode-sweep=true it sweeps decode mixes (decode budget × prefill chunk)
-// closed-loop, reporting TTFT p50/p99, inter-token p99 and the
-// prefill:decode row split, verifying every cell bit-for-bit against the
-// reference oracle (the CI decode gate).
-//
-// Scheduling: --policy picks the batch-formation order (auto | fifo | binned
-// | edf) with --bin-width / --max-rows / --aging-us; --deadline-us /
-// --priority-levels / --tenants / --tenant-rate put an SLA mix on the
-// workload; --overload=shed|degrade|both arms admission control with
-// --shed-slack-us / --degrade-slack-us thresholds (--degrade-norm picks the
-// cheap lane's provider). --max-p99-us gates the run's total p99 latency.
+// Scheduling: --policy picks the batch-formation order (fifo | binned | edf)
+// with --bin-width / --max-rows / --aging-us; --deadline-us / --priority-levels
+// / --tenants / --tenant-rate put an SLA mix on the workload;
+// --overload=shed|degrade|both arms admission control with --shed-slack-us /
+// --degrade-slack-us thresholds (--degrade-norm picks the cheap lane's
+// provider). --max-p99-us gates the run's total p99 latency.
 // With --policy-sweep=true the bench calibrates closed-loop FIFO capacity on
 // a ragged bimodal mix (median of three runs), then replays the same offered
 // load (--load-factor x capacity) paced under FIFO, binned and EDF — equal
@@ -44,13 +34,16 @@
 // begin/end balance, one flow start+finish per request and, when every
 // request rides exactly one pack, sum of forward spans within 5% of the
 // compute total); --stats-interval / --stats-json stream live snapshots
-// during the run; --max-trace-overhead gates the cost of enabled tracing
-// against an untraced run (best-of-2 closed-loop walls).
+// during the run.
+//
+// Integer flags are range-checked up front: an out-of-range value (a negative
+// one would otherwise wrap to ~2^64) exits 1 with a message before any
+// workload or Server is built.
 //
 //   ./build/bench/serve_throughput --norm=haan --workers=4 --scenario=steady
-//       --seed=1 --min-pack-amortization=4 --json=/tmp/serve.json
+//       --seed=1 --json=/tmp/serve.json
 //   ./build/bench/serve_throughput --decode=geometric --decode-tokens=8
-//       --decode-sweep=true --trace-out=/tmp/decode_trace.json
+//       --paced=false --trace-out=/tmp/decode_trace.json
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -75,20 +68,6 @@
 using namespace haan;
 
 namespace {
-
-/// One cell of the pack-amortization sweep (fixed-length prompts).
-struct AmortizationCell {
-  std::size_t max_batch = 0;
-  std::size_t prompt_len = 0;
-  std::size_t workers = 0;
-  double rps = 0.0;
-  /// Mean rows per batched norm-provider call — the dispatch amortization
-  /// packing exists for.
-  double rows_per_call = 0.0;
-  /// rows_per_call / prompt_len: one forward per request would feed exactly
-  /// one prompt per norm call.
-  double amortization = 0.0;
-};
 
 /// Closed-loop metrics of one server configuration over `workload`.
 serve::ServeMetrics closed_loop_metrics(serve::ServerConfig config,
@@ -163,59 +142,6 @@ PolicyCell run_policy_cell(serve::ServerConfig config,
     const serve::RequestResult& result = report.results[i];
     if (result.shed || result.degraded) continue;  // no primary-lane oracle
     cell.verified = result.hidden_checksum == oracle.results[i].hidden_checksum;
-  }
-  return cell;
-}
-
-/// One cell of the decode-mix sweep: a decode budget (0 = prefill-only) per
-/// request, served chunked with the given prefill chunk.
-struct DecodeCell {
-  std::size_t decode_tokens = 0;
-  std::size_t prefill_chunk = 0;
-  double rps = 0.0;
-  double ttft_p50_us = 0.0;
-  double ttft_p99_us = 0.0;
-  double intertoken_p99_us = 0.0;
-  std::size_t prefill_rows = 0;
-  std::size_t decode_rows = 0;
-  bool verified = false;  ///< checksums + token streams match the oracle
-};
-
-/// Runs one decode cell closed-loop and verifies it against the re-forward
-/// reference oracle (checksums over fed rows AND greedy token streams).
-DecodeCell run_decode_cell(serve::ServerConfig config,
-                           serve::WorkloadConfig workload_config,
-                           std::size_t decode_tokens, std::size_t prefill_chunk) {
-  DecodeCell cell;
-  cell.decode_tokens = decode_tokens;
-  cell.prefill_chunk = prefill_chunk;
-
-  workload_config.decode_model = decode_tokens == 0
-                                     ? serve::DecodeModel::kNone
-                                     : serve::DecodeModel::kFixed;
-  workload_config.decode_tokens = decode_tokens;
-  workload_config.max_decode = decode_tokens == 0 ? 1 : decode_tokens;
-  const auto workload = serve::generate_workload(workload_config);
-
-  config.prefill_chunk = prefill_chunk;
-  config.paced = false;
-  config.keep_hidden = false;
-  serve::Server server(config);
-  const serve::ServeReport report = server.run(workload);
-  const serve::ServeReport reference = server.run_reference(workload);
-
-  cell.rps = report.metrics.throughput_rps;
-  cell.ttft_p50_us = report.metrics.ttft.p50_us;
-  cell.ttft_p99_us = report.metrics.ttft.p99_us;
-  cell.intertoken_p99_us = report.metrics.intertoken.p99_us;
-  cell.prefill_rows = report.metrics.prefill_rows;
-  cell.decode_rows = report.metrics.decode_rows;
-  cell.verified = report.results.size() == reference.results.size();
-  for (std::size_t i = 0; cell.verified && i < report.results.size(); ++i) {
-    cell.verified =
-        report.results[i].hidden_checksum ==
-            reference.results[i].hidden_checksum &&
-        report.results[i].generated == reference.results[i].generated;
   }
   return cell;
 }
@@ -353,35 +279,24 @@ serve::ServeReport run_costed(serve::Server& server,
   return report;
 }
 
-/// Minimum closed-loop wall time over `runs` repetitions (noise floor for the
-/// tracing-overhead gate). Reuses `plan` so calibration isn't re-run.
-double min_closed_loop_wall_us(serve::ServerConfig config,
-                               const std::vector<serve::Request>& workload,
-                               const core::SkipPlan& plan, int runs) {
-  config.paced = false;
-  config.keep_hidden = false;
-  config.calibrate = false;
-  config.preset_plan = plan;
-  config.stats_interval_ms = 0;
-  double best = 0.0;
-  for (int r = 0; r < runs; ++r) {
-    serve::Server server(config);
-    const double wall = server.run(workload).metrics.wall_us;
-    best = r == 0 ? wall : std::min(best, wall);
-  }
-  return best;
-}
+/// Bound on the count, length and duration flags: far above any run this
+/// bench makes, far below a wrapped negative.
+constexpr std::size_t kMaxFlagValue = std::size_t{1} << 20;
 
-/// Reads a thread-count flag, or prints why it is out of [min, kMaxThreads]
-/// and returns nullopt (a negative value would otherwise wrap to ~2^64).
-std::optional<std::size_t> thread_count_flag(const common::CliParser& cli,
-                                             const char* name, long long min) {
+/// Bound on --width: 4x the widest modelled network (llama-7b, d = 4096).
+constexpr std::size_t kMaxWidth = 16384;
+
+/// Reads integer flag `name`, which must lie in [lo, hi]. Otherwise prints why,
+/// clears `in_range` and returns `lo` (a negative value would otherwise wrap
+/// to ~2^64).
+std::size_t size_flag(const common::CliParser& cli, const char* name,
+                      std::size_t lo, std::size_t hi, bool& in_range) {
   const long long value = cli.get_int(name);
-  const auto max = static_cast<long long>(model::kMaxThreads);
-  if (value < min || value > max) {
-    std::fprintf(stderr, "--%s must be in [%lld, %lld], got %lld\n", name, min,
-                 max, value);
-    return std::nullopt;
+  if (value < static_cast<long long>(lo) || value > static_cast<long long>(hi)) {
+    std::fprintf(stderr, "--%s must be in [%zu, %zu], got %lld\n", name, lo, hi,
+                 value);
+    in_range = false;
+    return lo;
   }
   return static_cast<std::size_t>(value);
 }
@@ -408,9 +323,7 @@ int main(int argc, char** argv) {
   cli.add_flag("max-batch", "8", "scheduler max batch size");
   cli.add_flag("max-wait-us", "1000", "scheduler max batching wait (us)");
   cli.add_flag("queue-cap", "128", "request queue capacity");
-  cli.add_flag("policy", "auto",
-               "batch formation order: auto | fifo | binned | edf (auto "
-               "resolves HAAN_SCHED_POLICY, default fifo)");
+  cli.add_flag("policy", "fifo", "batch formation order: fifo | binned | edf");
   cli.add_flag("bin-width", "16", "prompt-length bin width (binned/edf)");
   cli.add_flag("max-rows", "0",
                "row budget per batch (sum of prompt rows; 0 = unlimited)");
@@ -462,21 +375,12 @@ int main(int argc, char** argv) {
                "per-request decode budget: none | fixed | geometric");
   cli.add_flag("decode-tokens", "8", "fixed decode length / geometric mean");
   cli.add_flag("max-decode", "64", "cap on sampled decode lengths");
-  cli.add_flag("decode-sweep", "false",
-               "sweep decode budget x prefill chunk closed-loop: TTFT p50/p99, "
-               "inter-token p99, prefill:decode rows; every cell verified "
-               "bit-for-bit against the reference oracle (gates the exit "
-               "code)");
   cli.add_flag("norm-threads", "0",
                "row-partition threads per worker (0 = clamp(cpus / workers, "
                "1, 4), 1 = serial)");
   cli.add_flag("verify", "true",
                "compare against a single-threaded reference, bit-for-bit");
   cli.add_flag("compare-requests", "240", "requests per sweep cell");
-  cli.add_flag("min-pack-amortization", "0",
-               "sweep batch x length x workers on fixed-length prompts and "
-               "fail unless the geomean batch>=8 rows per batched norm call "
-               "over the prompt length reaches this (e.g. 4; 0 disables)");
   cli.add_flag("trace-out", "",
                "trace the serve run and export Chrome/Perfetto JSON to this "
                "path, self-checking span balance, per-request flow links and "
@@ -486,15 +390,47 @@ int main(int argc, char** argv) {
                "every N ms while the run is in flight (0 disables)");
   cli.add_flag("stats-json", "",
                "append one JSON object per snapshot to this path");
-  cli.add_flag("max-trace-overhead", "0",
-               "fail if the closed-loop wall-clock of a tracing-enabled run "
-               "exceeds a tracing-disabled run by more than this ratio "
-               "(e.g. 1.10 = 10%; 0 disables)");
   cli.add_flag("json", "", "write the report as JSON to this path");
   if (!cli.parse(argc, argv)) return cli.error() ? 1 : 0;
 
-  const auto width = static_cast<std::size_t>(cli.get_int("width"));
+  bool in_range = true;
+  const std::size_t width = size_flag(cli, "width", 0, kMaxWidth, in_range);
   serve::ServerConfig config;
+  config.workers = size_flag(cli, "workers", 1, model::kMaxThreads, in_range);
+  config.norm_threads =
+      size_flag(cli, "norm-threads", 0, model::kMaxThreads, in_range);
+  config.queue_capacity =
+      size_flag(cli, "queue-cap", 1, kMaxFlagValue, in_range);
+  config.scheduler.max_batch =
+      size_flag(cli, "max-batch", 1, kMaxFlagValue, in_range);
+  config.scheduler.max_wait = std::chrono::microseconds(
+      size_flag(cli, "max-wait-us", 0, kMaxFlagValue, in_range));
+  config.scheduler.max_rows =
+      size_flag(cli, "max-rows", 0, kMaxFlagValue, in_range);
+  config.scheduler.policy.bin_width =
+      size_flag(cli, "bin-width", 1, kMaxFlagValue, in_range);
+  config.prefill_chunk =
+      size_flag(cli, "prefill-chunk", 0, kMaxFlagValue, in_range);
+  config.stats_interval_ms =
+      size_flag(cli, "stats-interval", 0, kMaxFlagValue, in_range);
+  serve::WorkloadConfig workload_config;
+  workload_config.n_requests =
+      size_flag(cli, "requests", 0, kMaxFlagValue, in_range);
+  workload_config.min_prompt =
+      size_flag(cli, "min-prompt", 1, kMaxFlagValue, in_range);
+  workload_config.max_prompt =
+      size_flag(cli, "max-prompt", 1, kMaxFlagValue, in_range);
+  workload_config.decode_tokens =
+      size_flag(cli, "decode-tokens", 0, kMaxFlagValue, in_range);
+  workload_config.max_decode =
+      size_flag(cli, "max-decode", 0, kMaxFlagValue, in_range);
+  workload_config.priority_levels =
+      size_flag(cli, "priority-levels", 1, kMaxFlagValue, in_range);
+  workload_config.tenants = size_flag(cli, "tenants", 1, kMaxFlagValue, in_range);
+  const std::size_t sweep_requests =
+      size_flag(cli, "compare-requests", 0, kMaxFlagValue, in_range);
+  if (!in_range) return 1;
+
   const auto model_config = model::surrogate_by_name(cli.get("model"), width);
   if (!model_config) {
     std::fprintf(stderr, "unknown --model '%s' (expected %s)\n",
@@ -508,26 +444,14 @@ int main(int argc, char** argv) {
                  config.norm.c_str(), core::norm_provider_help().c_str());
     return 1;
   }
-  const auto workers = thread_count_flag(cli, "workers", 1);
-  const auto norm_threads = thread_count_flag(cli, "norm-threads", 0);
-  if (!workers || !norm_threads) return 1;
-  config.workers = *workers;
-  config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue-cap"));
-  config.scheduler.max_batch = static_cast<std::size_t>(cli.get_int("max-batch"));
-  config.scheduler.max_wait =
-      std::chrono::microseconds(cli.get_int("max-wait-us"));
   const auto sched_policy = serve::try_policy_from_string(cli.get("policy"));
   if (!sched_policy) {
     std::fprintf(stderr,
-                 "unknown --policy '%s' (expected auto | fifo | binned | "
-                 "edf)\n",
+                 "unknown --policy '%s' (expected fifo | binned | edf)\n",
                  cli.get("policy").c_str());
     return 1;
   }
   config.scheduler.policy.policy = *sched_policy;
-  config.scheduler.policy.bin_width =
-      static_cast<std::size_t>(cli.get_int("bin-width"));
-  config.scheduler.max_rows = static_cast<std::size_t>(cli.get_int("max-rows"));
   config.scheduler.policy.aging_us = cli.get_double("aging-us");
   const std::string overload_name = cli.get("overload");
   if (overload_name != "none" && overload_name != "shed" &&
@@ -553,11 +477,6 @@ int main(int argc, char** argv) {
   }
   config.paced = cli.get_bool("paced");
   config.calibrate = cli.get_bool("calibrate");
-  config.prefill_chunk =
-      static_cast<std::size_t>(cli.get_int("prefill-chunk"));
-  config.norm_threads = *norm_threads;
-  config.stats_interval_ms =
-      static_cast<std::size_t>(cli.get_int("stats-interval"));
   config.stats_json_path = cli.get("stats-json");
   config.calibration.n_samples = 8;
   config.calibration.seq_len = 16;
@@ -587,15 +506,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serve::WorkloadConfig workload_config;
-  workload_config.n_requests = static_cast<std::size_t>(cli.get_int("requests"));
   workload_config.rate_rps = cli.get_double("rate");
   workload_config.scenario = *scenario;
   workload_config.burst_factor = cli.get_double("burst-factor");
   workload_config.overload_factor = cli.get_double("overload-factor");
   workload_config.length_model = *length_model;
-  workload_config.min_prompt = static_cast<std::size_t>(cli.get_int("min-prompt"));
-  workload_config.max_prompt = static_cast<std::size_t>(cli.get_int("max-prompt"));
   if (!serve::prompts_fit(workload_config, config.model.max_seq_len)) {
     std::fprintf(stderr,
                  "--min-prompt/--max-prompt %zu/%zu exceed the model's "
@@ -607,13 +522,6 @@ int main(int argc, char** argv) {
   workload_config.vocab_size = config.model.vocab_size;
   workload_config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   workload_config.decode_model = *decode_model;
-  workload_config.decode_tokens =
-      static_cast<std::size_t>(cli.get_int("decode-tokens"));
-  workload_config.max_decode =
-      static_cast<std::size_t>(cli.get_int("max-decode"));
-  workload_config.priority_levels =
-      static_cast<std::size_t>(cli.get_int("priority-levels"));
-  workload_config.tenants = static_cast<std::size_t>(cli.get_int("tenants"));
   workload_config.tenant_rate_rps = cli.get_double("tenant-rate");
   workload_config.deadline_us = cli.get_double("deadline-us");
 
@@ -756,115 +664,6 @@ int main(int argc, char** argv) {
         p99_ok ? "PASS" : "FAIL", report.metrics.total.p99_us, max_p99_us);
   }
 
-  // --- Pack-amortization sweep -------------------------------------------
-  const double min_pack_amortization = cli.get_double("min-pack-amortization");
-  std::vector<AmortizationCell> cells;
-  bool amortization_ok = true;
-  double amortization_geomean = 0.0;
-  if (min_pack_amortization > 0.0) {
-    const std::size_t cell_requests =
-        static_cast<std::size_t>(cli.get_int("compare-requests"));
-    const std::size_t batch_sizes[] = {2, 8, 16};
-    const std::size_t prompt_lens[] = {16, 48};
-    const std::size_t worker_counts[] = {1, 4};
-    std::printf(
-        "\n=== pack amortization (closed loop, %zu requests/cell) ===\n",
-        cell_requests);
-    std::printf("%9s %5s %7s %10s %10s %7s\n", "max_batch", "len", "workers",
-                "req/s", "rows/call", "amort");
-    double amortization_log_sum = 0.0;
-    std::size_t gated_cells = 0;
-    for (const std::size_t max_batch : batch_sizes) {
-      for (const std::size_t len : prompt_lens) {
-        for (const std::size_t workers : worker_counts) {
-          serve::WorkloadConfig cell_workload = workload_config;
-          cell_workload.n_requests = cell_requests;
-          cell_workload.length_model = serve::LengthModel::kFixed;
-          cell_workload.min_prompt = len;
-          cell_workload.max_prompt = len;
-          cell_workload.decode_model = serve::DecodeModel::kNone;
-
-          serve::ServerConfig cell_config = config;
-          cell_config.workers = workers;
-          cell_config.scheduler.max_batch = max_batch;
-          cell_config.prefill_chunk = 0;
-          // Reuse the main server's calibration: the plan depends only on
-          // the model and calibration knobs, identical across every cell.
-          cell_config.calibrate = false;
-          cell_config.preset_plan = server.plan();
-          const serve::ServeMetrics metrics = closed_loop_metrics(
-              cell_config, serve::generate_workload(cell_workload));
-
-          AmortizationCell cell;
-          cell.max_batch = max_batch;
-          cell.prompt_len = len;
-          cell.workers = workers;
-          cell.rps = metrics.throughput_rps;
-          cell.rows_per_call = metrics.rows_per_batched_call();
-          cell.amortization = cell.rows_per_call / static_cast<double>(len);
-          cells.push_back(cell);
-          std::printf("%9zu %5zu %7zu %10.1f %10.1f %6.2fx\n", max_batch, len,
-                      workers, cell.rps, cell.rows_per_call, cell.amortization);
-          if (max_batch >= 8 && cell.amortization > 0.0) {
-            amortization_log_sum += std::log(cell.amortization);
-            ++gated_cells;
-          }
-        }
-      }
-    }
-    if (gated_cells > 0) {
-      amortization_geomean = std::exp(amortization_log_sum / gated_cells);
-    }
-    amortization_ok = amortization_geomean >= min_pack_amortization;
-    std::printf("amortization gate: %s (geomean at batch >= 8 %.2fx, >= %.2fx "
-                "required)\n",
-                amortization_ok ? "PASS" : "FAIL", amortization_geomean,
-                min_pack_amortization);
-  }
-
-  // --- Decode-mix sweep ---------------------------------------------------
-  const bool decode_sweep = cli.get_bool("decode-sweep");
-  std::vector<DecodeCell> decode_cells;
-  bool decode_gate_ok = true;
-  if (decode_sweep) {
-    const std::size_t sweep_requests = std::min<std::size_t>(
-        static_cast<std::size_t>(cli.get_int("compare-requests")), 240);
-    const std::size_t decode_budgets[] = {0, 4, 16};
-    const std::size_t prefill_chunks[] = {0, 4};
-    serve::WorkloadConfig sweep_workload = workload_config;
-    sweep_workload.n_requests = sweep_requests;
-
-    serve::ServerConfig sweep_config = config;
-    // Reuse the main server's calibration (plan depends only on model +
-    // calibration knobs) and keep hidden states off — the cell verifies via
-    // checksums and token streams.
-    sweep_config.calibrate = false;
-    sweep_config.preset_plan = server.plan();
-
-    std::printf(
-        "\n=== decode mix sweep (chunked, closed loop, %zu requests/cell) "
-        "===\n", sweep_requests);
-    std::printf("%7s %6s %9s %10s %10s %12s %14s %9s\n", "decode", "chunk",
-                "req/s", "ttft p50", "ttft p99", "intertok p99",
-                "prefill:decode", "verified");
-    for (const std::size_t budget : decode_budgets) {
-      for (const std::size_t chunk : prefill_chunks) {
-        const DecodeCell cell =
-            run_decode_cell(sweep_config, sweep_workload, budget, chunk);
-        decode_cells.push_back(cell);
-        decode_gate_ok = decode_gate_ok && cell.verified;
-        std::printf("%7zu %6zu %9.1f %8.1fus %8.1fus %10.1fus %7zu:%-6zu %9s\n",
-                    cell.decode_tokens, cell.prefill_chunk, cell.rps,
-                    cell.ttft_p50_us, cell.ttft_p99_us, cell.intertoken_p99_us,
-                    cell.prefill_rows, cell.decode_rows,
-                    cell.verified ? "yes" : "MISMATCH");
-      }
-    }
-    std::printf("decode gate      : %s (every cell bit-identical to the "
-                "reference oracle)\n",
-                decode_gate_ok ? "PASS" : "FAIL");
-  }
-
   // --- Scheduling-policy sweep -------------------------------------------
   const double load_factor = cli.get_double("load-factor");
   const double min_occupancy_gain = cli.get_double("min-occupancy-gain");
@@ -880,8 +679,6 @@ int main(int argc, char** argv) {
   double capacity_rps = 0.0, offered_rps = 0.0;
   double occupancy_gain = 0.0, p99_ratio = 0.0;
   if (policy_sweep) {
-    const std::size_t sweep_requests =
-        static_cast<std::size_t>(cli.get_int("compare-requests"));
     // Ragged bimodal mix under a row budget: the shape where formation order
     // matters. FIFO closes a batch at the first arrival that overflows the
     // remaining row budget (ragged-tail waste); binned/EDF anchor on the
@@ -1051,32 +848,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Tracing overhead gate ---------------------------------------------
-  const double max_trace_overhead = cli.get_double("max-trace-overhead");
-  bool overhead_ok = true;
-  double overhead_ratio = 0.0;
-  double wall_disabled_us = 0.0, wall_enabled_us = 0.0;
-  if (max_trace_overhead > 0.0) {
-    // Closed-loop wall clock, best of 2 each, disabled first as warm-up so
-    // both sides run on warm caches. Enabled runs record into real rings.
-    obs::tracer().set_ring_capacity(1 << 18);
-    obs::tracer().reset();
-    obs::tracer().set_enabled(false);
-    wall_disabled_us = min_closed_loop_wall_us(config, workload, server.plan(), 2);
-    obs::tracer().set_enabled(true);
-    wall_enabled_us = min_closed_loop_wall_us(config, workload, server.plan(), 2);
-    obs::tracer().set_enabled(false);
-    obs::tracer().reset();
-    overhead_ratio =
-        wall_disabled_us > 0.0 ? wall_enabled_us / wall_disabled_us : 0.0;
-    overhead_ok = overhead_ratio <= max_trace_overhead;
-    std::printf(
-        "trace overhead   : %s (enabled %.1f ms / disabled %.1f ms = %.3fx, "
-        "<= %.2fx required)\n",
-        overhead_ok ? "PASS" : "FAIL", wall_enabled_us / 1e3,
-        wall_disabled_us / 1e3, overhead_ratio, max_trace_overhead);
-  }
-
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
     common::Json::Object doc;
@@ -1096,8 +867,7 @@ int main(int argc, char** argv) {
     cfg["max_wait_us"] =
         static_cast<std::size_t>(config.scheduler.max_wait.count());
     cfg["max_rows"] = config.scheduler.max_rows;
-    cfg["policy"] = serve::to_string(
-        serve::resolve_policy(config.scheduler.policy.policy));
+    cfg["policy"] = serve::to_string(config.scheduler.policy.policy);
     cfg["bin_width"] = config.scheduler.policy.bin_width;
     cfg["aging_us"] = config.scheduler.policy.aging_us;
     cfg["overload"] = overload_name;
@@ -1159,45 +929,6 @@ int main(int argc, char** argv) {
       pol["gate_ok"] = policy_gate_ok;
       doc["policy_sweep"] = pol;
     }
-    if (min_pack_amortization > 0.0) {
-      common::Json::Array sweep;
-      for (const AmortizationCell& cell : cells) {
-        common::Json::Object entry;
-        entry["max_batch"] = cell.max_batch;
-        entry["prompt_len"] = cell.prompt_len;
-        entry["workers"] = cell.workers;
-        entry["rps"] = cell.rps;
-        entry["rows_per_call"] = cell.rows_per_call;
-        entry["amortization"] = cell.amortization;
-        sweep.push_back(entry);
-      }
-      common::Json::Object amortization;
-      amortization["cells"] = sweep;
-      amortization["geomean_batch_ge_8"] = amortization_geomean;
-      amortization["min_pack_amortization"] = min_pack_amortization;
-      amortization["gate_ok"] = amortization_ok;
-      doc["pack_amortization"] = amortization;
-    }
-    if (decode_sweep) {
-      common::Json::Array sweep;
-      for (const DecodeCell& cell : decode_cells) {
-        common::Json::Object entry;
-        entry["decode_tokens"] = cell.decode_tokens;
-        entry["prefill_chunk"] = cell.prefill_chunk;
-        entry["rps"] = cell.rps;
-        entry["ttft_p50_us"] = cell.ttft_p50_us;
-        entry["ttft_p99_us"] = cell.ttft_p99_us;
-        entry["intertoken_p99_us"] = cell.intertoken_p99_us;
-        entry["prefill_rows"] = cell.prefill_rows;
-        entry["decode_rows"] = cell.decode_rows;
-        entry["verified"] = cell.verified;
-        sweep.push_back(entry);
-      }
-      common::Json::Object mix;
-      mix["cells"] = sweep;
-      mix["gate_ok"] = decode_gate_ok;
-      doc["decode_sweep"] = mix;
-    }
     if (!trace_out.empty()) {
       common::Json::Object trace;
       trace["path"] = trace_out;
@@ -1211,23 +942,11 @@ int main(int argc, char** argv) {
       trace["ok"] = trace_ok;
       doc["trace"] = trace;
     }
-    if (max_trace_overhead > 0.0) {
-      common::Json::Object overhead;
-      overhead["wall_disabled_us"] = wall_disabled_us;
-      overhead["wall_enabled_us"] = wall_enabled_us;
-      overhead["ratio"] = overhead_ratio;
-      overhead["max_ratio"] = max_trace_overhead;
-      overhead["ok"] = overhead_ok;
-      doc["trace_overhead"] = overhead;
-    }
     if (!common::write_file(json_path, common::Json(doc).dump_pretty() + "\n")) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
       return 1;
     }
     std::printf("json report      : %s\n", json_path.c_str());
   }
-  return verified && amortization_ok && decode_gate_ok && policy_gate_ok &&
-                 p99_ok && trace_ok && overhead_ok
-             ? 0
-             : 1;
+  return verified && policy_gate_ok && p99_ok && trace_ok ? 0 : 1;
 }

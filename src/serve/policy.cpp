@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <tuple>
 
@@ -12,7 +11,6 @@
 namespace haan::serve {
 
 std::optional<SchedPolicy> try_policy_from_string(const std::string& name) {
-  if (name == "auto") return SchedPolicy::kAuto;
   if (name == "fifo") return SchedPolicy::kFifo;
   if (name == "binned") return SchedPolicy::kBinned;
   if (name == "edf") return SchedPolicy::kEdf;
@@ -22,29 +20,17 @@ std::optional<SchedPolicy> try_policy_from_string(const std::string& name) {
 SchedPolicy policy_from_string(const std::string& name) {
   const auto policy = try_policy_from_string(name);
   HAAN_EXPECTS(policy.has_value() &&
-               "unknown policy (expected auto | fifo | binned | edf)");
+               "unknown policy (expected fifo | binned | edf)");
   return *policy;
 }
 
 std::string to_string(SchedPolicy policy) {
   switch (policy) {
-    case SchedPolicy::kAuto: return "auto";
     case SchedPolicy::kFifo: return "fifo";
     case SchedPolicy::kBinned: return "binned";
     case SchedPolicy::kEdf: return "edf";
   }
   return "?";
-}
-
-SchedPolicy resolve_policy(SchedPolicy policy) {
-  if (policy != SchedPolicy::kAuto) return policy;
-  const char* raw = std::getenv("HAAN_SCHED_POLICY");
-  if (raw == nullptr || *raw == '\0') return SchedPolicy::kFifo;
-  const auto parsed = try_policy_from_string(raw);
-  if (!parsed.has_value() || *parsed == SchedPolicy::kAuto) {
-    return SchedPolicy::kFifo;
-  }
-  return *parsed;
 }
 
 OverloadAction decide_admission(double slack_us, bool has_deadline,
@@ -62,7 +48,6 @@ OverloadAction decide_admission(double slack_us, bool has_deadline,
 }
 
 PendingPool::PendingPool(PolicyConfig config) : config_(config) {
-  HAAN_EXPECTS(config_.policy != SchedPolicy::kAuto);
   HAAN_EXPECTS(config_.bin_width > 0);
   HAAN_EXPECTS(config_.aging_us >= 0.0);
 }

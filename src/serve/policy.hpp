@@ -30,11 +30,6 @@ namespace haan::serve {
 
 /// Batch/pack formation order.
 enum class SchedPolicy {
-  /// Resolve at scheduler construction: HAAN_SCHED_POLICY in the environment
-  /// ("fifo" | "binned" | "edf") or kFifo. The default — existing configs
-  /// keep FIFO behavior, and the CI matrix can flip whole test suites onto a
-  /// policy via the environment.
-  kAuto,
   kFifo,    ///< strict arrival order (the legacy scheduler)
   kBinned,  ///< oldest request anchors, batch fills from its length bin
   kEdf,     ///< earliest-deadline-first (priority, then slack) within bins
@@ -43,10 +38,6 @@ enum class SchedPolicy {
 std::optional<SchedPolicy> try_policy_from_string(const std::string& name);
 SchedPolicy policy_from_string(const std::string& name);  ///< aborts on unknown
 std::string to_string(SchedPolicy policy);
-
-/// Resolves kAuto against HAAN_SCHED_POLICY (unset/unparseable -> kFifo);
-/// explicit policies pass through.
-SchedPolicy resolve_policy(SchedPolicy policy);
 
 /// Admission-control outcome for one pending request.
 enum class OverloadAction {
@@ -57,7 +48,7 @@ enum class OverloadAction {
 
 /// Policy knobs, carried inside SchedulerConfig.
 struct PolicyConfig {
-  SchedPolicy policy = SchedPolicy::kAuto;
+  SchedPolicy policy = SchedPolicy::kFifo;
 
   /// Prompt-length bin width for kBinned/kEdf (bin = len / bin_width). Wider
   /// bins trade pack uniformity for fill speed. Must be > 0.
@@ -95,7 +86,6 @@ OverloadAction decide_admission(double slack_us, bool has_deadline,
 /// bounded by queue capacity, and the comparator depends on `now`).
 class PendingPool {
  public:
-  /// `config.policy` must already be resolved (not kAuto).
   explicit PendingPool(PolicyConfig config);
 
   void push(Request request);

@@ -7,24 +7,12 @@
 
 namespace haan::serve {
 
-namespace {
-
-PolicyConfig resolved_policy_config(const SchedulerConfig& config,
-                                    SchedPolicy resolved) {
-  PolicyConfig out = config.policy;
-  out.policy = resolved;
-  return out;
-}
-
-}  // namespace
-
 StepScheduler::StepScheduler(RequestQueue& queue, SessionTable& sessions,
                              StepSchedulerConfig config)
     : queue_(queue),
       sessions_(sessions),
       config_(config),
-      policy_(resolve_policy(config.batching.policy.policy)),
-      pool_(resolved_policy_config(config.batching, policy_)) {
+      pool_(config.batching.policy) {
   HAAN_EXPECTS(config_.batching.max_batch > 0);
   HAAN_EXPECTS(config_.poll.count() > 0);
 }
@@ -53,8 +41,9 @@ std::optional<StepPack> StepScheduler::next_pack() {
   std::size_t rows = 0;
   const std::size_t max_batch = config_.batching.max_batch;
   const std::size_t max_rows = config_.batching.max_rows;
+  const SchedPolicy policy = config_.batching.policy.policy;
   const bool binned =
-      policy_ == SchedPolicy::kBinned || policy_ == SchedPolicy::kEdf;
+      policy == SchedPolicy::kBinned || policy == SchedPolicy::kEdf;
 
   for (;;) {
     // Work handed back after this snapshot (requeue / finish) bumps the

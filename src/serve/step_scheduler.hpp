@@ -104,7 +104,6 @@ struct StepPack {
 /// per token.
 class StepScheduler {
  public:
-  /// Resolves policy kAuto against HAAN_SCHED_POLICY at construction.
   StepScheduler(RequestQueue& queue, SessionTable& sessions,
                 StepSchedulerConfig config);
 
@@ -126,9 +125,6 @@ class StepScheduler {
 
   const StepSchedulerConfig& config() const { return config_; }
 
-  /// The formation order in effect (config policy with kAuto resolved).
-  SchedPolicy policy() const { return policy_; }
-
  private:
   StepEntry make_entry(Session* session) const;
 
@@ -141,7 +137,6 @@ class StepScheduler {
   RequestQueue& queue_;
   SessionTable& sessions_;
   StepSchedulerConfig config_;
-  SchedPolicy policy_;  ///< resolved (never kAuto)
 
   std::mutex form_mu_;  ///< serializes pack formation
   PendingPool pool_;    ///< policy reorder buffer (guarded by form_mu_)

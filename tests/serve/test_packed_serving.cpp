@@ -126,6 +126,11 @@ TEST(MegaBatchServe, PackedMetricsReportRowsAndOccupancy) {
   EXPECT_GT(report.metrics.pack_occupancy(), 0.0);
   EXPECT_LE(report.metrics.pack_occupancy(), 1.0);
   EXPECT_GT(report.metrics.rows_per_pack(), 0.0);
+  // One batched provider call per norm layer per pack, whatever the pack
+  // holds: rows per call is exactly rows per pack (both are ratios of exact
+  // integer counts, (sum rows * L) / (packs * L) and sum rows / packs).
+  EXPECT_EQ(report.metrics.rows_per_batched_call(),
+            report.metrics.rows_per_pack());
 
   // The JSON report carries the packing fields.
   const auto json = report.metrics.to_json().dump_pretty();

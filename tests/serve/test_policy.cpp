@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -28,7 +27,7 @@ PolicyConfig edf_config() {
 }
 
 // ---------------------------------------------------------------------------
-// Policy names & environment resolution.
+// Policy names.
 
 TEST(SchedPolicyStrings, RoundTrip) {
   for (const auto policy :
@@ -38,21 +37,8 @@ TEST(SchedPolicyStrings, RoundTrip) {
     EXPECT_EQ(*parsed, policy);
   }
   EXPECT_FALSE(try_policy_from_string("sjf").has_value());
+  EXPECT_FALSE(try_policy_from_string("auto").has_value());
   EXPECT_FALSE(try_policy_from_string("").has_value());
-}
-
-TEST(SchedPolicyStrings, ResolveAgainstEnvironment) {
-  unsetenv("HAAN_SCHED_POLICY");
-  EXPECT_EQ(resolve_policy(SchedPolicy::kAuto), SchedPolicy::kFifo);
-
-  setenv("HAAN_SCHED_POLICY", "edf", 1);
-  EXPECT_EQ(resolve_policy(SchedPolicy::kAuto), SchedPolicy::kEdf);
-  // Explicit policies pass through untouched.
-  EXPECT_EQ(resolve_policy(SchedPolicy::kBinned), SchedPolicy::kBinned);
-
-  setenv("HAAN_SCHED_POLICY", "not-a-policy", 1);
-  EXPECT_EQ(resolve_policy(SchedPolicy::kAuto), SchedPolicy::kFifo);
-  unsetenv("HAAN_SCHED_POLICY");
 }
 
 // ---------------------------------------------------------------------------
@@ -308,7 +294,6 @@ TEST(PolicyStepScheduler, BinnedFormsBinPurePacks) {
   StepSchedulerConfig config = scheduler_config(SchedPolicy::kBinned, 4);
   config.batching.policy.bin_width = 16;
   StepScheduler scheduler(queue, sessions, config);
-  EXPECT_EQ(scheduler.policy(), SchedPolicy::kBinned);
 
   // Oldest request (id 0, short) anchors the first pack; every session in a
   // pack shares its anchor's bin.

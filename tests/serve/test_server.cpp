@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 
 namespace haan::serve {
 namespace {
@@ -54,19 +56,25 @@ TEST(Server, CompletesEveryRequestExactlyOnce) {
   EXPECT_LE(report.metrics.max_batch_size, 4u);
 }
 
-/// The run_reference parity tests, once per prefill chunk size: whole-prompt
-/// steps, the adversarial single-row chunk, and a chunk that splits every
-/// prompt mid-sequence.
-class ServerParity : public ::testing::TestWithParam<std::size_t> {
+/// The run_reference parity tests, once per (prefill chunk, formation
+/// policy). Chunks: whole-prompt steps, the adversarial single-row chunk, and
+/// a chunk that splits every prompt mid-sequence. Policies: FIFO, and binned /
+/// EDF with bins narrow enough that the 4..12-token prompts land in three
+/// bins, so packs form out of arrival order. Reordering changes only which
+/// requests share a pack, never the numerics.
+class ServerParity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, SchedPolicy>> {
  protected:
-  ServerConfig chunked(ServerConfig config) const {
-    config.prefill_chunk = GetParam();
+  ServerConfig configured(ServerConfig config) const {
+    config.prefill_chunk = std::get<0>(GetParam());
+    config.scheduler.policy.policy = std::get<1>(GetParam());
+    config.scheduler.policy.bin_width = 4;
     return config;
   }
 };
 
 TEST_P(ServerParity, MultiWorkerBitIdenticalToSingleThreadedReference) {
-  Server server(chunked(tiny_server("haan", 4)));
+  Server server(configured(tiny_server("haan", 4)));
   const auto workload = generate_workload(small_workload(48, server.config().model));
 
   const auto reference = server.run_reference(workload);
@@ -88,7 +96,7 @@ TEST_P(ServerParity, MultiWorkerBitIdenticalToSingleThreadedReference) {
 }
 
 TEST_P(ServerParity, AggregatedHaanCountersMatchReference) {
-  Server server(chunked(tiny_server("haan", 4)));
+  Server server(configured(tiny_server("haan", 4)));
   const auto workload = generate_workload(small_workload(32, server.config().model));
 
   const auto reference = server.run_reference(workload);
@@ -168,7 +176,7 @@ TEST_P(ServerParity, SkipPlanActiveOnDeepModel) {
   config.calibration.n_samples = 4;
   config.calibration.seq_len = 12;
   config.calibration.position_stride = 4;
-  Server server(chunked(config));
+  Server server(configured(config));
   EXPECT_TRUE(server.plan().enabled);
 
   const auto workload = generate_workload(small_workload(12, config.model));
@@ -179,9 +187,17 @@ TEST_P(ServerParity, SkipPlanActiveOnDeepModel) {
             server.run_reference(workload).metrics.norm.isd_predicted);
 }
 
-INSTANTIATE_TEST_SUITE_P(PrefillChunk, ServerParity,
-                         ::testing::Values(std::size_t{0}, std::size_t{1},
-                                           std::size_t{2}));
+INSTANTIATE_TEST_SUITE_P(
+    ChunkAndPolicy, ServerParity,
+    ::testing::Combine(::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2}),
+                       ::testing::Values(SchedPolicy::kFifo,
+                                         SchedPolicy::kBinned,
+                                         SchedPolicy::kEdf)),
+    [](const auto& info) {
+      return "chunk" + std::to_string(std::get<0>(info.param)) + "_" +
+             to_string(std::get<1>(info.param));
+    });
 
 TEST(Server, OverlappingRunsOnOneServerStayBitIdentical) {
   // run() is documented safe to overlap: each run has its own queue,
